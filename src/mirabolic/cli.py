@@ -105,6 +105,13 @@ def _parse_eigenvalue_flags(args) -> List[Scalar]:
     return hints
 
 
+def _json_list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise InputError("%s: expected a list, got %r" % (key, value))
+    return value
+
+
 def _load_classify_input(args):
     """Returns (matrix representative, field, eigenvalue hints)."""
     text = _read_text(args.input)
@@ -127,9 +134,11 @@ def _load_classify_input(args):
         if field not in (REAL, COMPLEX):
             raise InputError('field must be "R" or "C"')
         hints = [
-            Scalar(_parse_rational(v, "eigenvalues")) for v in obj.get("eigenvalues", [])
+            Scalar(_parse_rational(v, "eigenvalues")) for v in _json_list(obj, "eigenvalues")
         ]
-        for pair in obj.get("pairs", []):
+        for pair in _json_list(obj, "pairs"):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InputError("pairs: each entry must be [re, im], got %r" % (pair,))
             re = _parse_rational(pair[0], "pairs")
             im = _parse_rational(pair[1], "pairs")
             hints.append(Scalar(re, im))
@@ -139,8 +148,6 @@ def _load_classify_input(args):
     rows = [line.split() for line in stripped.splitlines() if line.strip()]
     matrix = _parse_matrix_rows(rows, "matrix")
     field = args.field
-    if field not in (REAL, COMPLEX):
-        raise InputError('field must be "R" or "C"')
     hints = _parse_eigenvalue_flags(args)
     if not hints:
         hints = [Scalar(0)]
@@ -340,7 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="normal form of a mirabolic functional")
     p.add_argument("input", help="orbit spec, matrix JSON, or plain-text matrix ('-' for stdin)")
-    p.add_argument("--field", default=COMPLEX, help='base field, "C" (default) or "R"')
+    p.add_argument("--field", default=COMPLEX, choices=(COMPLEX, REAL),
+                   help='base field, "C" (default) or "R"')
     p.add_argument("--eigenvalues", help="comma-separated rational eigenvalue hints")
     p.add_argument("--pairs", help="comma-separated re:im conjugate-pair hints")
     p.add_argument("--certificate", action="store_true", help="include the verified conjugator")
@@ -377,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="restriction matches the dense-orbit attachment")
     p.add_argument("input", nargs="?", help="orbit spec (omit with --corpus)")
     p.add_argument("--corpus", type=int, help="verify every corpus orbit up to this size")
-    p.add_argument("--field", default=COMPLEX, help='corpus field, "C" (default) or "R"')
+    p.add_argument("--field", default=COMPLEX, choices=(COMPLEX, REAL),
+                   help='corpus field, "C" (default) or "R"')
     p.add_argument("--conjugations", type=int, default=0,
                    help="random conjugation-invariance checks per orbit")
     p.add_argument("--seed", type=int, default=20508, help="seed for the random checks")

@@ -3,11 +3,19 @@
 Everything is computed with unbounded exact arithmetic: no tolerances, no
 floating point.  Matrices are immutable; all operations are pure functions,
 so values can be shared freely between threads.
+
+Every rational rank goes through one integer kernel.  integer_rows reads a
+real matrix as the sparse integer rows of d*m, d the least common
+denominator of its entries, and integer_rank ranks sparse integer rows by
+fraction-free elimination with the row content divided out.  rank on a real
+matrix and the Jordan rank filtration at a rational eigenvalue both use it;
+only non-real matrices and conjugate-pair eigenvalues take the Gaussian
+elimination in _eliminate.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .partitions import Partition
@@ -19,6 +27,8 @@ __all__ = [
     "SpectrumMismatch",
     "block_diag",
     "rank",
+    "integer_rows",
+    "integer_rank",
     "kernel_dim",
     "solve_linear",
     "inverse",
@@ -322,48 +332,71 @@ def _eliminate(rows: list, ncols: int, reduce_up: bool = False) -> list:
     return pivots
 
 
-def _bareiss_rank(rows: list) -> int:
-    """Fraction-free rank of an integer matrix (one-step Bareiss)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
+def integer_rows(m: ExactMatrix) -> list:
+    """Rows of d*m as sparse {column: int} dicts, d the least common denominator.
+
+    Read straight off each entry's numerator and denominator.  Raises
+    ValueError on a non-real entry: the imaginary part is never dropped.
+    """
+    if not m.is_real():
+        raise ValueError("integer rows need a real matrix; it has a non-real entry")
+    d = lcm(1, *(v.re.denominator for row in m.data for v in row))
+    return [
+        {j: v.re.numerator * (d // v.re.denominator) for j, v in enumerate(row) if v.re}
+        for row in m.data
+    ]
+
+
+def integer_rank(rows: Iterable[dict]) -> int:
+    """Rank of sparse integer rows {column: nonzero int}; the rows are not modified.
+
+    Builds an echelon form keyed by leading column.  Each incoming row is
+    reduced against the stored row with its leading column, fraction-free
+    (the two leading entries are cross-multiplied after dividing out their
+    gcd), and the content of the result is divided out, so coefficients stay
+    small and zero entries are never touched.
+    """
+    echelon = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            top = echelon.get(lead)
+            if top is None:
+                echelon[lead] = row
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r][c]
-        top = rows[r]
-        for i in range(r + 1, nrows):
-            cur = rows[i]
-            f = cur[c]
-            for j in range(c, ncols):
-                cur[j] = (piv * cur[j] - f * top[j]) // prev
-        prev = piv
-        r += 1
-        if r == nrows:
-            break
-    return r
+            p, f = top[lead], row[lead]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
+            for c, v in top.items():
+                w = new.get(c, 0) - f * v
+                if w:
+                    new[c] = w
+                else:
+                    del new[c]
+            content = gcd(*new.values()) if new else 1
+            if content > 1:
+                new = {c: v // content for c, v in new.items()}
+            row = new
+    return len(echelon)
+
+
+def _integer_matmul(a: list, b: list) -> list:
+    """Product of two square integer matrices given as sparse rows."""
+    out = []
+    for row in a:
+        acc = {}
+        for k, v in row.items():
+            for j, w in b[k].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
 
 def rank(m: ExactMatrix) -> int:
     """Exact row rank over the entry field."""
     if m.is_real():
-        # clear denominators row by row and run integer Bareiss elimination
-        int_rows = []
-        for row in m.data:
-            scale = 1
-            for v in row:
-                d = v.re.denominator
-                if d != 1:
-                    scale = scale * d // gcd(scale, d)
-            int_rows.append([int(v.re * scale) for v in row])
-        return _bareiss_rank(int_rows)
+        return integer_rank(integer_rows(m))
     rows = [list(row) for row in m.data]
     return len(_eliminate(rows, m.cols))
 
@@ -470,14 +503,11 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
             continue
         seen.add(lam)
         shifted = m - lam * identity
-        ranks = [n]
-        power = identity
-        while True:
-            power = power * shifted
-            rk = rank(power)
-            ranks.append(rk)
-            if rk == ranks[-2]:
-                break
+        if shifted.is_real():
+            # d*(m - lam) has the same rank filtration for any d != 0
+            ranks = _power_ranks(n, integer_rows(shifted), integer_rank, _integer_matmul)
+        else:
+            ranks = _power_ranks(n, shifted, rank, ExactMatrix.__mul__)
         multiplicity = n - ranks[-1]
         if multiplicity == 0:
             continue
@@ -493,3 +523,14 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
             "eigenvalues account for dimension %d of %d" % (total, n)
         )
     return result
+
+
+def _power_ranks(n: int, shifted, rank_of, multiply) -> list:
+    """[n, rank s, rank s^2, ...] for s = shifted, up to the first repeated rank."""
+    ranks = [n]
+    power = shifted
+    while True:
+        ranks.append(rank_of(power))
+        if ranks[-1] == ranks[-2]:
+            return ranks
+        power = multiply(power, shifted)

@@ -342,6 +342,10 @@ def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence[Scalar])
 def _parse_partition(raw, where: str) -> Partition:
     if not isinstance(raw, (list, tuple)):
         raise OrbitSpecError("%s: partition must be a list of integers" % where)
+    for part in raw:
+        # bool is an int subclass, and int() would truncate 2.5 to 2
+        if isinstance(part, bool) or not isinstance(part, int):
+            raise OrbitSpecError("%s: partition parts must be integers, got %r" % (where, part))
     try:
         return Partition(raw)
     except (TypeError, ValueError) as exc:

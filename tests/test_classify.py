@@ -26,6 +26,7 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
+from mirabolic.exact_linalg import _eliminate
 
 from conftest import S, example_27_matrix, orbit
 
@@ -193,3 +194,50 @@ class TestStabilizer:
 
     def test_point_stabilizer_on_zero(self):
         assert point_stabilizer_dim(ExactMatrix.zeros(3, 3)) == 6
+
+
+def _reference_bracket_rank(x, coords):
+    """The Scalar bracket matrix of Y -> [x, Y], ranked by Gaussian elimination.
+
+    Columns are indexed by the mirabolic basis E_ij (all rows i but the
+    last), rows by the matrix coordinates read; independent of the integer
+    kernel that stabilizer_dim uses.
+    """
+    n = x.rows
+    cols = []
+    for i in range(n - 1):
+        for j in range(n):
+            # [x, E_ij] puts column i of x into column j and minus row j of x into row i
+            entries = {}
+            for r in range(n):
+                entries[(r, j)] = entries.get((r, j), S(0)) + x.data[r][i]
+            for c in range(n):
+                entries[(i, c)] = entries.get((i, c), S(0)) - x.data[j][c]
+            cols.append([entries.get(rc, S(0)) for rc in coords])
+    rows = [list(row) for row in zip(*cols)]
+    return len(_eliminate(rows, len(cols))) if rows else 0
+
+
+class TestStabilizerAgainstScalarReference:
+    def test_random_conjugates_of_size_four_corpora(self):
+        rng = random.Random(4242)
+        orbits = list(complex_corpus(4)) + list(real_corpus(4, require_pair=False))
+        for o in orbits:
+            n = o.size
+            a = realize_orbit(o)
+            for _ in range(2):
+                p = random_mirabolic(n, rng)
+                z = p * a * inverse(p)
+                x = project_to_p_star(z)
+                basis = n * (n - 1)
+                coords = [(r, c) for r in range(n) for c in range(n - 1)]
+                assert stabilizer_dim(x) == basis - _reference_bracket_rank(x, coords), o
+                coords = [(r, c) for r in range(n) for c in range(n)]
+                assert point_stabilizer_dim(z) == basis - _reference_bracket_rank(z, coords), o
+
+    def test_gaussian_entry_is_refused(self):
+        x = ExactMatrix([[S(0, 1), S(0)], [S(1), S(0)]])
+        with pytest.raises(ValueError):
+            stabilizer_dim(x)
+        with pytest.raises(ValueError):
+            point_stabilizer_dim(x)

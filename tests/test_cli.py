@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mirabolic.cli import main
 
 
@@ -247,3 +249,37 @@ class TestDeterminismAndErrors:
         code, _, err = run(capsys, "enumerate", str(path))
         assert code == 2
         assert "eigenvalue class" in err
+
+    def test_pair_hint_without_imaginary_part_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "m.json", {"matrix": [["0"]], "pairs": [["1"]]})
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: pairs") and err.count("\n") == 1
+
+    def test_non_list_pairs_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "m.json", {"matrix": [["0"]], "pairs": "1:1"})
+        code, _, err = run(capsys, "classify", path)
+        assert code == 2
+        assert "pairs" in err
+
+    @pytest.mark.parametrize("part", [2.5, True])
+    def test_non_integer_partition_part_rejected(self, tmp_path, capsys, part):
+        spec = {"field": "C", "classes": [{"re": "0", "partition": [part]}]}
+        path = write_json(tmp_path, "p.json", spec)
+        code, out, err = run(capsys, "enumerate", path)
+        assert code == 2
+        assert out == ""
+        assert "partition parts must be integers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--corpus", "2", "--field", "Q"),
+        ("classify", "-", "--field", "Q"),
+    ])
+    def test_unknown_field_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'Q'" in captured.err

@@ -10,15 +10,19 @@ from mirabolic import (
     SingularSylvester,
     SpectrumMismatch,
     block_diag,
+    integer_rank,
+    integer_rows,
     inverse,
     jordan_block,
     jordan_structure,
     kernel_dim,
+    pair_block,
     rank,
     solve_linear,
     sylvester_solve,
 )
 from mirabolic.corpus import random_unimodular
+from mirabolic.exact_linalg import _eliminate
 from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import S
@@ -86,8 +90,6 @@ class TestRank:
             assert rank(g * m * h) == r
 
     def test_integer_fast_path_matches_generic_elimination(self):
-        from mirabolic.exact_linalg import _eliminate
-
         rng = random.Random(19)
         for _ in range(300):
             nr = rng.randint(1, 6)
@@ -103,6 +105,122 @@ class TestRank:
             m = ExactMatrix(rows)
             generic = len(_eliminate([list(r) for r in m.data], nc))
             assert rank(m) == generic
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices with zero rows and columns, duplicate rows, rows that
+    are combinations of others, denominators up to 10**6 and entries near 2**70."""
+    nr = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.builds(Fraction, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 10 ** 6)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    index = st.integers(0, nr - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero_row", "zero_col", "duplicate", "combine"]))
+        target = draw(index)
+        if kind == "zero_row":
+            rows[target] = [Fraction(0)] * nc
+        elif kind == "zero_col":
+            col = draw(st.integers(0, nc - 1))
+            for row in rows:
+                row[col] = Fraction(0)
+        elif kind == "duplicate":
+            rows[target] = list(rows[draw(index)])
+        else:
+            a, b = draw(entry), draw(entry)
+            r1, r2 = rows[draw(index)], rows[draw(index)]
+            rows[target] = [a * u + b * v for u, v in zip(r1, r2)]
+    return ExactMatrix(rows)
+
+
+class TestIntegerKernel:
+    def test_integer_rows_clear_the_common_denominator(self):
+        m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [0, 2], [0, 0]])
+        assert integer_rows(m) == [{0: 3, 1: 2}, {1: 12}, {}]
+        assert integer_rows(ExactMatrix([[Fraction(-4, 6)]])) == [{0: -2}]
+
+    def test_integer_rank_leaves_its_rows_alone(self):
+        rows = [{0: 2, 1: 4}, {0: 3, 2: 5}, {1: 6, 2: -5}, {}]
+        before = [dict(r) for r in rows]
+        # the third row is (3 * first - 2 * second) / 2
+        assert integer_rank(rows) == 2
+        assert rows == before
+
+    def test_empty_shapes(self):
+        assert integer_rank([]) == 0
+        assert rank(ExactMatrix([])) == 0
+        assert rank(ExactMatrix([[], []])) == 0
+
+    @given(rational_matrices())
+    def test_rank_matches_gaussian_elimination(self, m):
+        assert rank(m) == len(_eliminate([list(r) for r in m.data], m.cols))
+
+    def test_gaussian_entry_is_refused(self):
+        m = ExactMatrix([[S(1), S(0, 1)], [S(2), S(3)]])
+        with pytest.raises(ValueError):
+            integer_rows(m)
+        # rank itself still works over Q(i)
+        assert rank(m) == 2
+
+
+def _sympy_matrix(sympy, m):
+    return sympy.Matrix([[sympy.Rational(v.re.numerator, v.re.denominator) for v in row]
+                         for row in m.data])
+
+
+def _sympy_jordan_blocks(sympy, m):
+    """{eigenvalue as Scalar: sorted block sizes} from sympy's Jordan form."""
+    _, j = _sympy_matrix(sympy, m).jordan_form()
+    n = j.rows
+    blocks = {}
+    start = 0
+    for i in range(n):
+        if i == n - 1 or j[i, i + 1] == 0:
+            lam = j[i, i]
+            re, im = sympy.re(lam), sympy.im(lam)
+            key = S(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+            blocks.setdefault(key, []).append(i + 1 - start)
+            start = i + 1
+    return {k: Partition(v) for k, v in blocks.items()}
+
+
+class TestSympyCrossCheck:
+    """rank and jordan_structure against sympy on random P J P^-1."""
+
+    def _random_conjugate(self, rng):
+        eigenvalues = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 4)]
+        blocks, hints = [], []
+        for lam in rng.sample(eigenvalues, rng.randint(1, 2)):
+            for size in Partition([rng.randint(1, 2) for _ in range(rng.randint(1, 2))]):
+                blocks.append(jordan_block(size, lam))
+            hints.append(S(lam))
+        if rng.random() < 0.3:
+            blocks.append(pair_block(1, Fraction(1, 2), 2))
+            hints.extend([S(Fraction(1, 2), 2), S(Fraction(1, 2), -2)])
+        j = block_diag(*blocks)
+        while True:
+            p = ExactMatrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(j.rows)] for _ in range(j.rows)])
+            if rank(p) == j.rows:
+                return p * j * inverse(p), hints
+
+    def test_rank_and_jordan_structure(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(23)
+        for _ in range(30):
+            m, hints = self._random_conjugate(rng)
+            assert rank(m) == _sympy_matrix(sympy, m).rank()
+            for lam in hints:
+                if lam.is_real():
+                    shifted = m - lam * ExactMatrix.identity(m.rows)
+                    assert rank(shifted) == _sympy_matrix(sympy, shifted).rank()
+            assert jordan_structure(m, hints) == _sympy_jordan_blocks(sympy, m)
 
 
 class TestSolve:
