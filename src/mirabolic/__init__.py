@@ -10,7 +10,6 @@ unique dense image orbit.
 from .exact_linalg import (
     ExactMatrix,
     Scalar,
-    SingularSylvester,
     SpectrumMismatch,
     block_diag,
     integer_rank,
@@ -19,8 +18,6 @@ from .exact_linalg import (
     jordan_structure,
     kernel_dim,
     rank,
-    solve_linear,
-    sylvester_solve,
 )
 from .partitions import EmptyPartitionError, Partition, partitions_of_weight
 from .orbit_model import (
@@ -31,7 +28,6 @@ from .orbit_model import (
     OrbitDatum,
     OrbitSpecError,
     jordan_block,
-    jordan_decompose,
     orbit_from_json,
     orbit_from_matrix,
     pair_block,

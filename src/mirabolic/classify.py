@@ -129,31 +129,50 @@ def classify_certified(
     return datum, cert
 
 
+def _conjugate_step(h, beta: Sequence[Scalar], p: int) -> list:
+    """Rows of M*H*M^-1 for M = _completion(beta), in O(s^2).
+
+    M*H has the rows of H other than row p, then the row vector beta*H.  M
+    is the identity apart from its last row, so v*M^-1 has the entries
+    v_q - t*beta_q for q != p, in order, followed by t = v_p / beta_p.
+    """
+    s = len(beta)
+    others = [q for q in range(s) if q != p]
+    top = [_ZERO] * s
+    for k, b in enumerate(beta):
+        if b:
+            top = [t + b * v for t, v in zip(top, h[k])]
+    out = []
+    for v in [h[q] for q in others] + [top]:
+        t = v[p] / beta[p]
+        if t:
+            out.append([v[q] - t * beta[q] if beta[q] else v[q] for q in others] + [t])
+        else:
+            out.append([v[q] for q in others] + [t])
+    return out
+
+
 def _classify(x, field, eigenvalues, want_certificate):
     _validate_representative(x, field)
     n = x.rows
     cert = ExactMatrix.identity(n) if want_certificate else None
-    cur = x
+    cur = x.data
     steps = 0
     while True:
-        s = cur.rows
-        beta = [cur.data[s - 1][c] for c in range(s - 1)]
-        if not any(beta):
-            head = cur.submatrix(0, s - 1, 0, s - 1)
+        s = len(cur)
+        beta = cur[s - 1][: s - 1]
+        pivot = next((i for i, v in enumerate(beta) if v), None)
+        if pivot is None:
+            head = ExactMatrix([row[: s - 1] for row in cur[: s - 1]])
             a_part = orbit_from_matrix(head, field, eigenvalues) if s > 1 else OrbitDatum(field)
             return MirabolicOrbitDatum(steps + 1, a_part), cert
-        m = _completion(beta)
-        head = m * cur.submatrix(0, s - 1, 0, s - 1) * inverse(m)
-        if want_certificate:
-            cert = _embed_levi(m, n) * cert
+        head = _conjugate_step([row[: s - 1] for row in cur[: s - 1]], beta, pivot)
         # absorb the column the unipotent radical can reach, then recurse
-        alpha = [-head.data[i][s - 2] for i in range(s - 1)]
         if want_certificate:
+            alpha = [-row[s - 2] for row in head]
+            cert = _embed_levi(_completion(beta), n) * cert
             cert = _embed_column_shift(alpha, s - 1, n) * cert
-        zero = _ZERO
-        cur = ExactMatrix(
-            [list(row[: s - 2]) + [zero] for row in head.data]
-        )
+        cur = [row[: s - 2] + [_ZERO] for row in head]
         steps += 1
 
 

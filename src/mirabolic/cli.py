@@ -62,6 +62,15 @@ def _read_text(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError("invalid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
+
+
 def _parse_rational(text: str, where: str) -> Fraction:
     try:
         return Fraction(str(text).strip())
@@ -70,6 +79,8 @@ def _parse_rational(text: str, where: str) -> Fraction:
 
 
 def _parse_matrix_rows(rows, where: str) -> ExactMatrix:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("%s: expected a list of rows, each a list of entries" % where)
     if not rows:
         raise InputError("%s: empty matrix" % where)
     data = []
@@ -77,9 +88,9 @@ def _parse_matrix_rows(rows, where: str) -> ExactMatrix:
         data.append(
             [Scalar(_parse_rational(v, "%s row %d" % (where, i + 1))) for v in row]
         )
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
-        raise InputError("%s: rows have differing lengths" % where)
+    if any(len(r) != len(data) for r in data):
+        raise InputError("%s: expected a square matrix, got %d rows of lengths %s"
+                         % (where, len(data), sorted({len(r) for r in data})))
     return ExactMatrix(data)
 
 
@@ -118,10 +129,7 @@ def _load_classify_input(args):
     stripped = text.strip()
     obj = None
     if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError("invalid JSON: %s" % exc) from exc
+        obj = _parse_json(text)
     if obj is not None and "classes" in obj:
         orbit = orbit_from_json(obj)
         x = project_to_p_star(realize_orbit(orbit))
@@ -155,12 +163,7 @@ def _load_classify_input(args):
 
 
 def _load_orbit(path: str) -> OrbitDatum:
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError("invalid JSON: %s" % exc) from exc
-    orbit = orbit_from_json(obj)
+    orbit = orbit_from_json(_parse_json(_read_text(path)))
     if not orbit.classes:
         raise InputError("orbit spec needs at least one eigenvalue class")
     return orbit
@@ -337,6 +340,17 @@ def _cmd_verify(args) -> dict:
     }
 
 
+def _count(text: str) -> int:
+    """argparse type for a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirabolic",
@@ -384,10 +398,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="restriction matches the dense-orbit attachment")
     p.add_argument("input", nargs="?", help="orbit spec (omit with --corpus)")
-    p.add_argument("--corpus", type=int, help="verify every corpus orbit up to this size")
+    p.add_argument("--corpus", type=_count, help="verify every corpus orbit up to this size")
     p.add_argument("--field", default=COMPLEX, choices=(COMPLEX, REAL),
                    help='corpus field, "C" (default) or "R"')
-    p.add_argument("--conjugations", type=int, default=0,
+    p.add_argument("--conjugations", type=_count, default=0,
                    help="random conjugation-invariance checks per orbit")
     p.add_argument("--seed", type=int, default=20508, help="seed for the random checks")
     p.add_argument("--out")

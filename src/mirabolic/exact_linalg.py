@@ -4,41 +4,43 @@ Everything is computed with unbounded exact arithmetic: no tolerances, no
 floating point.  Matrices are immutable; all operations are pure functions,
 so values can be shared freely between threads.
 
-Every rational rank goes through one integer kernel.  integer_rows reads a
-real matrix as the sparse integer rows of d*m, d the least common
-denominator of its entries, and integer_rank ranks sparse integer rows by
-fraction-free elimination with the row content divided out.  rank on a real
-matrix and the Jordan rank filtration at a rational eigenvalue both use it;
-only non-real matrices and conjugate-pair eigenvalues take the Gaussian
-elimination in _eliminate.
+Real matrices are computed on one sparse integer kernel.  A real matrix m is
+read as d and the sparse integer rows of d*m, d the least common
+denominator of its entries (integer_rows gives the rows).  On that form:
+
+* integer_rank ranks sparse integer rows by fraction-free elimination with
+  the row content divided out; rank on a real matrix, the Jordan rank
+  filtration at a rational eigenvalue and the stabilizer brackets use it;
+* the product of two real matrices multiplies the integer rows and divides
+  each nonzero entry once by the two denominators;
+* inverse runs the same fraction-free, content-reduced elimination as a
+  Gauss-Jordan sweep on [d*m | I] and divides each entry once.  It raises
+  ValueError on a singular matrix and on one with a non-real entry.
+
+Only products with a non-real factor, ranks of non-real matrices and the
+Jordan filtration at a conjugate-pair eigenvalue compute with Scalar entries,
+the last two through the Gaussian elimination in _eliminate.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .partitions import Partition
 
 __all__ = [
     "Scalar",
     "ExactMatrix",
-    "SingularSylvester",
     "SpectrumMismatch",
     "block_diag",
     "rank",
     "integer_rows",
     "integer_rank",
     "kernel_dim",
-    "solve_linear",
     "inverse",
-    "sylvester_solve",
     "jordan_structure",
 ]
-
-
-class SingularSylvester(Exception):
-    """The map M -> M*B - C*M is singular and the system has no unique solution."""
 
 
 class SpectrumMismatch(Exception):
@@ -209,7 +211,7 @@ class ExactMatrix:
         return all(v.is_zero() for row in self.data for v in row)
 
     def is_real(self) -> bool:
-        return all(v.is_real() for row in self.data for v in row)
+        return all(not v.im for row in self.data for v in row)
 
     def __add__(self, other):
         self._same_shape(other)
@@ -239,6 +241,11 @@ class ExactMatrix:
                     "shape mismatch: %dx%d * %dx%d"
                     % (self.rows, self.cols, other.rows, other.cols)
                 )
+            if self.is_real() and other.is_real():
+                da, a = _scaled_rows(self)
+                db, b = _scaled_rows(other)
+                return _from_integer_rows(_integer_matmul(a, b), [da * db] * self.rows,
+                                          other.cols)
             cols = other.cols
             out = []
             for row in self.data:
@@ -297,8 +304,8 @@ def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(out)
 
 
-def _eliminate(rows: list, ncols: int, reduce_up: bool = False) -> list:
-    """In-place exact Gaussian elimination.
+def _eliminate(rows: list, ncols: int) -> list:
+    """In-place exact Gaussian elimination to row echelon form.
 
     Deterministic pivoting: first nonzero entry in column order.  Each pivot
     row is rescaled to a unit pivot, which keeps every entry gcd-reduced.
@@ -318,10 +325,7 @@ def _eliminate(rows: list, ncols: int, reduce_up: bool = False) -> list:
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = SCALAR_ONE / rows[r][c]
         rows[r] = [inv * v for v in rows[r]]
-        targets = range(nrows) if reduce_up else range(r + 1, nrows)
-        for i in targets:
-            if i == r:
-                continue
+        for i in range(r + 1, nrows):
             f = rows[i][c]
             if f:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
@@ -332,8 +336,9 @@ def _eliminate(rows: list, ncols: int, reduce_up: bool = False) -> list:
     return pivots
 
 
-def integer_rows(m: ExactMatrix) -> list:
-    """Rows of d*m as sparse {column: int} dicts, d the least common denominator.
+def _scaled_rows(m: ExactMatrix) -> tuple:
+    """(d, rows): rows are the sparse {column: int} rows of d*m, d the least
+    common denominator of the entries.
 
     Read straight off each entry's numerator and denominator.  Raises
     ValueError on a non-real entry: the imaginary part is never dropped.
@@ -341,20 +346,64 @@ def integer_rows(m: ExactMatrix) -> list:
     if not m.is_real():
         raise ValueError("integer rows need a real matrix; it has a non-real entry")
     d = lcm(1, *(v.re.denominator for row in m.data for v in row))
-    return [
+    return d, [
         {j: v.re.numerator * (d // v.re.denominator) for j, v in enumerate(row) if v.re}
         for row in m.data
     ]
+
+
+def integer_rows(m: ExactMatrix) -> list:
+    """Rows of d*m as sparse {column: int} dicts, d the least common denominator.
+
+    Raises ValueError on a non-real entry.
+    """
+    return _scaled_rows(m)[1]
+
+
+def _from_integer_rows(rows: list, dens: list, cols: int) -> ExactMatrix:
+    """The real matrix whose row i is the sparse integer row rows[i] over dens[i].
+
+    Each nonzero entry is divided once.
+    """
+    out = []
+    for row, d in zip(rows, dens):
+        new = [SCALAR_ZERO] * cols
+        for j, v in row.items():
+            new[j] = Scalar(Fraction(v, d), _ZERO)
+        out.append(new)
+    return ExactMatrix(out)
+
+
+def _reduce(row: dict, top: dict, col: int) -> dict:
+    """row with column col cleared by top, fraction-free, content divided out.
+
+    The two entries in column col are cross-multiplied after dividing out
+    their gcd, and the content of the result is divided out, so coefficients
+    stay small and zero entries are never touched.  Neither input is
+    modified.
+    """
+    p, f = top[col], row[col]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
+    for c, v in top.items():
+        w = new.get(c, 0) - f * v
+        if w:
+            new[c] = w
+        else:
+            del new[c]
+    content = gcd(*new.values()) if new else 1
+    if content > 1:
+        new = {c: v // content for c, v in new.items()}
+    return new
 
 
 def integer_rank(rows: Iterable[dict]) -> int:
     """Rank of sparse integer rows {column: nonzero int}; the rows are not modified.
 
     Builds an echelon form keyed by leading column.  Each incoming row is
-    reduced against the stored row with its leading column, fraction-free
-    (the two leading entries are cross-multiplied after dividing out their
-    gcd), and the content of the result is divided out, so coefficients stay
-    small and zero entries are never touched.
+    reduced (_reduce) against the stored row with its leading column until it
+    vanishes or starts a new leading column.
     """
     echelon = {}
     for row in rows:
@@ -364,25 +413,12 @@ def integer_rank(rows: Iterable[dict]) -> int:
             if top is None:
                 echelon[lead] = row
                 break
-            p, f = top[lead], row[lead]
-            g = gcd(p, f)
-            p, f = p // g, f // g
-            new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
-            for c, v in top.items():
-                w = new.get(c, 0) - f * v
-                if w:
-                    new[c] = w
-                else:
-                    del new[c]
-            content = gcd(*new.values()) if new else 1
-            if content > 1:
-                new = {c: v // content for c, v in new.items()}
-            row = new
+            row = _reduce(row, top, lead)
     return len(echelon)
 
 
 def _integer_matmul(a: list, b: list) -> list:
-    """Product of two square integer matrices given as sparse rows."""
+    """Product of two integer matrices given as sparse rows."""
     out = []
     for row in a:
         acc = {}
@@ -405,79 +441,37 @@ def kernel_dim(m: ExactMatrix) -> int:
     return m.cols - rank(m)
 
 
-def solve_linear(a: ExactMatrix, b) -> Optional[list]:
-    """Solve a x = b exactly.
-
-    b may be an n x 1 ExactMatrix or a sequence of scalars.  Returns one
-    solution (free variables set to zero) or None when the system is
-    inconsistent.
-    """
-    if isinstance(b, ExactMatrix):
-        if b.cols != 1:
-            raise ValueError("right-hand side must be a column")
-        rhs = [row[0] for row in b.data]
-    else:
-        rhs = [_coerce(v) for v in b]
-    if len(rhs) != a.rows:
-        raise ValueError("dimension mismatch: %d rows vs %d entries" % (a.rows, len(rhs)))
-    rows = [list(row) + [rhs[i]] for i, row in enumerate(a.data)]
-    pivots = _eliminate(rows, a.cols, reduce_up=True)
-    for i in range(len(pivots), len(rows)):
-        if rows[i][a.cols]:
-            return None
-    solution = [SCALAR_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        solution[c] = rows[r][a.cols]
-    return solution
-
-
 def inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a real square matrix.
+
+    Fraction-free Gauss-Jordan on the sparse integer rows of [d*m | I]: each
+    pivot column is cleared from every other row by _reduce, which leaves
+    p_i * e_i on the left of row i and y_i on the right with y_i * d*m =
+    p_i * e_i, so row i of the inverse is d * y_i / p_i.  Raises ValueError
+    on a singular matrix and on a non-real entry.
+    """
     if not m.is_square():
         raise ValueError("only square matrices have inverses")
     n = m.rows
-    rows = [list(row) + [SCALAR_ONE if i == j else SCALAR_ZERO for j in range(n)]
-            for i, row in enumerate(m.data)]
-    pivots = _eliminate(rows, n, reduce_up=True)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    return ExactMatrix([row[n:] for row in rows])
-
-
-def sylvester_solve(b: ExactMatrix, c: ExactMatrix, r: ExactMatrix) -> ExactMatrix:
-    """Solve M*B - C*M = R for M exactly.
-
-    B is t x t, C is s x s, R and the unknown M are s x t.  The associated
-    linear operator is invertible exactly when B and C share no eigenvalue;
-    otherwise SingularSylvester is raised.  The result is re-substituted
-    into the equation before being returned.
-    """
-    if not b.is_square() or not c.is_square():
-        raise ValueError("B and C must be square")
-    t, s = b.rows, c.rows
-    if r.rows != s or r.cols != t:
-        raise ValueError("R must be %dx%d" % (s, t))
-    nvars = s * t
-    rows = []
-    for p in range(s):
-        for q in range(t):
-            coeff = [SCALAR_ZERO] * nvars
-            for k in range(t):
-                coeff[p * t + k] = coeff[p * t + k] + b.data[k][q]
-            for k in range(s):
-                coeff[k * t + q] = coeff[k * t + q] - c.data[p][k]
-            rows.append(coeff + [r.data[p][q]])
-    pivots = _eliminate(rows, nvars, reduce_up=True)
-    if len(pivots) != nvars:
-        raise SingularSylvester(
-            "B and C share an eigenvalue; the Sylvester system is not uniquely solvable"
-        )
-    flat = [SCALAR_ZERO] * nvars
-    for row_idx, col in enumerate(pivots):
-        flat[col] = rows[row_idx][nvars]
-    m = ExactMatrix([flat[i * t : (i + 1) * t] for i in range(s)])
-    if m * b - c * m != r:
-        raise AssertionError("sylvester substitution check failed")
-    return m
+    d, rows = _scaled_rows(m)
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    pivots = {}
+    for c in range(n):
+        k = next((k for k, row in enumerate(rows) if c in row), None)
+        if k is None:
+            raise ValueError("matrix is singular")
+        top = rows.pop(k)
+        rows = [_reduce(row, top, c) if c in row else row for row in rows]
+        for col, row in pivots.items():
+            if c in row:
+                pivots[col] = _reduce(row, top, c)
+        pivots[c] = top
+    return _from_integer_rows(
+        [{j - n: d * v for j, v in pivots[c].items() if j >= n} for c in range(n)],
+        [pivots[c][c] for c in range(n)],
+        n,
+    )
 
 
 def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
@@ -496,13 +490,15 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     seen = set()
     result = {}
     total = 0
-    identity = ExactMatrix.identity(n)
     for raw in eigenvalues:
         lam = _coerce(raw)
         if lam in seen:
             continue
         seen.add(lam)
-        shifted = m - lam * identity
+        rows = [list(row) for row in m.data]
+        for i, row in enumerate(rows):
+            row[i] = row[i] - lam
+        shifted = ExactMatrix(rows)
         if shifted.is_real():
             # d*(m - lam) has the same rank filtration for any d != 0
             ranks = _power_ranks(n, integer_rows(shifted), integer_rank, _integer_matmul)

@@ -17,7 +17,7 @@ equality of matrices is equality of functionals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from .exact_linalg import (
     ExactMatrix,
@@ -40,7 +40,6 @@ __all__ = [
     "realize_orbit",
     "realize_normal_form",
     "project_to_p_star",
-    "jordan_decompose",
     "orbit_from_matrix",
     "orbit_from_json",
 ]
@@ -281,28 +280,6 @@ def project_to_p_star(x: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(
         [list(row[: n - 1]) + [zero] for row in x.data]
     )
-
-
-def jordan_decompose(orbit: OrbitDatum):
-    """Split the orbit datum into hyperbolic, elliptic and nilpotent content.
-
-    Returns (hyperbolic, elliptic, nilpotent): real parts with total
-    multiplicities, imaginary parts with multiplicities (conjugates listed
-    separately), and the per-class partitions.
-    """
-    hyper: Dict[Fraction, int] = {}
-    elliptic: Dict[Fraction, int] = {}
-    nilpotent = {}
-    for cls in orbit.classes:
-        hyper[cls.re] = hyper.get(cls.re, 0) + cls.contribution
-        if cls.is_pair:
-            w = cls.partition.weight
-            elliptic[cls.im] = elliptic.get(cls.im, 0) + w
-            elliptic[-cls.im] = elliptic.get(-cls.im, 0) + w
-        nilpotent[cls] = cls.partition
-    hyper_list = sorted(hyper.items(), key=lambda t: -t[0])
-    elliptic_list = sorted(elliptic.items(), key=lambda t: -t[0])
-    return hyper_list, elliptic_list, nilpotent
 
 
 def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence[Scalar]) -> OrbitDatum:

@@ -86,9 +86,6 @@ class Partition:
         """Distinct part sizes with multiplicities, sizes ascending."""
         return tuple(reversed(self.runs()))
 
-    def exponent_notation(self) -> str:
-        return "{%s}" % " ".join("%d^%d" % (k, l) for k, l in self.runs())
-
     def to_json(self) -> list:
         return list(self._parts)
 

@@ -26,6 +26,7 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
+from mirabolic.classify import _completion, _conjugate_step
 from mirabolic.exact_linalg import _eliminate
 
 from conftest import S, example_27_matrix, orbit
@@ -127,6 +128,31 @@ class TestClassify:
                 p = random_mirabolic(o.size, rng)
                 moved = project_to_p_star(p * realize_orbit(o) * inverse(p))
                 assert classify(moved, o.field, o.spectrum()) == base
+
+
+class TestClosedFormStep:
+    def test_matches_dense_conjugation_through_the_recursion(self):
+        """Each classify step equals M * H * inverse(M), M = _completion(beta)."""
+        rng = random.Random(808)
+        orbits = list(complex_corpus(4)) + list(real_corpus(4, require_pair=False))
+        steps = 0
+        for o in orbits:
+            for _ in range(3):
+                p = random_mirabolic(o.size, rng)
+                cur = project_to_p_star(p * realize_orbit(o) * inverse(p))
+                while cur.rows > 1:
+                    s = cur.rows
+                    beta = list(cur.data[s - 1][: s - 1])
+                    if not any(beta):
+                        break
+                    pivot = next(i for i, v in enumerate(beta) if v)
+                    h = cur.submatrix(0, s - 1, 0, s - 1)
+                    m = _completion(beta)
+                    expected = m * h * inverse(m)
+                    assert ExactMatrix(_conjugate_step(h.data, beta, pivot)) == expected, o
+                    cur = project_to_p_star(expected)
+                    steps += 1
+        assert steps > 500
 
 
 class TestCertificate:

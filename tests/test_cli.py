@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirabolic.cli import main
 
@@ -283,3 +286,147 @@ class TestDeterminismAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "invalid choice: 'Q'" in captured.err
+
+    @pytest.mark.parametrize("matrix, message", [
+        (5, "expected a list of rows"),
+        (["12", "30"], "expected a list of rows"),
+        ([[0, 0, 0], [1, 0, 0]], "expected a square matrix"),
+    ])
+    def test_malformed_matrix_is_an_input_error(self, tmp_path, capsys, matrix, message):
+        path = write_json(tmp_path, "m.json", {"matrix": matrix})
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix: " + message) and err.count("\n") == 1
+
+    def test_deeply_nested_json_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"classes": ' + "[" * 100000, encoding="utf-8")
+        for command in ("classify", "attach"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2
+            assert out == "" and err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--corpus", "-3"),
+        ("verify", "SPEC", "--conjugations", "-5"),
+    ])
+    def test_negative_count_rejected(self, tmp_path, capsys, argv):
+        spec = write_json(tmp_path, "spec.json", UNIPOTENT_21)
+        with pytest.raises(SystemExit) as exc:
+            main([spec if a == "SPEC" else a for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a nonnegative integer" in captured.err
+
+
+# ---------------------------------------------------------------- fuzzing
+# Arbitrary input must end in exit 0, 1 or 2, never in a traceback.  Orbits
+# stay at size <= 6 and matrices at 4x4, so every run is quick.
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(str)
+
+
+@st.composite
+def _mostly(draw, good):
+    """A value from good, or about one time in eight a junk value."""
+    # hypothesis favours the ends of a range, so junk sits in the middle
+    return draw(_junk) if draw(st.integers(0, 7)) == 5 else draw(good)
+
+
+_entry = _mostly(st.one_of(_rational, st.integers(-3, 3)))
+
+
+@st.composite
+def _orbit_specs(draw):
+    """Mostly well-formed orbit specs of size <= 6, with junk mixed in."""
+    field = draw(st.sampled_from(["R", "C"]))
+    budget = 6
+    classes = []
+    for _ in range(draw(st.integers(1, 3))):
+        pair = field == "R" and budget >= 2 and draw(st.booleans())
+        if not budget:
+            break
+        parts = []
+        while budget >= (2 if pair else 1) and (not parts or draw(st.booleans())):
+            part = draw(st.integers(1, budget // (2 if pair else 1)))
+            budget -= part * (2 if pair else 1)
+            parts.append(part)
+        cls = {"re": draw(_entry), "partition": draw(_mostly(st.just(parts)))}
+        if pair:
+            cls["im"] = draw(_entry)
+        classes.append(draw(_mostly(st.just(cls))))
+    spec = {"field": draw(_mostly(st.just(field))), "classes": draw(_mostly(st.just(classes)))}
+    return draw(_mostly(st.just(spec)))
+
+
+@st.composite
+def _matrix_specs(draw):
+    n = draw(st.integers(1, 4))
+    width = n - 1 if draw(st.integers(0, 7)) == 5 else n
+    cell = _mostly(st.one_of(_rational, st.integers(-3, 3), st.floats(-3, 3)))
+    rows = [[draw(cell) for _ in range(width)] for _ in range(n)]
+    spec = {"matrix": draw(st.one_of(st.just(rows), _junk))}
+    if draw(st.booleans()):
+        spec["field"] = draw(_mostly(st.sampled_from(["R", "C"])))
+    if draw(st.booleans()):
+        spec["eigenvalues"] = draw(_mostly(st.lists(_entry, max_size=3)))
+    if draw(st.booleans()):
+        spec["pairs"] = draw(_mostly(st.lists(st.lists(_entry, min_size=2, max_size=2),
+                                              max_size=2)))
+    return spec
+
+
+def _text_matrices(n):
+    return st.lists(st.lists(st.one_of(_rational, st.text(max_size=3)), min_size=n,
+                             max_size=n), min_size=n, max_size=n).map(
+        lambda rows: "\n".join(" ".join(row) for row in rows))
+
+
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+def _run_in_process(path, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path)] + list(argv[1:]))
+    assert code in (0, 1, 2), (code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(_orbit_specs().map(json.dumps), _matrix_specs().map(json.dumps),
+                  st.integers(1, 4).flatmap(_text_matrices), _texts),
+        st.sampled_from([[], ["--field", "R"], ["--certificate"]]),
+        st.one_of(st.just([]), _rational.map(lambda v: ["--eigenvalues=" + v]),
+                  _texts.map(lambda v: ["--pairs=" + v])),
+    )
+    def test_classify(self, fuzz_path, text, flags, hints):
+        fuzz_path.write_text(text, encoding="utf-8")
+        _run_in_process(fuzz_path, ["classify"] + flags + hints)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(_orbit_specs().map(json.dumps), _texts),
+        st.sampled_from(["attach", "restrict"]),
+        st.one_of(st.just([]), st.text("01,; x", max_size=8).map(lambda v: ["--signs=" + v])),
+    )
+    def test_attach_and_restrict(self, fuzz_path, text, command, signs):
+        fuzz_path.write_text(text, encoding="utf-8")
+        _run_in_process(fuzz_path, [command] + signs)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from mirabolic import (
     ExactMatrix,
     Scalar,
-    SingularSylvester,
     SpectrumMismatch,
     block_diag,
     integer_rank,
@@ -18,8 +17,6 @@ from mirabolic import (
     kernel_dim,
     pair_block,
     rank,
-    solve_linear,
-    sylvester_solve,
 )
 from mirabolic.corpus import random_unimodular
 from mirabolic.exact_linalg import _eliminate
@@ -108,11 +105,13 @@ class TestRank:
 
 
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, shape=None):
     """Rational matrices with zero rows and columns, duplicate rows, rows that
-    are combinations of others, denominators up to 10**6 and entries near 2**70."""
-    nr = draw(st.integers(1, 6))
-    nc = draw(st.integers(1, 6))
+    are combinations of others, denominators up to 10**6 and entries near 2**70.
+
+    shape fixes (rows, columns); by default each is drawn from 1 to 6.
+    """
+    nr, nc = shape or (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     entry = st.one_of(
         st.just(Fraction(0)),
         st.fractions(min_value=-9, max_value=9, max_denominator=6),
@@ -223,24 +222,93 @@ class TestSympyCrossCheck:
             assert jordan_structure(m, hints) == _sympy_jordan_blocks(sympy, m)
 
 
-class TestSolve:
-    def test_identity(self):
-        assert solve_linear(ExactMatrix.identity(2), [1, 2]) == [S(1), S(2)]
+def _scalar_product(a, b):
+    """The Scalar triple loop that the integer product of real matrices replaced."""
+    out = []
+    for row in a.data:
+        new = []
+        for j in range(b.cols):
+            acc = Scalar(0)
+            for k, x in enumerate(row):
+                if x:
+                    acc = acc + x * b.data[k][j]
+            new.append(acc)
+        out.append(new)
+    return ExactMatrix(out)
 
-    def test_inconsistent(self):
-        assert solve_linear(ExactMatrix.zeros(2, 2), [1, 0]) is None
 
-    def test_underdetermined_solution_verified_by_substitution(self):
-        a = ExactMatrix([[1, 1], [2, 2]])
-        sol = solve_linear(a, [1, 2])
-        assert sol is not None
-        assert sol[0] + sol[1] == S(1)
-        product = a * ExactMatrix([[sol[0]], [sol[1]]])
-        assert product == ExactMatrix([[1], [2]])
+def _scalar_inverse(m):
+    """The Scalar Gauss-Jordan inverse that the integer one replaced; None if singular."""
+    n = m.rows
+    rows = [list(row) + [Scalar(int(i == j)) for j in range(n)]
+            for i, row in enumerate(m.data)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = Scalar(1) / rows[c][c]
+        rows[c] = [inv * v for v in rows[c]]
+        for i in range(n):
+            f = rows[i][c]
+            if i != c and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return ExactMatrix([row[n:] for row in rows])
 
-    def test_dimension_mismatch(self):
+
+@st.composite
+def product_pairs(draw):
+    nr, k, nc = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(rational_matrices((nr, k))), draw(rational_matrices((k, nc)))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(rational_matrices((n, n)))
+
+
+class TestRealKernels:
+    """The integer product and inverse against the Scalar code they replaced."""
+
+    @given(product_pairs())
+    def test_product_matches_scalar_triple_loop(self, pair):
+        a, b = pair
+        assert a * b == _scalar_product(a, b)
+
+    def test_product_with_a_gaussian_factor(self):
+        a = ExactMatrix([[S(1), S(0, 1)], [S("1/2"), S(2)]])
+        b = ExactMatrix([[S(3), S(0)], [S(0, -2), S("1/3")]])
+        assert a * b == _scalar_product(a, b)
+        assert b * a == _scalar_product(b, a)
+        assert (a * b).data[0][0] == S(5)
+
+    def test_product_of_empty_shapes(self):
+        wide = ExactMatrix([[], []])
+        assert wide * ExactMatrix([]) == wide
+
+    @given(square_matrices())
+    def test_inverse_matches_scalar_gauss_jordan(self, m):
+        expected = _scalar_inverse(m)
+        if expected is None:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                inverse(m)
+        else:
+            inv = inverse(m)
+            assert inv == expected
+            assert inv * m == ExactMatrix.identity(m.rows)
+
+    def test_singular_and_gaussian_matrices_are_refused(self):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))
+        with pytest.raises(ValueError, match="non-real"):
+            inverse(ExactMatrix([[S(0, 1)]]))
         with pytest.raises(ValueError):
-            solve_linear(ExactMatrix.identity(2), [1, 2, 3])
+            inverse(ExactMatrix([[1, 2]]))
+
+
+class TestSolve:
+    """Solving m x = I: the inverse."""
 
     def test_inverse_roundtrip(self):
         rng = random.Random(11)
@@ -251,43 +319,6 @@ class TestSolve:
     def test_inverse_singular(self):
         with pytest.raises(ValueError):
             inverse(ExactMatrix.zeros(2, 2))
-
-
-class TestSylvester:
-    def test_scalar_case(self):
-        m = sylvester_solve(ExactMatrix([[5]]), ExactMatrix([[3]]), ExactMatrix([[4]]))
-        assert m == ExactMatrix([[2]])
-
-    def test_block_against_scalar(self):
-        # M (1x2) with M * J_2(1) = (1, 0); hand-solving (m1 + m2, m2) = (1, 0)
-        # gives M = (1, 0), and substitution confirms it
-        b = jordan_block(2, 1)
-        c = ExactMatrix.zeros(1, 1)
-        r = ExactMatrix([[1, 0]])
-        m = sylvester_solve(b, c, r)
-        assert m == ExactMatrix([[1, 0]])
-        assert m * b - c * m == r
-
-    def test_shared_spectrum_raises(self):
-        j = jordan_block(2)
-        with pytest.raises(SingularSylvester):
-            sylvester_solve(j, j, ExactMatrix.identity(2))
-
-    def test_random_disjoint_spectra(self):
-        rng = random.Random(13)
-        for _ in range(25):
-            t = rng.randint(1, 3)
-            s = rng.randint(1, 3)
-            b = ExactMatrix(
-                [[3 if i == j else rng.randint(-2, 2) if i > j else 0 for j in range(t)]
-                 for i in range(t)]
-            )
-            c = ExactMatrix(
-                [[0 if i <= j else rng.randint(-2, 2) for j in range(s)] for i in range(s)]
-            )
-            r = ExactMatrix([[rng.randint(-3, 3) for _ in range(t)] for _ in range(s)])
-            m = sylvester_solve(b, c, r)
-            assert m * b - c * m == r
 
 
 class TestJordanStructure:

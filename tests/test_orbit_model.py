@@ -13,7 +13,6 @@ from mirabolic import (
     OrbitSpecError,
     Partition,
     Scalar,
-    jordan_decompose,
     jordan_structure,
     orbit_from_json,
     orbit_from_matrix,
@@ -83,27 +82,45 @@ class TestProject:
             assert project_to_p_star(a + b) == pa + project_to_p_star(b)
 
 
+def _jordan_content(o):
+    """Hyperbolic, elliptic and nilpotent content of the realized orbit.
+
+    Read off the Jordan structure of realize_orbit(o): real parts with total
+    multiplicities, imaginary parts with multiplicities (conjugates listed
+    separately), and the block partition at each eigenvalue.
+    """
+    structure = jordan_structure(realize_orbit(o), o.spectrum())
+    hyper, elliptic = {}, {}
+    for lam, partition in structure.items():
+        hyper[lam.re] = hyper.get(lam.re, 0) + partition.weight
+        if lam.im:
+            elliptic[lam.im] = elliptic.get(lam.im, 0) + partition.weight
+    hyper_list = sorted(hyper.items(), key=lambda t: -t[0])
+    elliptic_list = sorted(elliptic.items(), key=lambda t: -t[0])
+    return hyper_list, elliptic_list, structure
+
+
 class TestJordanDecompose:
     def test_complex_class(self):
         o = orbit(COMPLEX, (3, [2, 1]))
-        hyper, elliptic, nilpotent = jordan_decompose(o)
+        hyper, elliptic, nilpotent = _jordan_content(o)
         assert hyper == [(Fraction(3), 3)]
         assert elliptic == []
-        assert nilpotent == {o.classes[0]: Partition([2, 1])}
+        assert nilpotent == {S(3): Partition([2, 1])}
 
     def test_real_pair_class(self):
         o = orbit(REAL, (0, 2, [1, 1]))
-        hyper, elliptic, nilpotent = jordan_decompose(o)
+        hyper, elliptic, nilpotent = _jordan_content(o)
         assert hyper == [(Fraction(0), 4)]
         assert elliptic == [(Fraction(2), 2), (Fraction(-2), 2)]
-        assert nilpotent == {o.classes[0]: Partition([1, 1])}
+        assert nilpotent == {S(0, 2): Partition([1, 1]), S(0, -2): Partition([1, 1])}
 
     def test_principal_nilpotent(self):
         o = orbit(COMPLEX, (0, [5]))
-        hyper, elliptic, nilpotent = jordan_decompose(o)
+        hyper, elliptic, nilpotent = _jordan_content(o)
         assert hyper == [(Fraction(0), 5)]
         assert elliptic == []
-        assert nilpotent == {o.classes[0]: Partition([5])}
+        assert nilpotent == {S(0): Partition([5])}
 
 
 class TestDatumValidation:

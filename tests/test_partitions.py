@@ -34,7 +34,6 @@ def test_runs_and_exponent_notation():
     p = Partition([3, 3, 2])
     assert p.runs() == ((3, 2), (2, 1))
     assert p.runs_ascending() == ((2, 1), (3, 2))
-    assert p.exponent_notation() == "{3^2 2^1}"
 
 
 def test_laws_exhaustive_to_weight_12():
