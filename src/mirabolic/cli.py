@@ -2,8 +2,10 @@
 
 Inputs are JSON orbit specs ({"field": "C"|"R", "classes": [...]}), JSON
 matrix objects ({"matrix": [[...rational strings...]], ...}), or plain text
-matrices (one row per line, whitespace-separated rational entries).  All
-output is JSON with deterministic key order, to stdout or --out.
+matrices (one row per line, whitespace-separated rational entries).  Every
+rational literal is read by orbit_model.parse_rational, which refuses a
+decimal exponent of magnitude above 1000.  All output is JSON with
+deterministic key order, to stdout or --out.
 
 Exit codes: 0 on success, 1 on a verification mismatch or domain error,
 2 on an input or parse error.
@@ -14,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .classify import (
@@ -34,6 +35,7 @@ from .orbit_model import (
     OrbitDatum,
     OrbitSpecError,
     orbit_from_json,
+    parse_rational,
     project_to_p_star,
     realize_orbit,
 )
@@ -63,19 +65,16 @@ def _read_text(path: str) -> str:
 
 
 def _parse_json(text: str):
+    # a JSON number with a fraction or exponent stays its literal text, so
+    # parse_rational reads it exactly and bounds its exponent
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=str)
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal beyond the interpreter's
+        # digit limit for int()
         raise InputError("invalid JSON: %s" % exc) from exc
     except RecursionError as exc:
         raise InputError("invalid JSON: nested too deeply") from exc
-
-
-def _parse_rational(text: str, where: str) -> Fraction:
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("%s: not a rational number: %r" % (where, text)) from exc
 
 
 def _parse_matrix_rows(rows, where: str) -> ExactMatrix:
@@ -86,7 +85,7 @@ def _parse_matrix_rows(rows, where: str) -> ExactMatrix:
     data = []
     for i, row in enumerate(rows):
         data.append(
-            [Scalar(_parse_rational(v, "%s row %d" % (where, i + 1))) for v in row]
+            [Scalar(parse_rational(v, "%s row %d" % (where, i + 1))) for v in row]
         )
     if any(len(r) != len(data) for r in data):
         raise InputError("%s: expected a square matrix, got %d rows of lengths %s"
@@ -100,7 +99,7 @@ def _parse_eigenvalue_flags(args) -> List[Scalar]:
         for tok in args.eigenvalues.split(","):
             tok = tok.strip()
             if tok:
-                hints.append(Scalar(_parse_rational(tok, "--eigenvalues")))
+                hints.append(Scalar(parse_rational(tok, "--eigenvalues")))
     if getattr(args, "pairs", None):
         for tok in args.pairs.split(","):
             tok = tok.strip()
@@ -109,8 +108,8 @@ def _parse_eigenvalue_flags(args) -> List[Scalar]:
             if ":" not in tok:
                 raise InputError("--pairs entries look like re:im, got %r" % tok)
             re_s, im_s = tok.split(":", 1)
-            re = _parse_rational(re_s, "--pairs")
-            im = _parse_rational(im_s, "--pairs")
+            re = parse_rational(re_s, "--pairs")
+            im = parse_rational(im_s, "--pairs")
             hints.append(Scalar(re, im))
             hints.append(Scalar(re, -im))
     return hints
@@ -142,13 +141,13 @@ def _load_classify_input(args):
         if field not in (REAL, COMPLEX):
             raise InputError('field must be "R" or "C"')
         hints = [
-            Scalar(_parse_rational(v, "eigenvalues")) for v in _json_list(obj, "eigenvalues")
+            Scalar(parse_rational(v, "eigenvalues")) for v in _json_list(obj, "eigenvalues")
         ]
         for pair in _json_list(obj, "pairs"):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InputError("pairs: each entry must be [re, im], got %r" % (pair,))
-            re = _parse_rational(pair[0], "pairs")
-            im = _parse_rational(pair[1], "pairs")
+            re = parse_rational(pair[0], "pairs")
+            im = parse_rational(pair[1], "pairs")
             hints.append(Scalar(re, im))
             hints.append(Scalar(re, -im))
         hints.extend(_parse_eigenvalue_flags(args))

@@ -16,6 +16,7 @@ equality of matrices is equality of functionals.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, List, Sequence
 
@@ -32,6 +33,8 @@ __all__ = [
     "REAL",
     "COMPLEX",
     "OrbitSpecError",
+    "MAX_DECIMAL_EXPONENT",
+    "parse_rational",
     "EigenvalueClass",
     "OrbitDatum",
     "MirabolicOrbitDatum",
@@ -49,13 +52,39 @@ COMPLEX = "C"
 
 
 class OrbitSpecError(ValueError):
-    """Invalid orbit specification (bad field, duplicate classes, bad JSON)."""
+    """Invalid orbit specification (bad field, duplicate classes, bad JSON) or
+    an input value that is not a rational literal."""
 
 
-def _as_fraction(value, where: str) -> Fraction:
+# Fraction builds 10**e exactly, so a literal costs time and memory that grow
+# with its exponent, not its length.  The repr of every finite float has an
+# exponent of magnitude at most 324.
+MAX_DECIMAL_EXPONENT = 1000
+
+# the exponent of a literal in Fraction's grammar, which allows underscores
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
+
+
+def parse_rational(value, where: str) -> Fraction:
+    """The rational number that value's text spells: '3', ' -1/2', '0.25',
+    '1e-3'.  An int is exact; a float is read through its repr (0.1 is 1/10),
+    so digits beyond its precision are already lost.
+
+    Raises OrbitSpecError naming where on anything else, booleans included,
+    and on a decimal exponent of magnitude above MAX_DECIMAL_EXPONENT, which
+    is refused before Fraction sees it.
+    """
+    text = str(value).strip()
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+            raise OrbitSpecError("%s: decimal exponent beyond %d in %r"
+                                 % (where, MAX_DECIMAL_EXPONENT, value))
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise OrbitSpecError("%s: not a rational number: %r" % (where, value)) from exc
 
 
@@ -344,11 +373,11 @@ def orbit_from_json(obj) -> OrbitDatum:
         where = "classes[%d]" % idx
         if not isinstance(raw, dict):
             raise OrbitSpecError("%s: expected an object" % where)
-        re = _as_fraction(raw.get("re", "0"), where + ".re")
+        re = parse_rational(raw.get("re", "0"), where + ".re")
         im_raw = raw.get("im")
         im = None
         if im_raw is not None:
-            im = _as_fraction(im_raw, where + ".im")
+            im = parse_rational(im_raw, where + ".im")
             if im == 0:
                 im = None
         if im is not None and field != REAL:

@@ -17,6 +17,39 @@ def S(re, im=0):
     return Scalar(Fraction(re), Fraction(im))
 
 
+def eliminate(rows: list, ncols: int) -> list:
+    """Exact Gaussian elimination over Q(i) on Scalar rows, in place, to row
+    echelon form; returns the pivot columns.
+
+    The package's former Gaussian rank, kept as an independent reference for
+    the integer kernel: first nonzero entry in column order as pivot, each
+    pivot row rescaled to a unit pivot.
+    """
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Scalar(1) / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
 def orbit(field, *classes):
     """orbit('C', (0, [2,1]), ...) or ('R', (0, '1/2', [1]), ...) for pairs."""
     built = []

@@ -27,9 +27,8 @@ from mirabolic import (
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
 from mirabolic.classify import _completion, _conjugate_step
-from mirabolic.exact_linalg import _eliminate
 
-from conftest import S, example_27_matrix, orbit
+from conftest import S, eliminate, example_27_matrix, orbit
 
 
 def _commutant_dim(a):
@@ -241,7 +240,7 @@ def _reference_bracket_rank(x, coords):
                 entries[(i, c)] = entries.get((i, c), S(0)) - x.data[j][c]
             cols.append([entries.get(rc, S(0)) for rc in coords])
     rows = [list(row) for row in zip(*cols)]
-    return len(_eliminate(rows, len(cols))) if rows else 0
+    return len(eliminate(rows, len(cols))) if rows else 0
 
 
 class TestStabilizerAgainstScalarReference:

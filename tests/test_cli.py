@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mirabolic import orbit_model
 from mirabolic.cli import main
 
 
@@ -19,6 +20,9 @@ def write_json(tmp_path, name, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
 
+
+# a literal whose exact value has a 3-gigabit denominator
+HUGE = "1e-1000000000"
 
 UNIPOTENT_21 = {"field": "C", "classes": [{"re": "0", "partition": [2, 1]}]}
 RS2 = {
@@ -306,6 +310,60 @@ class TestDeterminismAndErrors:
             code, out, err = run(capsys, command, str(path))
             assert code == 2
             assert out == "" and err.startswith("error: invalid JSON")
+
+    @pytest.mark.parametrize("name, content, flags, where", [
+        ("m.json", {"matrix": [["0", HUGE], ["0", "0"]]}, (), "matrix row 1"),
+        ("m.txt", "0 0\n0 " + HUGE + "\n", ("--field", "R"), "matrix row 2"),
+        ("m.txt", "0 0\n0 0\n", ("--eigenvalues=0," + HUGE,), "--eigenvalues"),
+        ("m.txt", "0 0\n0 0\n", ("--pairs=" + HUGE + ":1",), "--pairs"),
+        ("m.json", {"matrix": [["0"]], "eigenvalues": [HUGE]}, (), "eigenvalues"),
+        ("m.json", {"matrix": [["0"]], "pairs": [["0", HUGE]]}, (), "pairs"),
+        ("o.json", {"field": "R", "classes": [{"re": HUGE, "partition": [1]}]}, (),
+         "classes[0].re"),
+        ("o.json", {"field": "R", "classes": [{"re": "0", "im": HUGE, "partition": [1]}]}, (),
+         "classes[0].im"),
+    ])
+    def test_huge_decimal_exponent_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                     name, content, flags, where):
+        fraction = orbit_model.Fraction
+
+        def guarded(*args):
+            assert not any(HUGE in str(a) for a in args), "Fraction was handed %r" % (args,)
+            return fraction(*args)
+
+        monkeypatch.setattr(orbit_model, "Fraction", guarded)
+        path = tmp_path / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: %s: decimal exponent beyond" % where)
+        assert err.count("\n") == 1
+
+    def test_json_integer_beyond_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": [[' + "9" * 5000 + "]]}", encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+    def test_json_number_keeps_digits_beyond_float_precision(self, tmp_path, capsys):
+        # through a float, 1.00000000000000000001 would be 1 and the classes equal
+        path = tmp_path / "o.json"
+        path.write_text('{"field": "C", "classes": [{"re": 1.00000000000000000001, '
+                        '"partition": [1]}, {"re": 1, "partition": [1]}]}', encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 0, err
+        assert '"100000000000000000001/100000000000000000000"' in out
+
+    def test_json_number_exponent_is_bounded(self, tmp_path, capsys):
+        # through a float, 1e-1001 would silently be 0
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": [[1e-1001]]}', encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == "" and err == "error: matrix row 1: decimal exponent beyond 1000 in '1e-1001'\n"
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--corpus", "-3"),

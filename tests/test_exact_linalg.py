@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mirabolic import (
+    REAL,
     ExactMatrix,
     Scalar,
     SpectrumMismatch,
@@ -15,14 +16,15 @@ from mirabolic import (
     jordan_block,
     jordan_structure,
     kernel_dim,
+    orbit_from_matrix,
     pair_block,
     rank,
+    realize_orbit,
 )
 from mirabolic.corpus import random_unimodular
-from mirabolic.exact_linalg import _eliminate
 from mirabolic.partitions import Partition, partitions_of_weight
 
-from conftest import S
+from conftest import S, eliminate, orbit
 
 
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=8)
@@ -100,8 +102,16 @@ class TestRank:
                 for row in rows:
                     row[kill] = Fraction(0)  # force a skipped pivot column
             m = ExactMatrix(rows)
-            generic = len(_eliminate([list(r) for r in m.data], nc))
+            generic = len(eliminate([list(r) for r in m.data], nc))
             assert rank(m) == generic
+
+
+# zero, small fractions, and numerators near 2**70 over denominators up to 10**6
+rational_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 10 ** 6)),
+)
 
 
 @st.composite
@@ -112,12 +122,7 @@ def rational_matrices(draw, shape=None):
     shape fixes (rows, columns); by default each is drawn from 1 to 6.
     """
     nr, nc = shape or (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
-    entry = st.one_of(
-        st.just(Fraction(0)),
-        st.fractions(min_value=-9, max_value=9, max_denominator=6),
-        st.builds(Fraction, st.integers(-(2 ** 70), 2 ** 70), st.integers(1, 10 ** 6)),
-    )
-    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+    rows = draw(st.lists(st.lists(rational_entries, min_size=nc, max_size=nc),
                          min_size=nr, max_size=nr))
     index = st.integers(0, nr - 1)
     for _ in range(draw(st.integers(0, 3))):
@@ -132,9 +137,40 @@ def rational_matrices(draw, shape=None):
         elif kind == "duplicate":
             rows[target] = list(rows[draw(index)])
         else:
-            a, b = draw(entry), draw(entry)
+            a, b = draw(rational_entries), draw(rational_entries)
             r1, r2 = rows[draw(index)], rows[draw(index)]
             rows[target] = [a * u + b * v for u, v in zip(r1, r2)]
+    return ExactMatrix(rows)
+
+
+@st.composite
+def gaussian_matrices(draw, shape=None):
+    """Matrices over Q(i) with non-real entries anywhere, zero rows and
+    columns, and rows that are Q(i)-combinations of others (dependent over
+    Q(i) but not over Q).  Parts are drawn like rational_matrices' entries.
+
+    shape fixes (rows, columns); by default each is drawn from 0 to 5, and a
+    shape with no rows is the 0x0 matrix.
+    """
+    nr, nc = shape or (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    entry = st.builds(Scalar, rational_entries, rational_entries)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nr and nc:
+        index = st.integers(0, nr - 1)
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["zero_row", "zero_col", "combine"]))
+            target = draw(index)
+            if kind == "zero_row":
+                rows[target] = [Scalar(0)] * nc
+            elif kind == "zero_col":
+                col = draw(st.integers(0, nc - 1))
+                for row in rows:
+                    row[col] = Scalar(0)
+            else:
+                a, b = draw(entry), draw(entry)
+                r1, r2 = rows[draw(index)], rows[draw(index)]
+                rows[target] = [a * u + b * v for u, v in zip(r1, r2)]
     return ExactMatrix(rows)
 
 
@@ -158,7 +194,7 @@ class TestIntegerKernel:
 
     @given(rational_matrices())
     def test_rank_matches_gaussian_elimination(self, m):
-        assert rank(m) == len(_eliminate([list(r) for r in m.data], m.cols))
+        assert rank(m) == len(eliminate([list(r) for r in m.data], m.cols))
 
     def test_gaussian_entry_is_refused(self):
         m = ExactMatrix([[S(1), S(0, 1)], [S(2), S(3)]])
@@ -268,6 +304,47 @@ def square_matrices(draw):
     return draw(rational_matrices((n, n)))
 
 
+@st.composite
+def gaussian_product_pairs(draw):
+    """(a, b) with a * b defined and at least one factor non-real; a has at
+    least one row, since a matrix with none is 0x0."""
+    nr, k, nc = draw(st.integers(1, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a, b = draw(gaussian_matrices((nr, k))), draw(gaussian_matrices((k, nc)))
+    real_side = draw(st.sampled_from([None, "left", "right"]))
+    if real_side == "left":
+        a = _real_part(a)
+    elif real_side == "right":
+        b = _real_part(b)
+    assume(not (a.is_real() and b.is_real()))
+    return a, b
+
+
+def _real_part(m):
+    return ExactMatrix([[Scalar(v.re) for v in row] for row in m.data])
+
+
+class TestGaussianKernels:
+    """Ranks and products over Q(i), on the realified integer kernel, against
+    Scalar Gaussian elimination and the Scalar triple loop."""
+
+    @given(gaussian_matrices())
+    def test_rank_matches_gaussian_elimination(self, m):
+        assert rank(m) == len(eliminate([list(r) for r in m.data], m.cols))
+
+    @given(gaussian_product_pairs())
+    def test_product_matches_scalar_triple_loop(self, pair):
+        a, b = pair
+        assert a * b == _scalar_product(a, b)
+
+    def test_rank_of_a_realified_pair(self):
+        # rows independent over Q, dependent over Q(i): row 2 = (1/2 + 3i) * row 1
+        m = ExactMatrix([[S("1/3", 2), S(0, "-1/5")],
+                         [S("1/3", 2) * S("1/2", 3), S(0, "-1/5") * S("1/2", 3)]])
+        assert rank(m) == 1
+        assert rank(ExactMatrix([[S(0, 1)], [S(1)]])) == 1
+        assert rank(ExactMatrix([[], []])) == 0
+
+
 class TestRealKernels:
     """The integer product and inverse against the Scalar code they replaced."""
 
@@ -345,6 +422,30 @@ class TestJordanStructure:
         m = ExactMatrix([[0, 1], [-1, 0]])
         structure = jordan_structure(m, [S(0, 1), S(0, -1)])
         assert structure == {S(0, 1): Partition([1]), S(0, -1): Partition([1])}
+
+    @pytest.mark.parametrize("classes", [
+        [("1/2", "3/2", [2, 1])],
+        [("-2/3", "1/5", [2]), ("1/2", "3/2", [1])],
+        [("-2/3", [1]), ("-2/3", "1/5", [1, 1])],
+    ])
+    def test_pair_eigenvalues_with_fractional_parts(self, classes):
+        # conjugates by rational matrices, so the imaginary parts and the
+        # entries of m share no denominator
+        o = orbit(REAL, *classes)
+        a = realize_orbit(o)
+        rng = random.Random(37)
+        for _ in range(3):
+            while True:
+                p = ExactMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                  for _ in range(a.rows)] for _ in range(a.rows)])
+                if rank(p) == a.rows:
+                    break
+            m = p * a * inverse(p)
+            structure = jordan_structure(m, o.spectrum())
+            for c in o.pair_classes():
+                lam = S(c.re, c.im)
+                assert structure[lam] == structure[lam.conjugate()] == c.partition
+            assert orbit_from_matrix(m, REAL, o.spectrum()) == o
 
     def test_spectrum_mismatch(self):
         m = ExactMatrix([[7, 0], [0, 0]])

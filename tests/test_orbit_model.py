@@ -22,6 +22,9 @@ from mirabolic import (
     realize_orbit,
 )
 
+from mirabolic import orbit_model
+from mirabolic.orbit_model import MAX_DECIMAL_EXPONENT, parse_rational
+
 from conftest import S, orbit
 
 
@@ -214,9 +217,49 @@ class TestJson:
             ({"field": "C", "classes": [{"re": "x", "partition": [1]}]}, "classes[0].re"),
             ({"field": "C", "classes": [{"re": "1", "partition": "no"}]}, "partition"),
             ({"field": "C", "classes": [{"re": "1", "im": "2", "partition": [1]}]}, "real field"),
+            ({"field": "C", "classes": [{"re": float("inf"), "partition": [1]}]}, "classes[0].re"),
+            ({"field": "C", "classes": [{"re": True, "partition": [1]}]}, "classes[0].re"),
+            ({"field": "R", "classes": [{"re": "0", "im": "1e-1001", "partition": [1]}]},
+             "classes[0].im: decimal exponent"),
         ],
     )
     def test_diagnostics(self, bad, fragment):
         with pytest.raises(OrbitSpecError) as err:
             orbit_from_json(bad)
         assert fragment in str(err.value)
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("value, expected", [
+        ("3", Fraction(3)),
+        (" -1/2 ", Fraction(-1, 2)),
+        ("0.25", Fraction(1, 4)),
+        (0.1, Fraction(1, 10)),
+        (-2, Fraction(-2)),
+        ("1e-3", Fraction(1, 1000)),
+        ("1_0e1_0", Fraction(10 ** 11)),
+        ("2.5e+%d" % MAX_DECIMAL_EXPONENT, Fraction(25 * 10 ** (MAX_DECIMAL_EXPONENT - 1))),
+        ("1e0000%d" % MAX_DECIMAL_EXPONENT, Fraction(10 ** MAX_DECIMAL_EXPONENT)),
+        ("1e0_1_000", Fraction(10 ** 1000)),
+    ])
+    def test_literals(self, value, expected):
+        assert parse_rational(value, "x") == expected
+
+    @pytest.mark.parametrize("text", [
+        "1e-%d" % (MAX_DECIMAL_EXPONENT + 1),
+        "1e-1000000000",
+        "1E+1_000_000_000",
+        "0.5e" + "9" * 100000,
+    ])
+    def test_huge_exponents_are_refused_unparsed(self, text, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("Fraction was handed %r" % (args,))
+
+        monkeypatch.setattr(orbit_model, "Fraction", unreachable)
+        with pytest.raises(OrbitSpecError, match="^x: decimal exponent beyond"):
+            parse_rational(text, "x")
+
+    @pytest.mark.parametrize("value", ["x", "1/0", "", "1e_5", None, [1], True, float("nan")])
+    def test_non_rationals_are_refused(self, value):
+        with pytest.raises(OrbitSpecError, match="^x: not a rational number"):
+            parse_rational(value, "x")
