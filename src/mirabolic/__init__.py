@@ -9,7 +9,6 @@ unique dense image orbit.
 """
 from .exact_linalg import (
     ExactMatrix,
-    Scalar,
     SpectrumMismatch,
     block_diag,
     integer_rank,

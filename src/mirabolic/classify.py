@@ -8,16 +8,21 @@ Otherwise a Levi conjugation moves the row to (0,...,0,1), the abelian
 unipotent action absorbs one column, and the recursion continues one size
 down with the depth counter incremented.
 
+All arithmetic is exact over Q: the representative has rational entries,
+and the head block is identified from eigenvalue hints, a rational r for a
+real eigenvalue and a pair (a, b) for a +- ib (exact_linalg.jordan_structure
+reads the pair off the real quadratic (x - a)^2 + b^2).
+
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .exact_linalg import (
     ExactMatrix,
-    Scalar,
     SpectrumMismatch,
     integer_rank,
     integer_rows,
@@ -25,7 +30,6 @@ from .exact_linalg import (
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
 from .orbit_model import (
-    REAL,
     MirabolicOrbitDatum,
     OrbitDatum,
     orbit_from_matrix,
@@ -41,15 +45,15 @@ __all__ = [
     "gl_centralizer_dim",
 ]
 
-_ZERO = Scalar(0)
-_ONE = Scalar(1)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class MalformedRepresentative(Exception):
     """The input matrix is not a valid last-column-zero representative."""
 
 
-def _validate_representative(x: ExactMatrix, field: str) -> None:
+def _validate_representative(x: ExactMatrix) -> None:
     if not x.is_square():
         raise MalformedRepresentative("representative must be square")
     n = x.rows
@@ -57,11 +61,9 @@ def _validate_representative(x: ExactMatrix, field: str) -> None:
         raise MalformedRepresentative("empty matrix has no mirabolic functional")
     if any(x.data[i][n - 1] for i in range(n)):
         raise MalformedRepresentative("representative must have zero last column")
-    if field == REAL and not x.is_real():
-        raise MalformedRepresentative("real-field representative has non-real entries")
 
 
-def _completion(beta: Sequence[Scalar]) -> ExactMatrix:
+def _completion(beta: Sequence[Fraction]) -> ExactMatrix:
     """Deterministic invertible matrix whose last row is beta.
 
     The first nonzero coordinate of beta is the pivot; the remaining rows
@@ -91,7 +93,7 @@ def _embed_levi(m: ExactMatrix, n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def _embed_column_shift(alpha: Sequence[Scalar], col: int, n: int) -> ExactMatrix:
+def _embed_column_shift(alpha: Sequence[Fraction], col: int, n: int) -> ExactMatrix:
     """Identity plus the vector alpha placed in one column (rows above col)."""
     rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
     for i, v in enumerate(alpha):
@@ -102,12 +104,13 @@ def _embed_column_shift(alpha: Sequence[Scalar], col: int, n: int) -> ExactMatri
 def classify(
     x: ExactMatrix,
     field: str,
-    eigenvalues: Sequence[Scalar] = (),
+    eigenvalues: Sequence = (),
 ) -> MirabolicOrbitDatum:
     """Normal form (depth, head orbit datum) of a mirabolic functional.
 
-    eigenvalues must exhaust the spectrum of the eventual head block;
-    SpectrumMismatch propagates from the Jordan identification when it does
+    eigenvalues are hints as for jordan_structure (a rational r, or a pair
+    (a, b) for a +- ib) and must exhaust the spectrum of the eventual head
+    block; SpectrumMismatch propagates from the Jordan identification when it does
     not (for instance when an eigenvalue is irrational).
     """
     datum, _ = _classify(x, field, eigenvalues, want_certificate=False)
@@ -117,7 +120,7 @@ def classify(
 def classify_certified(
     x: ExactMatrix,
     field: str,
-    eigenvalues: Sequence[Scalar] = (),
+    eigenvalues: Sequence = (),
 ) -> Tuple[MirabolicOrbitDatum, ExactMatrix]:
     """classify together with the product of all conjugation steps.
 
@@ -129,7 +132,7 @@ def classify_certified(
     return datum, cert
 
 
-def _conjugate_step(h, beta: Sequence[Scalar], p: int) -> list:
+def _conjugate_step(h, beta: Sequence[Fraction], p: int) -> list:
     """Rows of M*H*M^-1 for M = _completion(beta), in O(s^2).
 
     M*H has the rows of H other than row p, then the row vector beta*H.  M
@@ -153,7 +156,7 @@ def _conjugate_step(h, beta: Sequence[Scalar], p: int) -> list:
 
 
 def _classify(x, field, eigenvalues, want_certificate):
-    _validate_representative(x, field)
+    _validate_representative(x)
     n = x.rows
     cert = ExactMatrix.identity(n) if want_certificate else None
     cur = x.data
@@ -181,7 +184,7 @@ def certificate_holds(
     conjugator: ExactMatrix,
     datum: MirabolicOrbitDatum,
     field: str,
-    eigenvalues: Sequence[Scalar] = (),
+    eigenvalues: Sequence = (),
 ) -> bool:
     """Exact re-verification of a classification certificate.
 

@@ -16,7 +16,8 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional
+from fractions import Fraction
+from typing import Optional
 
 from .classify import (
     MalformedRepresentative,
@@ -27,7 +28,7 @@ from .classify import (
 )
 from .corpus import complex_corpus, random_mirabolic, real_corpus
 from .enumeration import enumerate_selections
-from .exact_linalg import ExactMatrix, Scalar, SpectrumMismatch, inverse
+from .exact_linalg import ExactMatrix, SpectrumMismatch, inverse
 from .moment import check_geometry, dense_selection, oracle_image, symbolic_image
 from .orbit_model import (
     COMPLEX,
@@ -84,22 +85,21 @@ def _parse_matrix_rows(rows, where: str) -> ExactMatrix:
         raise InputError("%s: empty matrix" % where)
     data = []
     for i, row in enumerate(rows):
-        data.append(
-            [Scalar(parse_rational(v, "%s row %d" % (where, i + 1))) for v in row]
-        )
+        data.append([parse_rational(v, "%s row %d" % (where, i + 1)) for v in row])
     if any(len(r) != len(data) for r in data):
         raise InputError("%s: expected a square matrix, got %d rows of lengths %s"
                          % (where, len(data), sorted({len(r) for r in data})))
     return ExactMatrix(data)
 
 
-def _parse_eigenvalue_flags(args) -> List[Scalar]:
-    hints: List[Scalar] = []
+def _parse_eigenvalue_flags(args) -> list:
+    """Hints from --eigenvalues (rationals) and --pairs (one (re, im) each)."""
+    hints = []
     if getattr(args, "eigenvalues", None):
         for tok in args.eigenvalues.split(","):
             tok = tok.strip()
             if tok:
-                hints.append(Scalar(parse_rational(tok, "--eigenvalues")))
+                hints.append(parse_rational(tok, "--eigenvalues"))
     if getattr(args, "pairs", None):
         for tok in args.pairs.split(","):
             tok = tok.strip()
@@ -108,10 +108,7 @@ def _parse_eigenvalue_flags(args) -> List[Scalar]:
             if ":" not in tok:
                 raise InputError("--pairs entries look like re:im, got %r" % tok)
             re_s, im_s = tok.split(":", 1)
-            re = parse_rational(re_s, "--pairs")
-            im = parse_rational(im_s, "--pairs")
-            hints.append(Scalar(re, im))
-            hints.append(Scalar(re, -im))
+            hints.append((parse_rational(re_s, "--pairs"), parse_rational(im_s, "--pairs")))
     return hints
 
 
@@ -140,16 +137,11 @@ def _load_classify_input(args):
         field = obj.get("field", args.field)
         if field not in (REAL, COMPLEX):
             raise InputError('field must be "R" or "C"')
-        hints = [
-            Scalar(parse_rational(v, "eigenvalues")) for v in _json_list(obj, "eigenvalues")
-        ]
+        hints = [parse_rational(v, "eigenvalues") for v in _json_list(obj, "eigenvalues")]
         for pair in _json_list(obj, "pairs"):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InputError("pairs: each entry must be [re, im], got %r" % (pair,))
-            re = parse_rational(pair[0], "pairs")
-            im = parse_rational(pair[1], "pairs")
-            hints.append(Scalar(re, im))
-            hints.append(Scalar(re, -im))
+            hints.append((parse_rational(pair[0], "pairs"), parse_rational(pair[1], "pairs")))
         hints.extend(_parse_eigenvalue_flags(args))
         return project_to_p_star(matrix), field, hints
     rows = [line.split() for line in stripped.splitlines() if line.strip()]
@@ -157,7 +149,7 @@ def _load_classify_input(args):
     field = args.field
     hints = _parse_eigenvalue_flags(args)
     if not hints:
-        hints = [Scalar(0)]
+        hints = [Fraction(0)]
     return project_to_p_star(matrix), field, hints
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence, Tuple
 
-from .exact_linalg import ExactMatrix, Scalar
+from .exact_linalg import ExactMatrix
 from .orbit_model import COMPLEX, REAL, EigenvalueClass, OrbitDatum
 from .partitions import partitions_of_weight
 
@@ -105,12 +105,12 @@ def real_corpus(
 
 def random_unimodular(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix:
     """Random determinant-one integer matrix (unit lower times unit upper)."""
-    lower = [[Scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    upper = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
-            lower[i][j] = Scalar(rng.randint(-spread, spread))
-            upper[j][i] = Scalar(rng.randint(-spread, spread))
+            lower[i][j] = Fraction(rng.randint(-spread, spread))
+            upper[j][i] = Fraction(rng.randint(-spread, spread))
     return ExactMatrix(lower) * ExactMatrix(upper)
 
 
@@ -119,6 +119,6 @@ def random_mirabolic(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix
     if n == 1:
         return ExactMatrix.identity(1)
     head = random_unimodular(n - 1, rng, spread)
-    rows = [list(row) + [Scalar(rng.randint(-spread, spread))] for row in head.data]
-    rows.append([Scalar(0)] * (n - 1) + [Scalar(1)])
+    rows = [list(row) + [Fraction(rng.randint(-spread, spread))] for row in head.data]
+    rows.append([Fraction(0)] * (n - 1) + [Fraction(1)])
     return ExactMatrix(rows)

@@ -15,10 +15,11 @@ i1 < i2 (so k_{i1} < k_{i2}):
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 from typing import List, Tuple
 
-from .exact_linalg import ExactMatrix, Scalar
+from .exact_linalg import ExactMatrix
 from .orbit_model import EigenvalueClass, OrbitDatum
 
 __all__ = [
@@ -171,8 +172,8 @@ def selection_conjugator(orbit: OrbitDatum, selection: IndexSelection) -> ExactM
     n = orbit.size
     positions = selection_positions(orbit, selection)
     pos_set = set(positions)
-    zero = Scalar(0)
-    one = Scalar(1)
+    zero = Fraction(0)
+    one = Fraction(1)
     rows = [[zero] * n for _ in range(n)]
     if n in pos_set:
         for i in range(n - 1):

@@ -4,7 +4,9 @@ An OrbitDatum records a GL_n(k) coadjoint orbit (k = R or C) by its
 eigenvalue classes, each carrying a partition of Jordan block sizes.  Over R
 an eigenvalue class is either real or a conjugate pair a +- ib (b > 0); over
 C the model only admits real rational eigenvalues, which is all the
-representation dictionary ever produces.
+representation dictionary ever produces.  As an eigenvalue hint (see
+exact_linalg.jordan_structure) a real class is its rational eigenvalue and a
+pair class the tuple (a, b).
 
 A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 together
 with the GL_(n-j) orbit datum of the block that precedes the regular
@@ -22,7 +24,6 @@ from typing import Iterable, List, Sequence
 
 from .exact_linalg import (
     ExactMatrix,
-    Scalar,
     SpectrumMismatch,
     block_diag,
     jordan_structure,
@@ -49,6 +50,9 @@ __all__ = [
 
 REAL = "R"
 COMPLEX = "C"
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class OrbitSpecError(ValueError):
@@ -129,10 +133,11 @@ class EigenvalueClass:
         # real classes first (re descending), then pairs by (re, im) descending
         return (1 if self.is_pair else 0, -self.re, -(self.im or 0))
 
-    def eigenvalues(self) -> List[Scalar]:
+    def eigenvalue(self):
+        """The class as an eigenvalue hint: re, or (re, im) for a pair."""
         if self.is_pair:
-            return [Scalar(self.re, self.im), Scalar(self.re, -self.im)]
-        return [Scalar(self.re)]
+            return (self.re, self.im)
+        return self.re
 
     def to_json(self) -> dict:
         obj = {"re": str(self.re)}
@@ -175,12 +180,9 @@ class OrbitDatum:
     def size(self) -> int:
         return sum(c.contribution for c in self.classes)
 
-    def spectrum(self) -> List[Scalar]:
-        """All eigenvalues, conjugate pairs both included."""
-        out = []
-        for c in self.classes:
-            out.extend(c.eigenvalues())
-        return out
+    def spectrum(self) -> list:
+        """One eigenvalue hint per class, in class order."""
+        return [c.eigenvalue() for c in self.classes]
 
     def real_classes(self) -> List[EigenvalueClass]:
         return [c for c in self.classes if not c.is_pair]
@@ -236,21 +238,20 @@ class MirabolicOrbitDatum:
 
 def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
     """Jordan block with the eigenvalue on the diagonal and 1 below it."""
-    lam = eigenvalue if isinstance(eigenvalue, Scalar) else Scalar(eigenvalue)
-    rows = [[Scalar(0)] * size for _ in range(size)]
+    lam = Fraction(eigenvalue)
+    rows = [[_ZERO] * size for _ in range(size)]
     for i in range(size):
         rows[i][i] = lam
         if i:
-            rows[i][i - 1] = Scalar(1)
+            rows[i][i - 1] = _ONE
     return ExactMatrix(rows)
 
 
 def pair_block(size: int, re, im) -> ExactMatrix:
     """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]]."""
-    a = Scalar(re)
-    b = Scalar(im)
-    j = jordan_block(size, a)
-    rows = [[Scalar(0)] * (2 * size) for _ in range(2 * size)]
+    b = Fraction(im)
+    j = jordan_block(size, re)
+    rows = [[_ZERO] * (2 * size) for _ in range(2 * size)]
     for i in range(size):
         for k in range(size):
             rows[i][k] = j.data[i][k]
@@ -268,7 +269,7 @@ def _class_blocks(cls: EigenvalueClass) -> List[ExactMatrix]:
             if cls.is_pair:
                 blocks.append(pair_block(k, cls.re, cls.im))
             else:
-                blocks.append(jordan_block(k, Scalar(cls.re)))
+                blocks.append(jordan_block(k, cls.re))
     return blocks
 
 
@@ -305,43 +306,29 @@ def project_to_p_star(x: ExactMatrix) -> ExactMatrix:
     n = x.rows
     if n == 0:
         return x
-    zero = Scalar(0)
     return ExactMatrix(
-        [list(row[: n - 1]) + [zero] for row in x.data]
+        [list(row[: n - 1]) + [_ZERO] for row in x.data]
     )
 
 
-def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence[Scalar]) -> OrbitDatum:
+def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence) -> OrbitDatum:
     """Recognize the orbit datum of a concrete matrix from its Jordan structure.
 
-    Over the real field, non-real eigenvalues must occur in conjugate pairs
-    with equal partitions; the pairs are folded back into pair classes.
+    eigenvalues are hints as for jordan_structure; a pair (a, b) found in the
+    spectrum is a pair class, which only the real field admits.
     """
-    structure = jordan_structure(a, eigenvalues)
     classes = []
-    handled = set()
-    for lam, partition in structure.items():
-        if lam in handled:
+    for lam, partition in jordan_structure(a, eigenvalues).items():
+        if not isinstance(lam, tuple):
+            classes.append(EigenvalueClass(lam, partition))
             continue
-        if lam.is_real():
-            classes.append(EigenvalueClass(lam.re, partition))
-            handled.add(lam)
-            continue
+        re, im = lam
         if field != REAL:
             raise SpectrumMismatch(
-                "non-real eigenvalue %s in a complex-field orbit datum" % lam
+                "non-real eigenvalue %s in a complex-field orbit datum"
+                % ("%s+%si" % (re, im) if re else "%si" % im)
             )
-        conj = lam.conjugate()
-        partner = structure.get(conj)
-        if partner is None or partner != partition:
-            raise SpectrumMismatch(
-                "conjugate eigenvalues %s, %s carry different Jordan structure" % (lam, conj)
-            )
-        classes.append(
-            EigenvalueClass(lam.re, partition, im=abs(lam.im))
-        )
-        handled.add(lam)
-        handled.add(conj)
+        classes.append(EigenvalueClass(re, partition, im=im))
     return OrbitDatum(field, classes)
 
 

@@ -8,22 +8,17 @@ from mirabolic import (
     ExactMatrix,
     OrbitDatum,
     Partition,
-    Scalar,
 )
 from mirabolic.corpus import complex_corpus, real_corpus
 
 
-def S(re, im=0):
-    return Scalar(Fraction(re), Fraction(im))
-
-
 def eliminate(rows: list, ncols: int) -> list:
-    """Exact Gaussian elimination over Q(i) on Scalar rows, in place, to row
+    """Exact Gaussian elimination over Q on Fraction rows, in place, to row
     echelon form; returns the pivot columns.
 
-    The package's former Gaussian rank, kept as an independent reference for
-    the integer kernel: first nonzero entry in column order as pivot, each
-    pivot row rescaled to a unit pivot.
+    The package's former rank, kept as an independent reference for the
+    integer kernel: first nonzero entry in column order as pivot, each pivot
+    row rescaled to a unit pivot.
     """
     pivots = []
     r = 0
@@ -37,7 +32,7 @@ def eliminate(rows: list, ncols: int) -> list:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Scalar(1) / rows[r][c]
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [inv * v for v in rows[r]]
         for i in range(r + 1, nrows):
             f = rows[i][c]
@@ -69,11 +64,11 @@ def example_27_matrix(n, a_values=None, b_values=None):
         a_values = list(range(1, n))
     if b_values is None:
         b_values = [1] * (n - 1)
-    rows = [[Scalar(0)] * n for _ in range(n)]
+    rows = [[Fraction(0)] * n for _ in range(n)]
     for i, a in enumerate(a_values):
-        rows[i][i] = Scalar(Fraction(a))
+        rows[i][i] = Fraction(a)
     for j, b in enumerate(b_values):
-        rows[n - 1][j] = Scalar(Fraction(b))
+        rows[n - 1][j] = Fraction(b)
     return ExactMatrix(rows)
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -7,7 +8,6 @@ from mirabolic import (
     REAL,
     ExactMatrix,
     IndexSelection,
-    Scalar,
     enumerate_selections,
     inverse,
     selection_conjugator,
@@ -104,7 +104,7 @@ class TestPositions:
 
 class TestConjugator:
     def test_last_row_is_selection_vector(self, complex_corpus_4, real_corpus_4):
-        one, zero = Scalar(1), Scalar(0)
+        one, zero = Fraction(1), Fraction(0)
         for o in complex_corpus_4[::5] + real_corpus_4[::5]:
             for sel in enumerate_selections(o):
                 g = selection_conjugator(o, sel)

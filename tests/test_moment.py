@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from mirabolic import (
     COMPLEX,
@@ -7,7 +8,6 @@ from mirabolic import (
     IndexSelection,
     MirabolicOrbitDatum,
     OrbitDatum,
-    Scalar,
     check_geometry,
     dense_selection,
     enumerate_selections,
@@ -217,5 +217,5 @@ class TestFiberStabilizers:
                 for _ in range(10):
                     lift = [list(row) for row in x.data]
                     for i in range(n):
-                        lift[i][n - 1] = Scalar(rng.randint(-3, 3))
+                        lift[i][n - 1] = Fraction(rng.randint(-3, 3))
                     assert point_stabilizer_dim(ExactMatrix(lift)) >= 1

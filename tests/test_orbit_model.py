@@ -12,7 +12,6 @@ from mirabolic import (
     OrbitDatum,
     OrbitSpecError,
     Partition,
-    Scalar,
     jordan_structure,
     orbit_from_json,
     orbit_from_matrix,
@@ -25,7 +24,7 @@ from mirabolic import (
 from mirabolic import orbit_model
 from mirabolic.orbit_model import MAX_DECIMAL_EXPONENT, parse_rational
 
-from conftest import S, orbit
+from conftest import orbit
 
 
 class TestRealize:
@@ -90,14 +89,17 @@ def _jordan_content(o):
 
     Read off the Jordan structure of realize_orbit(o): real parts with total
     multiplicities, imaginary parts with multiplicities (conjugates listed
-    separately), and the block partition at each eigenvalue.
+    separately), and the block partition at each eigenvalue, a rational r
+    or a pair (a, b) for a +- ib.
     """
     structure = jordan_structure(realize_orbit(o), o.spectrum())
     hyper, elliptic = {}, {}
     for lam, partition in structure.items():
-        hyper[lam.re] = hyper.get(lam.re, 0) + partition.weight
-        if lam.im:
-            elliptic[lam.im] = elliptic.get(lam.im, 0) + partition.weight
+        re, im = lam if isinstance(lam, tuple) else (lam, 0)
+        hyper[re] = hyper.get(re, 0) + (2 if im else 1) * partition.weight
+        if im:
+            for b in (im, -im):
+                elliptic[b] = elliptic.get(b, 0) + partition.weight
     hyper_list = sorted(hyper.items(), key=lambda t: -t[0])
     elliptic_list = sorted(elliptic.items(), key=lambda t: -t[0])
     return hyper_list, elliptic_list, structure
@@ -109,21 +111,21 @@ class TestJordanDecompose:
         hyper, elliptic, nilpotent = _jordan_content(o)
         assert hyper == [(Fraction(3), 3)]
         assert elliptic == []
-        assert nilpotent == {S(3): Partition([2, 1])}
+        assert nilpotent == {3: Partition([2, 1])}
 
     def test_real_pair_class(self):
         o = orbit(REAL, (0, 2, [1, 1]))
         hyper, elliptic, nilpotent = _jordan_content(o)
         assert hyper == [(Fraction(0), 4)]
         assert elliptic == [(Fraction(2), 2), (Fraction(-2), 2)]
-        assert nilpotent == {S(0, 2): Partition([1, 1]), S(0, -2): Partition([1, 1])}
+        assert nilpotent == {(0, 2): Partition([1, 1])}
 
     def test_principal_nilpotent(self):
         o = orbit(COMPLEX, (0, [5]))
         hyper, elliptic, nilpotent = _jordan_content(o)
         assert hyper == [(Fraction(0), 5)]
         assert elliptic == []
-        assert nilpotent == {S(0): Partition([5])}
+        assert nilpotent == {0: Partition([5])}
 
 
 class TestDatumValidation:
@@ -175,7 +177,7 @@ class TestRecognition:
         for o in complex_corpus_4:
             m = realize_orbit(o)
             structure = jordan_structure(m, o.spectrum())
-            expected = {S(c.re): c.partition for c in o.classes}
+            expected = {c.re: c.partition for c in o.classes}
             assert structure == expected
 
     def test_orbit_from_matrix_roundtrip(self, complex_corpus_4, real_corpus_4):
@@ -183,12 +185,13 @@ class TestRecognition:
             assert orbit_from_matrix(realize_orbit(o), o.field, o.spectrum()) == o
 
     def test_pair_realization_splits_over_gaussians(self):
+        # the blocks of 1 +- i/2 over C, read off the real quadratic
+        # (x - 1)^2 + 1/4; either sign of b names the pair
         o = orbit(REAL, (1, "1/2", [2, 1]))
         m = realize_orbit(o)
-        lam = S(1, "1/2")
-        structure = jordan_structure(m, [lam, lam.conjugate()])
-        assert structure[lam] == Partition([2, 1])
-        assert structure[lam.conjugate()] == Partition([2, 1])
+        half = Fraction(1, 2)
+        for hints in ([(1, half)], [(1, -half)], [(1, half), (1, -half)]):
+            assert jordan_structure(m, hints) == {(1, half): Partition([2, 1])}
 
 
 class TestJson:
