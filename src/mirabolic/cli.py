@@ -160,15 +160,20 @@ def _load_orbit(path: str) -> OrbitDatum:
     return orbit
 
 
-def _parse_signs(raw: Optional[str]):
-    """Parse '0,1;1' into [(0, 1), (1,)]; None stays None."""
+def _signs(orbit: OrbitDatum, raw: Optional[str]):
+    """The --signs value raw, such as '0,1;1', as [(0, 1), (1,)].
+
+    A real-field orbit takes one group per real class with one sign per part
+    of its dual partition, all 0 when raw is None; a complex-field orbit
+    takes none.  Any other shape is an input error.
+    """
+    sizes = [] if orbit.field == COMPLEX else [
+        len(cls.partition.dual()) for cls in orbit.real_classes()]
     if raw is None:
-        return None
+        return None if orbit.field == COMPLEX else [(0,) * k for k in sizes]
     raw = raw.strip()
-    if not raw:
-        return []
     out = []
-    for group in raw.split(";"):
+    for group in raw.split(";") if raw else ():
         bits = []
         for tok in group.split(","):
             tok = tok.strip()
@@ -176,6 +181,9 @@ def _parse_signs(raw: Optional[str]):
                 raise InputError("--signs entries must be 0 or 1, got %r" % tok)
             bits.append(int(tok))
         out.append(tuple(bits))
+    if [len(ws) for ws in out] != sizes:
+        raise InputError("--signs: expected groups of sizes %s (one per real class of a "
+                         "real-field orbit, one sign per dual-partition part)" % (sizes,))
     return out
 
 
@@ -186,12 +194,6 @@ def _emit(payload: dict, out: Optional[str]) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _default_signs(orbit: OrbitDatum):
-    if orbit.field == COMPLEX:
-        return None
-    return [tuple(0 for _ in cls.partition.dual()) for cls in orbit.real_classes()]
 
 
 def _cmd_classify(args) -> dict:
@@ -258,19 +260,13 @@ def _cmd_moment(args) -> dict:
 
 def _cmd_attach(args) -> dict:
     orbit = _load_orbit(args.input)
-    signs = _parse_signs(args.signs)
-    if signs is None:
-        signs = _default_signs(orbit)
-    label = attach_gl_rep(orbit, signs)
+    label = attach_gl_rep(orbit, _signs(orbit, args.signs))
     return {"orbit": orbit.to_json(), "label": label.to_json()}
 
 
 def _cmd_restrict(args) -> dict:
     orbit = _load_orbit(args.input)
-    signs = _parse_signs(args.signs)
-    if signs is None:
-        signs = _default_signs(orbit)
-    restricted = restrict_to_mirabolic(attach_gl_rep(orbit, signs))
+    restricted = restrict_to_mirabolic(attach_gl_rep(orbit, _signs(orbit, args.signs)))
     return {"orbit": orbit.to_json(), "restricted": restricted.to_json()}
 
 

@@ -68,6 +68,18 @@ MAX_DECIMAL_EXPONENT = 1000
 # the exponent of a literal in Fraction's grammar, which allows underscores
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]*)\s*\Z")
 
+# an error message quotes at most this many characters of a refused value
+_ECHO = 40
+
+
+def _echo(value) -> str:
+    """repr(value) for an error message, cut to _ECHO characters plus its
+    length when longer."""
+    text = repr(value)
+    if len(text) <= _ECHO:
+        return text
+    return "%s... (%d characters)" % (text[:_ECHO], len(text))
+
 
 def parse_rational(value, where: str) -> Fraction:
     """The rational number that value's text spells: '3', ' -1/2', '0.25',
@@ -84,12 +96,12 @@ def parse_rational(value, where: str) -> Fraction:
         digits = exponent.group(1).replace("_", "").lstrip("0")
         if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
                 or int(digits or 0) > MAX_DECIMAL_EXPONENT):
-            raise OrbitSpecError("%s: decimal exponent beyond %d in %r"
-                                 % (where, MAX_DECIMAL_EXPONENT, value))
+            raise OrbitSpecError("%s: decimal exponent beyond %d in %s"
+                                 % (where, MAX_DECIMAL_EXPONENT, _echo(value)))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise OrbitSpecError("%s: not a rational number: %r" % (where, value)) from exc
+        raise OrbitSpecError("%s: not a rational number: %s" % (where, _echo(value))) from exc
 
 
 class EigenvalueClass:

@@ -25,6 +25,7 @@ def write_json(tmp_path, name, obj):
 HUGE = "1e-1000000000"
 
 UNIPOTENT_21 = {"field": "C", "classes": [{"re": "0", "partition": [2, 1]}]}
+REAL_21 = {"field": "R", "classes": [{"re": "0", "partition": [2, 1]}]}
 RS2 = {
     "field": "C",
     "classes": [{"re": "1", "partition": [1]}, {"re": "0", "partition": [1]}],
@@ -175,6 +176,22 @@ class TestAttachAndRestrict:
         assert code == 0
         ws = sorted(f["w"] for f in payload["label"])
         assert ws == [0, 1]
+
+    @pytest.mark.parametrize("spec, signs", [
+        (REAL_21, "0,0;1"),  # two groups for one real class
+        (REAL_21, "0"),  # one sign where the dual partition [2, 1] needs two
+        (REAL_21, "0,1,1"),
+        (REAL_21, ""),
+        (UNIPOTENT_21, "0"),  # a complex-field orbit takes no signs
+    ])
+    def test_signs_of_the_wrong_shape_are_an_input_error(self, tmp_path, capsys, spec, signs):
+        path = write_json(tmp_path, "o.json", spec)
+        for command in ("attach", "restrict"):
+            code, out, err = run(capsys, command, path, "--signs", signs)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --signs: expected groups of sizes ")
+            assert err.count("\n") == 1
 
     def test_restrict(self, tmp_path, capsys):
         path = write_json(tmp_path, "u.json", UNIPOTENT_21)
@@ -340,6 +357,16 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert err.startswith("error: %s: decimal exponent beyond" % where)
         assert err.count("\n") == 1
+
+    def test_long_token_is_not_echoed_whole(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("0 0\n0 " + "x" * 10 ** 6 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix row 2: not a rational number: 'xxx")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "(1000002 characters)" in err
 
     def test_json_integer_beyond_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mirabolic import (
     COMPLEX,
@@ -12,11 +13,13 @@ from mirabolic import (
     OrbitDatum,
     OrbitSpecError,
     Partition,
+    inverse,
     jordan_structure,
     orbit_from_json,
     orbit_from_matrix,
     pair_block,
     project_to_p_star,
+    rank,
     realize_normal_form,
     realize_orbit,
 )
@@ -172,7 +175,58 @@ class TestDatumValidation:
         assert o.size == 3
 
 
+_PARTS = st.lists(st.integers(1, 2), min_size=1, max_size=2)
+
+
+@st.composite
+def real_orbits(draw, max_size=7):
+    """Real-field orbits of size <= max_size from small pools, so that pair
+    classes with fractional a and b, pairs sharing a with a real class and
+    pairs sharing a with each other all occur."""
+    classes, keys, size = [], set(), 0
+    for _ in range(draw(st.integers(1, 3))):
+        re = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2, 3)]))
+        im = draw(st.sampled_from([None, Fraction(1), Fraction(3, 2), Fraction(1, 5)]))
+        parts = draw(_PARTS)
+        weight = (2 if im else 1) * sum(parts)
+        if (re, im) not in keys and size + weight <= max_size:
+            keys.add((re, im))
+            size += weight
+            classes.append(EigenvalueClass(re, Partition(parts), im=im))
+    assume(classes)
+    return OrbitDatum(REAL, classes)
+
+
+def _random_invertible(n, seed):
+    rng = random.Random(seed)
+    while True:
+        p = ExactMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+                         for _ in range(n)])
+        if rank(p) == n:
+            return p
+
+
 class TestRecognition:
+    @settings(max_examples=60, deadline=None)
+    @given(real_orbits(), st.integers(0, 10 ** 6))
+    @example(orbit(REAL, ("1/2", "3/2", [2, 1])), 1)
+    @example(orbit(REAL, ("-2/3", [2]), ("-2/3", "1/5", [1])), 2)
+    @example(orbit(REAL, ("1/2", 1, [1]), ("1/2", "3/2", [2])), 3)
+    def test_pair_filtration_under_rational_conjugation(self, o, seed):
+        p = _random_invertible(o.size, seed)
+        m = p * realize_orbit(o) * inverse(p)
+        hints = o.spectrum()
+        assert orbit_from_matrix(m, REAL, hints) == o
+        structure = jordan_structure(m, hints)
+        # (a, -b) names the same pair as (a, b), and both together count once
+        flipped = [(h[0], -h[1]) if isinstance(h, tuple) else h for h in hints]
+        assert jordan_structure(m, flipped) == structure
+        assert jordan_structure(m, hints + flipped) == structure
+        # a pair that is not in the spectrum adds nothing, also with the real
+        # part of a pair class and half its imaginary part
+        absent = [(c.re, c.im / 2) for c in o.pair_classes()] + [(Fraction(1, 2), 7)]
+        assert jordan_structure(m, hints + absent) == structure
+
     def test_structure_roundtrip_complex(self, complex_corpus_4):
         for o in complex_corpus_4:
             m = realize_orbit(o)
@@ -261,6 +315,20 @@ class TestParseRational:
         monkeypatch.setattr(orbit_model, "Fraction", unreachable)
         with pytest.raises(OrbitSpecError, match="^x: decimal exponent beyond"):
             parse_rational(text, "x")
+
+    def test_long_values_are_echoed_as_a_prefix_and_a_length(self):
+        with pytest.raises(OrbitSpecError) as err:
+            parse_rational("x" * 10 ** 6, "matrix row 1")
+        message = str(err.value)
+        assert len(message) < 200
+        assert message.startswith("matrix row 1: not a rational number: 'xxxx")
+        assert message.endswith("... (1000002 characters)")
+        with pytest.raises(OrbitSpecError) as err:
+            parse_rational("1e-" + "9" * 10 ** 5, "x")
+        assert len(str(err.value)) < 200 and "(100005 characters)" in str(err.value)
+        # a short value is quoted whole
+        with pytest.raises(OrbitSpecError, match=r"^x: not a rational number: 'abc'$"):
+            parse_rational("abc", "x")
 
     @pytest.mark.parametrize("value", ["x", "1/0", "", "1e_5", None, [1], True, float("nan")])
     def test_non_rationals_are_refused(self, value):
