@@ -110,8 +110,8 @@ def classify(
 
     eigenvalues are hints as for jordan_structure (a rational r, or a pair
     (a, b) for a +- ib) and must exhaust the spectrum of the eventual head
-    block; SpectrumMismatch propagates from the Jordan identification when it does
-    not (for instance when an eigenvalue is irrational).
+    block; SpectrumMismatch propagates from the Jordan identification when
+    they do not (for instance when an eigenvalue is irrational).
     """
     datum, _ = _classify(x, field, eigenvalues, want_certificate=False)
     return datum
