@@ -40,6 +40,8 @@ CASES = {
     "attach": ["attach", "@real_classes.json", "--signs", "1,0;1"],
     "restrict": ["restrict", "@real_classes.json", "--signs", "0,1;0"],
     "verify_corpus": ["verify", "--corpus", "3", "--field", "R", "--conjugations", "5"],
+    "classify_mixed_denominators": ["classify", "@mixed_denominators.json", "--certificate"],
+    "verify_corpus_complex": ["verify", "--corpus", "4", "--field", "C", "--conjugations", "5"],
 }
 
 
