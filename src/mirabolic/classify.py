@@ -8,22 +8,26 @@ Otherwise a Levi conjugation moves the row to (0,...,0,1), the abelian
 unipotent action absorbs one column, and the recursion continues one size
 down with the depth counter incremented.
 
-All arithmetic is exact over Q: the representative has rational entries,
-and the head block is identified from eigenvalue hints, a rational r for a
-real eigenvalue and a pair (a, b) for a +- ib (exact_linalg.jordan_structure
-reads the pair off the real quadratic (x - a)^2 + b^2).
+All arithmetic is exact over Q and runs on the stored form of
+exact_linalg: a common denominator d and the sparse integer rows of d*x.
+Each step is an O(s^2) rank-one update of those rows over the denominator
+d^2 * beta_p (scaling by the pivot beta_p of the restriction row instead of
+dividing by it), after which one gcd is divided out.  The head block is
+identified from eigenvalue hints, a rational r for a real eigenvalue and a
+pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the pair off
+the real quadratic (x - a)^2 + b^2).
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .exact_linalg import (
     ExactMatrix,
     SpectrumMismatch,
+    _add_scaled,
     integer_rank,
     integer_rows,
     inverse,
@@ -45,9 +49,6 @@ __all__ = [
     "gl_centralizer_dim",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class MalformedRepresentative(Exception):
     """The input matrix is not a valid last-column-zero representative."""
@@ -59,46 +60,34 @@ def _validate_representative(x: ExactMatrix) -> None:
     n = x.rows
     if n == 0:
         raise MalformedRepresentative("empty matrix has no mirabolic functional")
-    if any(x.data[i][n - 1] for i in range(n)):
+    if any(n - 1 in row for row in x.numerators):
         raise MalformedRepresentative("representative must have zero last column")
 
 
-def _completion(beta: Sequence[Fraction]) -> ExactMatrix:
-    """Deterministic invertible matrix whose last row is beta.
+def _completion(d: int, beta: dict, s: int) -> ExactMatrix:
+    """Deterministic invertible s x s matrix whose last row is beta / d.
 
-    The first nonzero coordinate of beta is the pivot; the remaining rows
-    are the standard basis vectors in order.  Conjugating by diag(M, 1)
-    with this M moves the unipotent-restriction row vector to (0,...,0,1).
+    beta is a nonzero sparse integer row.  Its first nonzero column is the
+    pivot; the remaining rows are the standard basis vectors in order.
+    Conjugating by diag(M, 1) with this M moves the unipotent-restriction
+    row vector to (0,...,0,1).
     """
-    s = len(beta)
-    pivot = next(i for i, v in enumerate(beta) if v)
-    rows = []
-    for q in range(s):
-        if q == pivot:
-            continue
-        rows.append([_ONE if c == q else _ZERO for c in range(s)])
-    rows.append(list(beta))
-    return ExactMatrix(rows)
+    pivot = min(beta)
+    rows = [{q: d} for q in range(s) if q != pivot]
+    return ExactMatrix.from_integer(d, rows + [beta], s)
 
 
-def _embed_levi(m: ExactMatrix, n: int) -> ExactMatrix:
-    """diag(m, I) at ambient size n."""
-    s = m.rows
-    rows = [[_ZERO] * n for _ in range(n)]
-    for i in range(s):
-        for j in range(s):
-            rows[i][j] = m.data[i][j]
-    for i in range(s, n):
-        rows[i][i] = _ONE
-    return ExactMatrix(rows)
-
-
-def _embed_column_shift(alpha: Sequence[Fraction], col: int, n: int) -> ExactMatrix:
-    """Identity plus the vector alpha placed in one column (rows above col)."""
-    rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-    for i, v in enumerate(alpha):
-        rows[i][col] = v
-    return ExactMatrix(rows)
+def _step_conjugator(m: ExactMatrix, e: int, t: Sequence[int], n: int) -> ExactMatrix:
+    """diag(m, I) at ambient size n with -t / e added in column m.rows: the
+    Levi conjugation of one step followed by the column shift that absorbs
+    t / e.  e is a multiple of the denominator of m."""
+    s, f = m.rows, e // m.denominator
+    rows = [{k: f * v for k, v in row.items()} for row in m.numerators]
+    rows += [{i: e} for i in range(s, n)]
+    for i, v in enumerate(t):
+        if v:
+            rows[i][s] = -v
+    return ExactMatrix.from_integer(e, rows, n)
 
 
 def classify(
@@ -132,50 +121,54 @@ def classify_certified(
     return datum, cert
 
 
-def _conjugate_step(h, beta: Sequence[Fraction], p: int) -> list:
-    """Rows of M*H*M^-1 for M = _completion(beta), in O(s^2).
+def _conjugate_step(d: int, rows: list, p: int) -> tuple:
+    """One step on the s x s representative rows / d (zero last column), in O(s^2).
 
-    M*H has the rows of H other than row p, then the row vector beta*H.  M
-    is the identity apart from its last row, so v*M^-1 has the entries
-    v_q - t*beta_q for q != p, in order, followed by t = v_p / beta_p.
+    beta = rows[s-1] / d has first nonzero column p; H is the leading block
+    and M = _completion(d, rows[s-1], s-1).  M*H has the rows of H other
+    than row p, then beta*H, and v*M^-1 has the entries v_q - t*beta_q for
+    q != p, then t = v_p / beta_p.  With B = d*beta and each row v as an
+    integer row V over d^2, that is B_p*V_q - V_p*B_q, then V_p*d, over
+    d^2*B_p; the sign of B_p moves into the rows.
+
+    Returns (e, head, t): M*H*M^-1 is head / e with the column t / e last.
     """
-    s = len(beta)
-    others = [q for q in range(s) if q != p]
-    top = [_ZERO] * s
-    for k, b in enumerate(beta):
-        if b:
-            top = [t + b * v for t, v in zip(top, h[k])]
-    out = []
-    for v in [h[q] for q in others] + [top]:
-        t = v[p] / beta[p]
-        if t:
-            out.append([v[q] - t * beta[q] if beta[q] else v[q] for q in others] + [t])
-        else:
-            out.append([v[q] for q in others] + [t])
-    return out
+    beta = rows[-1]
+    bp = beta[p]
+    sign = 1 if bp > 0 else -1
+    top = {}
+    for k, b in beta.items():
+        for j, v in rows[k].items():
+            top[j] = top.get(j, 0) + b * v
+    head, t = [], []
+    for v, f in [(rows[q], sign * d) for q in range(len(rows) - 1) if q != p] + [(top, sign)]:
+        vp = f * v.get(p, 0)
+        new = {j: f * bp * x for j, x in v.items() if x}
+        if vp:
+            _add_scaled(new, beta, -vp)  # clears column p
+        head.append({j - (j > p): x for j, x in new.items()})
+        t.append(vp * d)
+    return d * d * abs(bp), head, t
 
 
 def _classify(x, field, eigenvalues, want_certificate):
     _validate_representative(x)
     n = x.rows
     cert = ExactMatrix.identity(n) if want_certificate else None
-    cur = x.data
+    cur = x
     steps = 0
     while True:
-        s = len(cur)
-        beta = cur[s - 1][: s - 1]
-        pivot = next((i for i, v in enumerate(beta) if v), None)
-        if pivot is None:
-            head = ExactMatrix([row[: s - 1] for row in cur[: s - 1]])
+        s, d, rows = cur.rows, cur.denominator, cur.numerators
+        beta = rows[s - 1]
+        if not beta:
+            head = ExactMatrix.from_integer(d, rows[: s - 1], s - 1)
             a_part = orbit_from_matrix(head, field, eigenvalues) if s > 1 else OrbitDatum(field)
             return MirabolicOrbitDatum(steps + 1, a_part), cert
-        head = _conjugate_step([row[: s - 1] for row in cur[: s - 1]], beta, pivot)
-        # absorb the column the unipotent radical can reach, then recurse
+        e, head, t = _conjugate_step(d, rows, min(beta))
+        # absorb the column t the unipotent radical can reach, then recurse
         if want_certificate:
-            alpha = [-row[s - 2] for row in head]
-            cert = _embed_levi(_completion(beta), n) * cert
-            cert = _embed_column_shift(alpha, s - 1, n) * cert
-        cur = [row[: s - 2] + [_ZERO] for row in head]
+            cert = _step_conjugator(_completion(d, beta, s - 1), e, t, n) * cert
+        cur = ExactMatrix.from_integer(e, head, s - 1)
         steps += 1
 
 
@@ -198,17 +191,18 @@ def certificate_holds(
     if conjugator.rows != n or conjugator.cols != n:
         return False
     last = conjugator.data[n - 1]
-    if any(last[c] for c in range(n - 1)) or last[n - 1] != _ONE:
+    if any(last[c] for c in range(n - 1)) or last[n - 1] != 1:
         return False
     m = conjugator * x * inverse(conjugator)
+    entries = m.data
     j = datum.depth
     for k in range(j - 1):
-        row = m.data[n - 1 - k]
+        row = entries[n - 1 - k]
         if any(row[c] for c in range(n - k - 2)):
             return False
-        if row[n - k - 2] != _ONE:
+        if row[n - k - 2] != 1:
             return False
-    term = m.data[n - j]
+    term = entries[n - j]
     if any(term[c] for c in range(n - j)):
         return False
     head = m.submatrix(0, n - j, 0, n - j)

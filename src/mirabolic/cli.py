@@ -35,6 +35,7 @@ from .orbit_model import (
     REAL,
     OrbitDatum,
     OrbitSpecError,
+    _echo,
     orbit_from_json,
     parse_rational,
     project_to_p_star,
@@ -106,7 +107,7 @@ def _parse_eigenvalue_flags(args) -> list:
             if not tok:
                 continue
             if ":" not in tok:
-                raise InputError("--pairs entries look like re:im, got %r" % tok)
+                raise InputError("--pairs entries look like re:im, got %s" % _echo(tok))
             re_s, im_s = tok.split(":", 1)
             hints.append((parse_rational(re_s, "--pairs"), parse_rational(im_s, "--pairs")))
     return hints
@@ -115,7 +116,7 @@ def _parse_eigenvalue_flags(args) -> list:
 def _json_list(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise InputError("%s: expected a list, got %r" % (key, value))
+        raise InputError("%s: expected a list, got %s" % (key, _echo(value)))
     return value
 
 
@@ -140,7 +141,7 @@ def _load_classify_input(args):
         hints = [parse_rational(v, "eigenvalues") for v in _json_list(obj, "eigenvalues")]
         for pair in _json_list(obj, "pairs"):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise InputError("pairs: each entry must be [re, im], got %r" % (pair,))
+                raise InputError("pairs: each entry must be [re, im], got %s" % _echo(pair))
             hints.append((parse_rational(pair[0], "pairs"), parse_rational(pair[1], "pairs")))
         hints.extend(_parse_eigenvalue_flags(args))
         return project_to_p_star(matrix), field, hints
@@ -178,7 +179,7 @@ def _signs(orbit: OrbitDatum, raw: Optional[str]):
         for tok in group.split(","):
             tok = tok.strip()
             if tok not in ("0", "1"):
-                raise InputError("--signs entries must be 0 or 1, got %r" % tok)
+                raise InputError("--signs entries must be 0 or 1, got %s" % _echo(tok))
             bits.append(int(tok))
         out.append(tuple(bits))
     if [len(ws) for ws in out] != sizes:
@@ -332,7 +333,7 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
+        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %s" % _echo(text))
     if value < 0:
         raise argparse.ArgumentTypeError("expected a nonnegative integer, got %d" % value)
     return value

@@ -105,20 +105,24 @@ def real_corpus(
 
 def random_unimodular(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix:
     """Random determinant-one integer matrix (unit lower times unit upper)."""
-    lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    upper = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    lower = [{i: 1} for i in range(n)]
+    upper = [{i: 1} for i in range(n)]
     for i in range(n):
         for j in range(i):
-            lower[i][j] = Fraction(rng.randint(-spread, spread))
-            upper[j][i] = Fraction(rng.randint(-spread, spread))
-    return ExactMatrix(lower) * ExactMatrix(upper)
+            for row, col in ((lower[i], j), (upper[j], i)):
+                v = rng.randint(-spread, spread)
+                if v:
+                    row[col] = v
+    return ExactMatrix.from_integer(1, lower, n) * ExactMatrix.from_integer(1, upper, n)
 
 
 def random_mirabolic(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix:
     """Random mirabolic group element with integer entries and exact inverse."""
     if n == 1:
         return ExactMatrix.identity(1)
-    head = random_unimodular(n - 1, rng, spread)
-    rows = [list(row) + [Fraction(rng.randint(-spread, spread))] for row in head.data]
-    rows.append([Fraction(0)] * (n - 1) + [Fraction(1)])
-    return ExactMatrix(rows)
+    rows = []
+    for row in random_unimodular(n - 1, rng, spread).numerators:
+        v = rng.randint(-spread, spread)
+        rows.append({**row, n - 1: v} if v else row)
+    rows.append({n - 1: 1})
+    return ExactMatrix.from_integer(1, rows, n)

@@ -15,7 +15,6 @@ i1 < i2 (so k_{i1} < k_{i2}):
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import List, Tuple
 
@@ -171,23 +170,8 @@ def selection_conjugator(orbit: OrbitDatum, selection: IndexSelection) -> ExactM
     """
     n = orbit.size
     positions = selection_positions(orbit, selection)
-    pos_set = set(positions)
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows = [[zero] * n for _ in range(n)]
-    if n in pos_set:
-        for i in range(n - 1):
-            rows[i][i] = one
-        for p in positions:
-            rows[n - 1][p - 1] = one
-    else:
-        k = max(positions)
-        for i in range(k - 1):
-            rows[i][i] = one
-        for i in range(k - 1, n - 1):
-            rows[i][i + 1] = one
-        rows[n - 1][k - 1] = one
-        for p in positions:
-            if p != k:
-                rows[n - 1][p - 1] = one
-    return ExactMatrix(rows)
+    # the identity with row k - 1 (k the largest position) moved to the
+    # bottom and replaced by the representative vector
+    k = max(positions)
+    rows = [{i: 1} for i in range(k - 1)] + [{i + 1: 1} for i in range(k - 1, n - 1)]
+    return ExactMatrix.from_integer(1, rows + [{p - 1: 1 for p in positions}], n)

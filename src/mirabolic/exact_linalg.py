@@ -1,21 +1,24 @@
-"""Exact dense linear algebra over Q.
+"""Exact linear algebra over Q on sparse integer rows.
 
 Everything is computed with unbounded exact arithmetic: no tolerances, no
 floating point.  Matrices are immutable; all operations are pure functions,
 so values can be shared freely between threads.
 
-ExactMatrix stores Fraction entries; every rank, product and inverse runs on
-one sparse integer kernel over d and the sparse integer rows of d*m, d the
-least common denominator of the entries (integer_rows gives the rows):
+An ExactMatrix m is stored as (d, rows): d the least common denominator of
+its entries and rows the sparse {column: nonzero int} rows of d*m.  Since d
+is the least one, gcd(d, every entry) is 1, so the stored form is canonical
+and == and hash compare it directly.  Every rank, product and inverse runs
+on the stored form; Fractions appear only at the edges (the constructor,
+data and repr):
 
 * integer_rank ranks sparse integer rows by fraction-free elimination with
   the row content divided out.  It is the only elimination: rank, the
   Jordan rank filtration and the stabilizer brackets use it;
-* a product multiplies the integer rows of both factors and reads each
-  nonzero entry back with one division by d_a*d_b;
+* a product multiplies the integer rows of both factors over d_a*d_b and
+  divides out one gcd;
 * inverse runs the same fraction-free, content-reduced elimination as a
-  Gauss-Jordan sweep on [d*m | I] and divides each entry once.  It raises
-  ValueError on a singular matrix.
+  Gauss-Jordan sweep on [d*m | I] and puts the result over the lcm of its
+  pivots.  It raises ValueError on a singular matrix.
 
 Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads
@@ -57,71 +60,84 @@ def _fraction(value) -> Fraction:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ExactMatrix:
-    """Immutable dense matrix with Fraction entries, row-major.
+    """Immutable rational matrix stored as numerators / denominator.
 
-    Entries may be given as int or Fraction; anything else (a float, a
-    complex number, a string) raises TypeError.
+    denominator is the least common denominator d of the entries (1 for an
+    integer or zero matrix) and numerators the rows of d*m as sparse
+    {column: nonzero int} dicts.  The stored rows are shared, never copied:
+    no code may modify them.  Entries may be given to the constructor as int
+    or Fraction; anything else (a float, a complex number, a string) raises
+    TypeError.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "denominator", "numerators")
 
     def __init__(self, data: Iterable[Iterable]):
-        rows = tuple(tuple(_fraction(v) for v in row) for row in data)
-        self.rows = len(rows)
-        self.cols = len(rows[0]) if rows else 0
-        for row in rows:
+        data = [[_fraction(v) for v in row] for row in data]
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else 0
+        for row in data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix data")
-        self.data = rows
+        # Fractions are in lowest terms, so this d is already the least one
+        d = lcm(1, *(v.denominator for row in data for v in row))
+        self.denominator = d
+        self.numerators = [
+            {j: v.numerator * (d // v.denominator) for j, v in enumerate(row) if v}
+            for row in data
+        ]
+
+    @classmethod
+    def from_integer(cls, d: int, rows: list, cols: int) -> "ExactMatrix":
+        """The matrix rows / d, for a positive int d and sparse {column:
+        nonzero int} rows, with one gcd divided out.  Takes over rows, which
+        the caller must not modify afterwards."""
+        if d != 1:
+            g = gcd(d, *(v for row in rows for v in row.values()))
+            if g != 1:
+                d //= g
+                rows = [{j: v // g for j, v in row.items()} for row in rows]
+        m = object.__new__(cls)
+        m.rows, m.cols, m.denominator, m.numerators = len(rows), cols, d, rows
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls.from_integer(1, [{i: 1} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[_ZERO] * cols for _ in range(rows)])
+        return cls.from_integer(1, [{} for _ in range(rows)], cols)
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
-    def row(self, i: int):
-        return self.data[i]
-
-    def column(self, j: int):
-        return tuple(row[j] for row in self.data)
+    @property
+    def data(self) -> tuple:
+        """The entries as rows of Fractions, for output and tests."""
+        d = self.denominator
+        return tuple(
+            tuple(Fraction(row[j], d) if j in row else _ZERO for j in range(self.cols))
+            for row in self.numerators
+        )
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(v for row in self.data for v in row)
-
     def __add__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        d = lcm(self.denominator, other.denominator)
+        fa, fb = d // self.denominator, d // other.denominator
+        out = []
+        for ra, rb in zip(self.numerators, other.numerators):
+            new = {j: fa * v for j, v in ra.items()}
+            _add_scaled(new, rb, fb)
+            out.append(new)
+        return ExactMatrix.from_integer(d, out, self.cols)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __neg__(self):
-        return ExactMatrix([[-v for v in row] for row in self.data])
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -130,83 +146,72 @@ class ExactMatrix:
                     "shape mismatch: %dx%d * %dx%d"
                     % (self.rows, self.cols, other.rows, other.cols)
                 )
-            da, a = _scaled_rows(self.data)
-            db, b = _scaled_rows(other.data)
-            return _from_integer_rows(_integer_matmul(a, b), [da * db] * self.rows,
-                                      other.cols)
+            return ExactMatrix.from_integer(
+                self.denominator * other.denominator,
+                _integer_matmul(self.numerators, other.numerators),
+                other.cols,
+            )
         c = _fraction(other)
-        return ExactMatrix([[c * v for v in row] for row in self.data])
-
-    def __rmul__(self, other):
-        c = _fraction(other)
-        return ExactMatrix([[c * v for v in row] for row in self.data])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        return ExactMatrix.from_integer(
+            self.denominator * c.denominator,
+            [{j: c.numerator * v for j, v in row.items()} if c else {}
+             for row in self.numerators],
+            self.cols,
         )
+
+    __rmul__ = __mul__
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "ExactMatrix":
         """Rows r0:r1 and columns c0:c1, half-open."""
-        return ExactMatrix([row[c0:c1] for row in self.data[r0:r1]])
+        keep = range(self.cols)[c0:c1]
+        return ExactMatrix.from_integer(
+            self.denominator,
+            [{j - keep.start: v for j, v in row.items() if j in keep}
+             for row in self.numerators[r0:r1]],
+            len(keep),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
+        return (self.rows, self.cols, self.denominator, self.numerators) == (
+            other.rows, other.cols, other.denominator, other.numerators)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.rows, self.cols, self.denominator,
+                     tuple(frozenset(row.items()) for row in self.numerators)))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
         return "ExactMatrix[%dx%d](%s)" % (self.rows, self.cols, body)
 
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
 
 def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
-    n = sum(b.rows for b in blocks)
-    m = sum(b.cols for b in blocks)
-    out = [[_ZERO] * m for _ in range(n)]
-    r = c = 0
+    d = lcm(1, *(b.denominator for b in blocks))
+    rows = []
+    c = 0
     for b in blocks:
-        for i in range(b.rows):
-            out[r + i][c : c + b.cols] = list(b.data[i])
-        r += b.rows
+        f = d // b.denominator
+        rows.extend({c + j: f * v for j, v in row.items()} for row in b.numerators)
         c += b.cols
-    return ExactMatrix(out)
-
-
-def _scaled_rows(data: Sequence[Sequence[Fraction]]) -> tuple:
-    """(d, rows): d the least common denominator of the Fraction rows data,
-    rows the sparse {column: int} rows of d*data."""
-    d = lcm(1, *(v.denominator for row in data for v in row))
-    return d, [
-        {j: v.numerator * (d // v.denominator) for j, v in enumerate(row) if v}
-        for row in data
-    ]
+    return ExactMatrix.from_integer(d, rows, c)
 
 
 def integer_rows(m: ExactMatrix) -> list:
-    """Rows of d*m as sparse {column: int} dicts, d the least common denominator."""
-    return _scaled_rows(m.data)[1]
+    """Rows of d*m as sparse {column: int} dicts, d the least common
+    denominator: the stored rows of m, which the caller must not modify."""
+    return m.numerators
 
 
-def _from_integer_rows(rows: list, dens: list, cols: int) -> ExactMatrix:
-    """The matrix whose row i is the sparse integer row rows[i] over dens[i].
-
-    Each nonzero entry is divided once.
-    """
-    out = []
-    for row, d in zip(rows, dens):
-        new = [_ZERO] * cols
-        for j, v in row.items():
-            new[j] = Fraction(v, d)
-        out.append(new)
-    return ExactMatrix(out)
+def _add_scaled(row: dict, other: dict, f: int) -> None:
+    """row += f * other on sparse integer rows, in place, for an int f != 0;
+    no zero is kept."""
+    for c, v in other.items():
+        w = row.get(c, 0) + f * v
+        if w:
+            row[c] = w
+        else:
+            del row[c]
 
 
 def _reduce(row: dict, top: dict, col: int) -> dict:
@@ -221,12 +226,7 @@ def _reduce(row: dict, top: dict, col: int) -> dict:
     g = gcd(p, f)
     p, f = p // g, f // g
     new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
-    for c, v in top.items():
-        w = new.get(c, 0) - f * v
-        if w:
-            new[c] = w
-        else:
-            del new[c]
+    _add_scaled(new, top, -f)
     content = gcd(*new.values()) if new else 1
     if content > 1:
         new = {c: v // content for c, v in new.items()}
@@ -279,15 +279,13 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     Fraction-free Gauss-Jordan on the sparse integer rows of [d*m | I]: each
     pivot column is cleared from every other row by _reduce, which leaves
     p_i * e_i on the left of row i and y_i on the right with y_i * d*m =
-    p_i * e_i, so row i of the inverse is d * y_i / p_i.  Raises ValueError
-    on a singular matrix.
+    p_i * e_i, so row i of the inverse is d * y_i / p_i, put over the lcm
+    of the pivots.  Raises ValueError on a singular matrix.
     """
     if not m.is_square():
         raise ValueError("only square matrices have inverses")
     n = m.rows
-    d, rows = _scaled_rows(m.data)
-    for i, row in enumerate(rows):
-        row[n + i] = 1
+    rows = [{**row, n + i: 1} for i, row in enumerate(m.numerators)]
     pivots = {}
     for c in range(n):
         k = next((k for k, row in enumerate(rows) if c in row), None)
@@ -299,11 +297,12 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
             if c in row:
                 pivots[col] = _reduce(row, top, c)
         pivots[c] = top
-    return _from_integer_rows(
-        [{j - n: d * v for j, v in pivots[c].items() if j >= n} for c in range(n)],
-        [pivots[c][c] for c in range(n)],
-        n,
-    )
+    den = lcm(*(pivots[c][c] for c in range(n)))
+    out = []
+    for c in range(n):
+        f = den // pivots[c][c] * m.denominator
+        out.append({j - n: f * v for j, v in pivots[c].items() if j >= n})
+    return ExactMatrix.from_integer(den, out, n)
 
 
 def _eigenvalue(hint):
@@ -358,16 +357,26 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
 
 def _shifted_rows(m: ExactMatrix, lam) -> list:
     """Sparse integer rows of a positive multiple of m - r at a rational r, or
-    of q = (m - a)^2 + b^2 at a pair (a, b); a multiple has the same ranks."""
+    of q = (m - a)^2 + b^2 at a pair (a, b); a multiple has the same ranks.
+
+    With a = p/q and m = rows/d the rows are those of q*d*m - p*d*I, built
+    on copies of the stored rows.
+    """
     a, b = lam if isinstance(lam, tuple) else (lam, 0)
-    data = [list(row) for row in m.data]
-    for i, row in enumerate(data):
-        row[i] -= a
-    d, rows = _scaled_rows(data)
+    q, shift = a.denominator, a.numerator * m.denominator
+    rows = []
+    for i, row in enumerate(m.numerators):
+        new = {j: q * v for j, v in row.items()} if q != 1 else dict(row)
+        x = new.get(i, 0) - shift
+        if x:
+            new[i] = x
+        else:
+            new.pop(i, None)
+        rows.append(new)
     if not b:
         return rows
-    # s = d*(m - a) and (d*b)^2 = u/v give v*d^2*q = v*s^2 + u*I
-    u, v = ((d * b) ** 2).as_integer_ratio()
+    # s = q*d*(m - a) and (q*d*b)^2 = u/v give v*(q*d)^2*q = v*s^2 + u*I
+    u, v = ((q * m.denominator * b) ** 2).as_integer_ratio()
     square = _integer_matmul(rows, rows)
     for i, row in enumerate(square):
         if v != 1:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, List, Sequence
 
 from .exact_linalg import (
@@ -50,9 +51,6 @@ __all__ = [
 
 REAL = "R"
 COMPLEX = "C"
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class OrbitSpecError(ValueError):
@@ -251,26 +249,29 @@ class MirabolicOrbitDatum:
 def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
     """Jordan block with the eigenvalue on the diagonal and 1 below it."""
     lam = Fraction(eigenvalue)
-    rows = [[_ZERO] * size for _ in range(size)]
+    d = lam.denominator
+    rows = []
     for i in range(size):
-        rows[i][i] = lam
-        if i:
-            rows[i][i - 1] = _ONE
-    return ExactMatrix(rows)
+        row = {i - 1: d} if i else {}
+        if lam:
+            row[i] = lam.numerator
+        rows.append(row)
+    return ExactMatrix.from_integer(d, rows, size)
 
 
 def pair_block(size: int, re, im) -> ExactMatrix:
     """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]]."""
     b = Fraction(im)
     j = jordan_block(size, re)
-    rows = [[_ZERO] * (2 * size) for _ in range(2 * size)]
-    for i in range(size):
-        for k in range(size):
-            rows[i][k] = j.data[i][k]
-            rows[size + i][size + k] = j.data[i][k]
-        rows[i][size + i] = b
-        rows[size + i][i] = -b
-    return ExactMatrix(rows)
+    d = lcm(j.denominator, b.denominator)
+    f, off = d // j.denominator, b.numerator * (d // b.denominator)
+    rows = [{k: f * v for k, v in row.items()} for row in j.numerators]
+    rows += [{size + k: v for k, v in row.items()} for row in rows]
+    if off:
+        for i in range(size):
+            rows[i][size + i] = off
+            rows[size + i][i] = -off
+    return ExactMatrix.from_integer(d, rows, 2 * size)
 
 
 def _class_blocks(cls: EigenvalueClass) -> List[ExactMatrix]:
@@ -318,8 +319,11 @@ def project_to_p_star(x: ExactMatrix) -> ExactMatrix:
     n = x.rows
     if n == 0:
         return x
-    return ExactMatrix(
-        [list(row[: n - 1]) + [_ZERO] for row in x.data]
+    return ExactMatrix.from_integer(
+        x.denominator,
+        [{j: v for j, v in row.items() if j != n - 1} if n - 1 in row else row
+         for row in x.numerators],
+        n,
     )
 
 

@@ -132,7 +132,7 @@ class TestClassify:
 
 class TestClosedFormStep:
     def test_matches_dense_conjugation_through_the_recursion(self):
-        """Each classify step equals M * H * inverse(M), M = _completion(beta)."""
+        """Each classify step equals M * H * inverse(M), M = _completion(d, beta, s - 1)."""
         rng = random.Random(808)
         orbits = list(complex_corpus(4)) + list(real_corpus(4, require_pair=False))
         steps = 0
@@ -141,15 +141,16 @@ class TestClosedFormStep:
                 p = random_mirabolic(o.size, rng)
                 cur = project_to_p_star(p * realize_orbit(o) * inverse(p))
                 while cur.rows > 1:
-                    s = cur.rows
-                    beta = list(cur.data[s - 1][: s - 1])
-                    if not any(beta):
+                    s, d = cur.rows, cur.denominator
+                    beta = cur.numerators[s - 1]
+                    if not beta:
                         break
-                    pivot = next(i for i, v in enumerate(beta) if v)
                     h = cur.submatrix(0, s - 1, 0, s - 1)
-                    m = _completion(beta)
+                    m = _completion(d, beta, s - 1)
                     expected = m * h * inverse(m)
-                    assert ExactMatrix(_conjugate_step(h.data, beta, pivot)) == expected, o
+                    e, head, t = _conjugate_step(d, cur.numerators, min(beta))
+                    rows = [{**row, s - 2: v} if v else row for row, v in zip(head, t)]
+                    assert ExactMatrix.from_integer(e, rows, s - 1) == expected, o
                     cur = project_to_p_star(expected)
                     steps += 1
         assert steps > 500

@@ -368,6 +368,33 @@ class TestDeterminismAndErrors:
         assert err.count("\n") == 1 and len(err) < 200
         assert "(1000002 characters)" in err
 
+    @pytest.mark.parametrize("site", ["pairs_flag", "json_list", "json_pairs_entry",
+                                      "signs_flag", "count_flag"])
+    def test_long_token_is_cut_at_every_echo_site(self, tmp_path, capsys, site):
+        token = "y" * 10 ** 6
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("0 0\n1 0\n", encoding="utf-8")
+        spec = write_json(tmp_path, "o.json", REAL_21)
+        argv = {
+            "pairs_flag": ["classify", str(matrix), "--pairs", token],
+            "json_list": ["classify", write_json(tmp_path, "l.json", {
+                "matrix": [["0", "0"], ["1", "0"]], "eigenvalues": token})],
+            "json_pairs_entry": ["classify", write_json(tmp_path, "p.json", {
+                "matrix": [["0", "0"], ["1", "0"]], "pairs": [token]})],
+            "signs_flag": ["attach", spec, "--signs", token],
+            "count_flag": ["verify", "--corpus", token],
+        }[site]
+        if site == "count_flag":
+            # argparse prints its usage, then the one error line
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code, err = exc.value.code, capsys.readouterr().err.splitlines()[-1] + "\n"
+        else:
+            code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.count("\n") == 1 and len(err) < 200
+        assert "(1000002 characters)" in err
+
     def test_json_integer_beyond_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text('{"matrix": [[' + "9" * 5000 + "]]}", encoding="utf-8")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,8 @@ from mirabolic import (
     ExactMatrix,
     SpectrumMismatch,
     block_diag,
+    classify,
+    classify_certified,
     integer_rank,
     integer_rows,
     inverse,
@@ -17,10 +20,12 @@ from mirabolic import (
     kernel_dim,
     orbit_from_matrix,
     pair_block,
+    project_to_p_star,
     rank,
     realize_orbit,
+    stabilizer_dim,
 )
-from mirabolic.corpus import random_unimodular
+from mirabolic.corpus import complex_corpus, random_mirabolic, random_unimodular, real_corpus
 from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import eliminate, orbit
@@ -128,6 +133,44 @@ class TestIntegerKernel:
         for entry in (1j, 0.5, "1/2", None):
             with pytest.raises(TypeError, match="expected an int or a Fraction"):
                 ExactMatrix([[1, entry], [2, 3]])
+
+
+def _assert_canonical(m):
+    """d is the lcm of the entry denominators and no stored row holds a zero."""
+    assert m.denominator == lcm(1, *(v.denominator for row in m.data for v in row))
+    assert all(v for row in m.numerators for v in row.values())
+
+
+class TestStoredForm:
+    """(d, sparse integer rows) is canonical, so == and hash read it directly."""
+
+    @given(rational_matrices())
+    def test_round_trip_through_data(self, m):
+        _assert_canonical(m)
+        again = ExactMatrix(m.data)
+        assert again == m and hash(again) == hash(m)
+        assert m.submatrix(0, m.rows, 0, m.cols) == m
+
+    def test_operands_are_never_written(self):
+        rng = random.Random(41)
+        orbits = list(complex_corpus(4))[::4] + list(real_corpus(4, require_pair=True))[::4]
+        for o in orbits:
+            p = random_mirabolic(o.size, rng)
+            a = realize_orbit(o)
+            y = p * a * inverse(p)
+            x = project_to_p_star(y)
+            operands = [p, a, y, x]
+            before = [(m.denominator, [dict(row) for row in m.numerators]) for m in operands]
+            p * a * p
+            inverse(p)
+            jordan_structure(a, o.spectrum())
+            jordan_structure(y, o.spectrum() + [Fraction(1, 3)])
+            integer_rank(integer_rows(x))
+            stabilizer_dim(x)
+            classify(x, o.field, o.spectrum())
+            classify_certified(x, o.field, o.spectrum())
+            assert [(m.denominator, [dict(row) for row in m.numerators])
+                    for m in operands] == before, o
 
 
 def _sympy_matrix(sympy, m):
@@ -249,7 +292,10 @@ class TestRealKernels:
     @given(product_pairs())
     def test_product_matches_scalar_triple_loop(self, pair):
         a, b = pair
-        assert a * b == _scalar_product(a, b)
+        product = a * b
+        assert product == _scalar_product(a, b)
+        assert hash(product) == hash(_scalar_product(a, b))
+        _assert_canonical(product)
 
     def test_product_of_empty_shapes(self):
         wide = ExactMatrix([[], []])
@@ -265,6 +311,8 @@ class TestRealKernels:
             inv = inverse(m)
             assert inv == expected
             assert inv * m == ExactMatrix.identity(m.rows)
+            _assert_canonical(inv)
+            assert inverse(inv) == m and hash(inverse(inv)) == hash(m)
 
     def test_singular_and_gaussian_matrices_are_refused(self):
         with pytest.raises(ValueError, match="matrix is singular"):
