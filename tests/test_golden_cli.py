@@ -35,6 +35,7 @@ CASES = {
     "classify_complex_field_pair": ["classify", "@rotation.txt", "--field", "C",
                                     "--eigenvalues", "0", "--pairs", "0:1"],
     "enumerate": ["enumerate", "@mixed_real.json"],
+    "enumerate_three_classes": ["enumerate", "@three_classes.json"],
     "moment_all_oracle": ["moment", "@complex_21.json", "--all", "--oracle"],
     "moment_geometry": ["moment", "@mixed_real.json", "--geometry"],
     "attach": ["attach", "@real_classes.json", "--signs", "1,0;1"],
