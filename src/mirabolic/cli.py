@@ -339,8 +339,18 @@ def _count(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose error message, which quotes a refused token whole,
+    is cut to 140 characters (the messages of _count fit); subparsers inherit it."""
+
+    def error(self, message):
+        if len(message) > 140:
+            message = "%s... (%d characters)" % (message[:140], len(message))
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mirabolic",
         description="Exact mirabolic coadjoint-orbit classification, moment-map "
         "images and representation-label attachment.",

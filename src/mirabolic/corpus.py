@@ -2,8 +2,10 @@
 
 The corpora drive the verification suites: every orbit datum up to a size
 bound, with eigenvalues from small fixed pools so that all arithmetic stays
-rational.  Random conjugators are built from unit triangular factors, so
-they are exactly invertible with integer inverses.
+rational.  One loop nest lists both: the complex corpus is the real one
+over the complex pool with no pair pool.  Random conjugators are built from
+unit triangular factors, so they are exactly invertible with integer
+inverses.
 """
 from __future__ import annotations
 
@@ -46,17 +48,7 @@ def compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
 
 def complex_corpus(nmax: int, pool: Sequence[Fraction] = COMPLEX_POOL) -> Iterator[OrbitDatum]:
     """Every complex-field orbit datum of size 1..nmax over the pool."""
-    pool = sorted(pool, reverse=True)
-    for n in range(1, nmax + 1):
-        for k in range(1, min(len(pool), n) + 1):
-            for eigs in combinations(pool, k):
-                for comp in compositions(n, k):
-                    part_lists = [list(partitions_of_weight(w)) for w in comp]
-                    for parts in product(*part_lists):
-                        yield OrbitDatum(
-                            COMPLEX,
-                            [EigenvalueClass(a, p) for a, p in zip(eigs, parts)],
-                        )
+    yield from _corpus(COMPLEX, nmax, False, pool, ())
 
 
 def real_corpus(
@@ -70,29 +62,27 @@ def real_corpus(
     Conjugate-pair classes occupy twice their partition weight.  With
     require_pair each datum contains at least one pair class.
     """
+    yield from _corpus(REAL, nmax, require_pair, real_pool, pair_pool)
+
+
+def _corpus(field, nmax, require_pair, real_pool, pair_pool) -> Iterator[OrbitDatum]:
+    """Orbit data by size, then class counts, eigenvalues, weights and
+    partitions."""
     real_pool = sorted(real_pool, reverse=True)
     pair_pool = sorted(pair_pool, reverse=True)
     for n in range(1, nmax + 1):
         for rk in range(0, min(len(real_pool), n) + 1):
-            for pk in range(0, min(len(pair_pool), n // 2) + 1):
-                if require_pair and pk == 0:
-                    continue
+            for pk in range(1 if require_pair else 0, min(len(pair_pool), n // 2) + 1):
                 if rk == 0 and pk == 0:
                     continue
                 for real_eigs in combinations(real_pool, rk):
                     for pair_eigs in combinations(pair_pool, pk):
                         # a pair class of weight w spans 2w of the ambient size
                         for pair_total in range(pk, n // 2 + 1):
-                            rest = n - 2 * pair_total
-                            if rest < 0:
-                                break
                             for pair_ws in compositions(pair_total, pk):
-                                for comp in compositions(rest, rk):
-                                    weights = list(comp) + list(pair_ws)
-                                    part_lists = [
-                                        list(partitions_of_weight(w)) for w in weights
-                                    ]
-                                    for parts in product(*part_lists):
+                                for comp in compositions(n - 2 * pair_total, rk):
+                                    weights = comp + pair_ws
+                                    for parts in product(*map(partitions_of_weight, weights)):
                                         classes = [
                                             EigenvalueClass(a, p)
                                             for a, p in zip(real_eigs, parts[:rk])
@@ -100,7 +90,7 @@ def real_corpus(
                                             EigenvalueClass(a, p, im=b)
                                             for (a, b), p in zip(pair_eigs, parts[rk:])
                                         ]
-                                        yield OrbitDatum(REAL, classes)
+                                        yield OrbitDatum(field, classes)
 
 
 def random_unimodular(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix:

@@ -12,6 +12,11 @@ Conditions on the x values inside one class, for chosen size indices
 i1 < i2 (so k_{i1} < k_{i2}):
   (1) x_{i1} < x_{i2}
   (2) k_{i1} - x_{i1} < k_{i2} - x_{i2}
+
+A class's selections are generated with these conditions as loop bounds and
+in lexicographic order, so no tuple is rejected and nothing is sorted.  They
+are the nonempty antichains of the Dutta-Prasad poset of the partition
+(Dutta & Prasad, J. Combin. Theory A 118, 2011).
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from itertools import product
 from typing import List, Tuple
 
 from .exact_linalg import ExactMatrix
-from .orbit_model import EigenvalueClass, OrbitDatum
+from .orbit_model import OrbitDatum
 
 __all__ = [
     "IndexSelection",
@@ -55,17 +60,11 @@ class IndexSelection:
             raise ValueError("a selection must involve at least one class")
         self.choices = tuple(normalized)
 
-    def classes(self) -> Tuple[int, ...]:
-        return tuple(idx for idx, _ in self.choices)
-
     def get(self, cls_idx: int):
         for idx, pairs in self.choices:
             if idx == cls_idx:
                 return pairs
         return None
-
-    def sort_key(self):
-        return (self.classes(), tuple(pairs for _, pairs in self.choices))
 
     def to_json(self) -> dict:
         return {
@@ -85,38 +84,34 @@ class IndexSelection:
         return "IndexSelection(%r)" % (self.to_json(),)
 
 
-def _class_choices(cls: EigenvalueClass) -> List[Tuple[Tuple[int, int], ...]]:
-    """All legal per-class block/coordinate assignments, deterministic order."""
-    runs = cls.partition.runs_ascending()
-    r = len(runs)
-    out = []
-    for mask in range(1, 1 << r):
-        chosen = [i for i in range(r) if mask & (1 << i)]
-        ranges = [range(1, runs[i][0] + 1) for i in chosen]
-        for xs in product(*ranges):
-            ok = True
-            for a in range(len(chosen) - 1):
-                k1, x1 = runs[chosen[a]][0], xs[a]
-                k2, x2 = runs[chosen[a + 1]][0], xs[a + 1]
-                if not (x1 < x2 and k1 - x1 < k2 - x2):
-                    ok = False
-                    break
-            if ok:
-                out.append(tuple(zip(chosen, xs)))
-    out.sort()
-    return out
+def _class_chains(sizes, prefix=(), start=0, x_prev=0, gap_prev=-1):
+    """The chains of (block index, x) that extend prefix, lexicographic
+    order; sizes are the distinct block sizes, ascending."""
+    for i in range(start, len(sizes)):
+        k = sizes[i]
+        for x in range(x_prev + 1, k - gap_prev):
+            chain = prefix + ((i, x),)
+            yield chain
+            yield from _class_chains(sizes, chain, i + 1, x, k - x)
 
 
 def enumerate_selections(orbit: OrbitDatum) -> List[IndexSelection]:
     """The complete duplicate-free list of selections, lexicographic order."""
-    per_class = [[None] + _class_choices(cls) for cls in orbit.classes]
+    chains = [
+        list(_class_chains([k for k, _ in cls.partition.runs_ascending()]))
+        for cls in orbit.classes
+    ]
     selections = []
-    for combo in product(*per_class):
-        chosen = [(idx, pairs) for idx, pairs in enumerate(combo) if pairs is not None]
-        if not chosen:
-            continue
-        selections.append(IndexSelection(chosen))
-    selections.sort(key=IndexSelection.sort_key)
+
+    def walk(chosen, start):
+        # the ascending tuples of class indices, lexicographic order
+        for c in range(start, len(chains)):
+            classes = chosen + (c,)
+            for combo in product(*(chains[i] for i in classes)):
+                selections.append(IndexSelection(zip(classes, combo)))
+            walk(classes, c + 1)
+
+    walk((), 0)
     return selections
 
 

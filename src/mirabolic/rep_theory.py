@@ -48,10 +48,11 @@ SPEH = "speh"
 STEIN = "stein"
 SPEH_CS = "spehcs"
 
-# every factor knows how much ambient size it spans per unit t and how much
-# depth its restriction consumes
-_SPAN = {CHARACTER: 1, SPEH: 2, STEIN: 2, SPEH_CS: 4}
-_DEPTH_COST = {CHARACTER: 1, SPEH: 2, STEIN: 2, SPEH_CS: 4}
+# the ambient size a factor spans per unit of t.  One restriction step takes
+# one unit of t from every factor, so a factor's depth cost is the same
+# number, and a label's size is the depth of its restriction plus the size of
+# the shrunk label (criterion 8)
+_UNIT = {CHARACTER: 1, SPEH: 2, STEIN: 2, SPEH_CS: 4}
 _KIND_ORDER = {CHARACTER: 0, SPEH: 1, STEIN: 2, SPEH_CS: 3}
 
 
@@ -65,7 +66,7 @@ class Factor:
     __slots__ = ("kind", "t", "twist", "w", "m", "s")
 
     def __init__(self, kind, t, twist=0, w=0, m=None, s=None):
-        if kind not in _SPAN:
+        if kind not in _UNIT:
             raise ValueError("unknown factor kind %r" % (kind,))
         t = int(t)
         if t < 1:
@@ -97,11 +98,11 @@ class Factor:
     @property
     def span(self) -> int:
         """Ambient GL size this factor occupies."""
-        return _SPAN[self.kind] * self.t
+        return _UNIT[self.kind] * self.t
 
     @property
     def depth_cost(self) -> int:
-        return _DEPTH_COST[self.kind]
+        return _UNIT[self.kind]
 
     def shrink(self) -> Optional["Factor"]:
         """The factor left after one restriction step, or None when it vanishes."""

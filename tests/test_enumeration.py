@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -10,11 +12,12 @@ from mirabolic import (
     IndexSelection,
     enumerate_selections,
     inverse,
+    partitions_of_weight,
     selection_conjugator,
     selection_positions,
     selection_vector,
 )
-from mirabolic.corpus import compositions
+from mirabolic.corpus import complex_corpus, compositions, real_corpus
 from mirabolic.moment import dense_selection
 
 from conftest import orbit
@@ -23,6 +26,85 @@ from conftest import orbit
 def regular_orbit(sizes):
     """One single-block class per entry of sizes, with distinct eigenvalues."""
     return orbit(COMPLEX, *(((len(sizes) - i), [s]) for i, s in enumerate(sizes)))
+
+
+def reference_selections(o):
+    """The former enumeration, kept as a reference for the chain generator:
+    every coordinate tuple of every block subset, filtered by the staircase
+    conditions and sorted."""
+    per_class = []
+    for cls in o.classes:
+        runs = cls.partition.runs_ascending()
+        r = len(runs)
+        out = []
+        for mask in range(1, 1 << r):
+            chosen = [i for i in range(r) if mask & (1 << i)]
+            for xs in product(*(range(1, runs[i][0] + 1) for i in chosen)):
+                if all(xs[a] < xs[a + 1]
+                       and runs[chosen[a]][0] - xs[a] < runs[chosen[a + 1]][0] - xs[a + 1]
+                       for a in range(len(chosen) - 1)):
+                    out.append(tuple(zip(chosen, xs)))
+        out.sort()
+        per_class.append([None] + out)
+    selections = [
+        IndexSelection([(i, pairs) for i, pairs in enumerate(combo) if pairs is not None])
+        for combo in product(*per_class)
+        if any(pairs is not None for pairs in combo)
+    ]
+    selections.sort(key=lambda s: (tuple(i for i, _ in s.choices),
+                                   tuple(pairs for _, pairs in s.choices)))
+    return selections
+
+
+def dutta_prasad_antichains(parts):
+    """Nonempty antichains of the Dutta-Prasad poset of a partition.
+
+    Its elements are the pairs (v, k), k a distinct part and 0 <= v < k, with
+    (v, k) <= (v', k') iff v >= v' and k - v <= k' - v'.
+    """
+    elements = [(v, k) for k in set(parts) for v in range(k)]
+
+    def comparable(a, b):
+        (v, k), (w, m) = a, b
+        return (v >= w and k - v <= m - w) or (w >= v and m - w <= k - v)
+
+    return sum(
+        1
+        for size in range(1, len(elements) + 1)
+        for subset in combinations(elements, size)
+        if not any(comparable(a, b) for a, b in combinations(subset, 2))
+    )
+
+
+def one_class(parts):
+    return orbit(COMPLEX, (0, list(parts)))
+
+
+class TestAgainstReferences:
+    def test_one_class_matches_the_scan(self):
+        partitions = [p.parts for w in range(1, 11) for p in partitions_of_weight(w)]
+        assert len(partitions) == 138
+        for parts in partitions:
+            o = one_class(parts)
+            assert enumerate_selections(o) == reference_selections(o), parts
+
+    def test_size_5_corpora_match_the_scan(self):
+        for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
+            assert enumerate_selections(o) == reference_selections(o)
+
+    def test_count_is_the_dutta_prasad_antichain_count(self):
+        partitions = [p.parts for w in range(1, 9) for p in partitions_of_weight(w)]
+        assert len(partitions) == 66
+        for parts in partitions:
+            assert len(enumerate_selections(one_class(parts))) == \
+                dutta_prasad_antichains(parts), parts
+
+    def test_staircase_12_is_output_sensitive(self):
+        # the scan builds about 13! coordinate tuples here and does not finish
+        start = time.perf_counter()
+        count = len(enumerate_selections(one_class(range(12, 0, -1))))
+        assert count == 2 ** 12 - 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCounts:
