@@ -48,7 +48,7 @@ def compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
 
 def complex_corpus(nmax: int, pool: Sequence[Fraction] = COMPLEX_POOL) -> Iterator[OrbitDatum]:
     """Every complex-field orbit datum of size 1..nmax over the pool."""
-    yield from _corpus(COMPLEX, nmax, False, pool, ())
+    yield from _corpus(COMPLEX, nmax, pool, (), require_pair=False)
 
 
 def real_corpus(
@@ -62,10 +62,10 @@ def real_corpus(
     Conjugate-pair classes occupy twice their partition weight.  With
     require_pair each datum contains at least one pair class.
     """
-    yield from _corpus(REAL, nmax, require_pair, real_pool, pair_pool)
+    yield from _corpus(REAL, nmax, real_pool, pair_pool, require_pair)
 
 
-def _corpus(field, nmax, require_pair, real_pool, pair_pool) -> Iterator[OrbitDatum]:
+def _corpus(field, nmax, real_pool, pair_pool, require_pair) -> Iterator[OrbitDatum]:
     """Orbit data by size, then class counts, eigenvalues, weights and
     partitions."""
     real_pool = sorted(real_pool, reverse=True)
