@@ -12,10 +12,8 @@ from .exact_linalg import (
     SpectrumMismatch,
     block_diag,
     integer_rank,
-    integer_rows,
     inverse,
     jordan_structure,
-    kernel_dim,
     rank,
 )
 from .partitions import EmptyPartitionError, Partition, partitions_of_weight
@@ -73,6 +71,7 @@ from .rep_theory import (
     attach_mirabolic_rep,
     character,
     restrict_to_mirabolic,
+    sign_shape,
     speh,
     speh_complementary,
     stein,

@@ -46,6 +46,7 @@ from .rep_theory import (
     all_sign_choices,
     attach_gl_rep,
     restrict_to_mirabolic,
+    sign_shape,
     verify_restriction,
 )
 
@@ -168,8 +169,7 @@ def _signs(orbit: OrbitDatum, raw: Optional[str]):
     of its dual partition, all 0 when raw is None; a complex-field orbit
     takes none.  Any other shape is an input error.
     """
-    sizes = [] if orbit.field == COMPLEX else [
-        len(cls.partition.dual()) for cls in orbit.real_classes()]
+    sizes = sign_shape(orbit)
     if raw is None:
         return None if orbit.field == COMPLEX else [(0,) * k for k in sizes]
     raw = raw.strip()
@@ -287,12 +287,12 @@ def _verify_one(orbit: OrbitDatum, conjugations: int, rng) -> dict:
         entry["reason"] = str(exc)
         return entry
     if conjugations and entry["status"] == "pass":
-        x = project_to_p_star(realize_orbit(orbit))
-        base = classify(x, orbit.field, orbit.spectrum())
+        x = realize_orbit(orbit)
+        base = classify(project_to_p_star(x), orbit.field, orbit.spectrum())
         n = orbit.size
         for _ in range(conjugations):
             p = random_mirabolic(n, rng)
-            moved = project_to_p_star(p * realize_orbit(orbit) * inverse(p))
+            moved = project_to_p_star(p * x * inverse(p))
             if classify(moved, orbit.field, orbit.spectrum()) != base:
                 entry["status"] = "fail"
                 entry["reason"] = "classification changed under conjugation"
@@ -303,6 +303,8 @@ def _verify_one(orbit: OrbitDatum, conjugations: int, rng) -> dict:
 def _cmd_verify(args) -> dict:
     rng = random.Random(args.seed)
     if args.corpus is not None:
+        if args.input is not None:
+            raise InputError("verify takes an orbit spec or --corpus N, not both")
         if args.field == COMPLEX:
             orbits = list(complex_corpus(args.corpus))
         else:

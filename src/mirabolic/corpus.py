@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 from .exact_linalg import ExactMatrix
 from .orbit_model import COMPLEX, REAL, EigenvalueClass, OrbitDatum
@@ -26,6 +26,7 @@ __all__ = [
     "random_mirabolic",
 ]
 
+# the eigenvalue pools, each in descending order, which is the corpus order
 COMPLEX_POOL = (Fraction(2), Fraction(1), Fraction(0), Fraction(-1))
 REAL_POOL = (Fraction(1), Fraction(0))
 PAIR_POOL = tuple(
@@ -33,6 +34,8 @@ PAIR_POOL = tuple(
     for a in (Fraction(1), Fraction(0))
     for b in (Fraction(3, 2), Fraction(1), Fraction(1, 2))
 )
+# entries of the random triangular factors lie in [-SPREAD, SPREAD]
+SPREAD = 2
 
 
 def compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
@@ -46,30 +49,23 @@ def compositions(n: int, k: int) -> Iterator[Tuple[int, ...]]:
             yield (first,) + rest
 
 
-def complex_corpus(nmax: int, pool: Sequence[Fraction] = COMPLEX_POOL) -> Iterator[OrbitDatum]:
-    """Every complex-field orbit datum of size 1..nmax over the pool."""
-    yield from _corpus(COMPLEX, nmax, pool, (), require_pair=False)
+def complex_corpus(nmax: int) -> Iterator[OrbitDatum]:
+    """Every complex-field orbit datum of size 1..nmax over COMPLEX_POOL."""
+    yield from _corpus(COMPLEX, nmax, COMPLEX_POOL, (), require_pair=False)
 
 
-def real_corpus(
-    nmax: int,
-    require_pair: bool = True,
-    real_pool: Sequence[Fraction] = REAL_POOL,
-    pair_pool: Sequence[Tuple[Fraction, Fraction]] = PAIR_POOL,
-) -> Iterator[OrbitDatum]:
-    """Every real-field orbit datum of size 1..nmax over the pools.
+def real_corpus(nmax: int, require_pair: bool = True) -> Iterator[OrbitDatum]:
+    """Every real-field orbit datum of size 1..nmax over REAL_POOL and PAIR_POOL.
 
     Conjugate-pair classes occupy twice their partition weight.  With
     require_pair each datum contains at least one pair class.
     """
-    yield from _corpus(REAL, nmax, real_pool, pair_pool, require_pair)
+    yield from _corpus(REAL, nmax, REAL_POOL, PAIR_POOL, require_pair)
 
 
 def _corpus(field, nmax, real_pool, pair_pool, require_pair) -> Iterator[OrbitDatum]:
     """Orbit data by size, then class counts, eigenvalues, weights and
     partitions."""
-    real_pool = sorted(real_pool, reverse=True)
-    pair_pool = sorted(pair_pool, reverse=True)
     for n in range(1, nmax + 1):
         for rk in range(0, min(len(real_pool), n) + 1):
             for pk in range(1 if require_pair else 0, min(len(pair_pool), n // 2) + 1):
@@ -93,26 +89,26 @@ def _corpus(field, nmax, real_pool, pair_pool, require_pair) -> Iterator[OrbitDa
                                         yield OrbitDatum(field, classes)
 
 
-def random_unimodular(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix:
+def random_unimodular(n: int, rng: random.Random) -> ExactMatrix:
     """Random determinant-one integer matrix (unit lower times unit upper)."""
     lower = [{i: 1} for i in range(n)]
     upper = [{i: 1} for i in range(n)]
     for i in range(n):
         for j in range(i):
             for row, col in ((lower[i], j), (upper[j], i)):
-                v = rng.randint(-spread, spread)
+                v = rng.randint(-SPREAD, SPREAD)
                 if v:
                     row[col] = v
     return ExactMatrix.from_integer(1, lower, n) * ExactMatrix.from_integer(1, upper, n)
 
 
-def random_mirabolic(n: int, rng: random.Random, spread: int = 2) -> ExactMatrix:
+def random_mirabolic(n: int, rng: random.Random) -> ExactMatrix:
     """Random mirabolic group element with integer entries and exact inverse."""
     if n == 1:
         return ExactMatrix.identity(1)
     rows = []
-    for row in random_unimodular(n - 1, rng, spread).numerators:
-        v = rng.randint(-spread, spread)
+    for row in random_unimodular(n - 1, rng).numerators:
+        v = rng.randint(-SPREAD, SPREAD)
         rows.append({**row, n - 1: v} if v else row)
     rows.append({n - 1: 1})
     return ExactMatrix.from_integer(1, rows, n)

@@ -60,12 +60,6 @@ class IndexSelection:
             raise ValueError("a selection must involve at least one class")
         self.choices = tuple(normalized)
 
-    def get(self, cls_idx: int):
-        for idx, pairs in self.choices:
-            if idx == cls_idx:
-                return pairs
-        return None
-
     def to_json(self) -> dict:
         return {
             str(idx): {str(i): x for i, x in pairs}

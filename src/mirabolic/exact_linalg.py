@@ -11,14 +11,14 @@ and == and hash compare it directly.  Every rank, product and inverse runs
 on the stored form; Fractions appear only at the edges (the constructor,
 data and repr):
 
-* integer_rank ranks sparse integer rows by fraction-free elimination with
-  the row content divided out.  It is the only elimination: rank, the
-  Jordan rank filtration and the stabilizer brackets use it;
+* _echelon brings sparse integer rows to an echelon form by fraction-free
+  elimination with the row content divided out.  It is the only
+  elimination: integer_rank (and so rank, the Jordan rank filtration and
+  the stabilizer brackets) counts its rows, and inverse back-substitutes in
+  the echelon form of [d*m | I] and puts the result over the lcm of its
+  pivots, raising ValueError on a singular matrix;
 * a product multiplies the integer rows of both factors over d_a*d_b and
-  divides out one gcd;
-* inverse runs the same fraction-free, content-reduced elimination as a
-  Gauss-Jordan sweep on [d*m | I] and puts the result over the lcm of its
-  pivots.  It raises ValueError on a singular matrix.
+  divides out one gcd.
 
 Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads
@@ -38,9 +38,7 @@ __all__ = [
     "SpectrumMismatch",
     "block_diag",
     "rank",
-    "integer_rows",
     "integer_rank",
-    "kernel_dim",
     "inverse",
     "jordan_structure",
 ]
@@ -197,12 +195,6 @@ def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_integer(d, rows, c)
 
 
-def integer_rows(m: ExactMatrix) -> list:
-    """Rows of d*m as sparse {column: int} dicts, d the least common
-    denominator: the stored rows of m, which the caller must not modify."""
-    return m.numerators
-
-
 def _add_scaled(row: dict, other: dict, f: int) -> None:
     """row += f * other on sparse integer rows, in place, for an int f != 0;
     no zero is kept."""
@@ -233,12 +225,12 @@ def _reduce(row: dict, top: dict, col: int) -> dict:
     return new
 
 
-def integer_rank(rows: Iterable[dict]) -> int:
-    """Rank of sparse integer rows {column: nonzero int}; the rows are not modified.
+def _echelon(rows: Iterable[dict]) -> dict:
+    """Echelon form {leading column: row} of sparse integer rows {column:
+    nonzero int}, spanning the same row space; the rows are not modified.
 
-    Builds an echelon form keyed by leading column.  Each incoming row is
-    reduced (_reduce) against the stored row with its leading column until it
-    vanishes or starts a new leading column.
+    Each incoming row is reduced (_reduce) against the stored row with its
+    leading column until it vanishes or starts a new leading column.
     """
     echelon = {}
     for row in rows:
@@ -249,7 +241,12 @@ def integer_rank(rows: Iterable[dict]) -> int:
                 echelon[lead] = row
                 break
             row = _reduce(row, top, lead)
-    return len(echelon)
+    return echelon
+
+
+def integer_rank(rows: Iterable[dict]) -> int:
+    """Rank of sparse integer rows {column: nonzero int}; the rows are not modified."""
+    return len(_echelon(rows))
 
 
 def _integer_matmul(a: list, b: list) -> list:
@@ -266,37 +263,30 @@ def _integer_matmul(a: list, b: list) -> list:
 
 def rank(m: ExactMatrix) -> int:
     """Exact row rank over Q."""
-    return integer_rank(integer_rows(m))
-
-
-def kernel_dim(m: ExactMatrix) -> int:
-    return m.cols - rank(m)
+    return integer_rank(m.numerators)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square matrix.
 
-    Fraction-free Gauss-Jordan on the sparse integer rows of [d*m | I]: each
-    pivot column is cleared from every other row by _reduce, which leaves
-    p_i * e_i on the left of row i and y_i on the right with y_i * d*m =
-    p_i * e_i, so row i of the inverse is d * y_i / p_i, put over the lcm
+    Takes the echelon form of the sparse integer rows of [d*m | I]; m is
+    singular unless every column c < n leads a row.  Clearing each pivot
+    column from the rows above it, last column first (_reduce), leaves
+    p_c * e_c on the left of row c and y_c on the right with y_c * d*m =
+    p_c * e_c, so row c of the inverse is d * y_c / p_c, put over the lcm
     of the pivots.  Raises ValueError on a singular matrix.
     """
     if not m.is_square():
         raise ValueError("only square matrices have inverses")
     n = m.rows
-    rows = [{**row, n + i: 1} for i, row in enumerate(m.numerators)]
-    pivots = {}
-    for c in range(n):
-        k = next((k for k, row in enumerate(rows) if c in row), None)
-        if k is None:
-            raise ValueError("matrix is singular")
-        top = rows.pop(k)
-        rows = [_reduce(row, top, c) if c in row else row for row in rows]
-        for col, row in pivots.items():
-            if c in row:
-                pivots[col] = _reduce(row, top, c)
-        pivots[c] = top
+    pivots = _echelon({**row, n + i: 1} for i, row in enumerate(m.numerators))
+    if any(c not in pivots for c in range(n)):
+        raise ValueError("matrix is singular")
+    for c in range(n - 1, 0, -1):
+        top = pivots[c]
+        for above in range(c):
+            if c in pivots[above]:
+                pivots[above] = _reduce(pivots[above], top, c)
     den = lcm(*(pivots[c][c] for c in range(n)))
     out = []
     for c in range(n):
@@ -391,11 +381,16 @@ def _shifted_rows(m: ExactMatrix, lam) -> list:
 
 def _power_ranks(n: int, shifted: list) -> list:
     """[n, rank s, rank s^2, ...] for the integer rows s = shifted, up to the
-    first repeated rank."""
+    first repeated rank.
+
+    The row space of s^k is the row space of s^(k-1) times s, so each power
+    is ranked from the echelon rows of the one before it times s.
+    """
     ranks = [n]
-    power = shifted
+    basis = shifted
     while True:
-        ranks.append(integer_rank(power))
+        basis = list(_echelon(basis).values())
+        ranks.append(len(basis))
         if ranks[-1] == ranks[-2]:
             return ranks
-        power = _integer_matmul(power, shifted)
+        basis = _integer_matmul(basis, shifted)

@@ -56,32 +56,22 @@ def dense_selection(orbit: OrbitDatum) -> IndexSelection:
 def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Closed-form normal form of the image orbit at one selection."""
     depth = 0
-    new_classes = []
-    for idx, cls in enumerate(orbit.classes):
-        pairs = selection.get(idx)
-        if pairs is None:
-            new_classes.append(cls)
-            continue
+    classes = list(orbit.classes)
+    for idx, pairs in selection.choices:
+        cls = classes[idx]
         runs = cls.partition.runs_ascending()
-        chosen = dict(pairs)
-        xs = [x for _, x in sorted(pairs)]
-        depth += (2 if cls.is_pair else 1) * xs[-1]
-        parts: List[int] = []
+        parts = list(cls.partition)
         x_prev = 0
-        for i, (k, l) in enumerate(runs):
-            if i not in chosen:
-                parts.extend([k] * l)
-                continue
-            x = chosen[i]
-            parts.extend([k] * (l - 1))
-            t = k - x + x_prev
-            if t:
-                parts.append(t)
+        for i, x in pairs:
+            k = runs[i][0]
+            parts.remove(k)
+            parts.append(k - x + x_prev)  # a zero part is dropped by Partition
             x_prev = x
-        new_partition = Partition(parts)
-        if new_partition:
-            new_classes.append(EigenvalueClass(cls.re, new_partition, im=cls.im))
-    return MirabolicOrbitDatum(depth, OrbitDatum(orbit.field, new_classes))
+        depth += (2 if cls.is_pair else 1) * x_prev
+        partition = Partition(parts)
+        classes[idx] = EigenvalueClass(cls.re, partition, im=cls.im) if partition else None
+    return MirabolicOrbitDatum(
+        depth, OrbitDatum(orbit.field, [c for c in classes if c is not None]))
 
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:

@@ -296,8 +296,6 @@ def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
     blocks = []
     for cls in orbit.classes:
         blocks.extend(_class_blocks(cls))
-    if not blocks:
-        return ExactMatrix.zeros(0, 0)
     return block_diag(*blocks)
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "adduce",
     "restrict_to_mirabolic",
     "attach_mirabolic_rep",
+    "sign_shape",
     "all_sign_choices",
     "verify_restriction",
     "RestrictionReport",
@@ -242,9 +243,17 @@ class MirabolicRepLabel:
         return "I^%dE(%r)" % (self.depth - 1, self.adduced)
 
 
+def sign_shape(orbit: OrbitDatum) -> List[int]:
+    """The group sizes of a sign assignment: over R one group per real class
+    with one sign per part of its dual partition, none over C."""
+    if orbit.field == COMPLEX:
+        return []
+    return [len(cls.partition.dual()) for cls in orbit.real_classes()]
+
+
 def _check_signs(orbit: OrbitDatum, signs) -> List[Tuple[int, ...]]:
-    real_classes = orbit.real_classes()
-    if orbit.field == COMPLEX or not real_classes:
+    shape = sign_shape(orbit)
+    if not shape:
         if signs:
             raise ValueError("sign assignment given but no real classes need one")
         return []
@@ -254,12 +263,11 @@ def _check_signs(orbit: OrbitDatum, signs) -> List[Tuple[int, ...]]:
             "(one 0/1 tuple per real class, one entry per dual-partition part)"
         )
     signs = [tuple(int(w) for w in ws) for ws in signs]
-    if len(signs) != len(real_classes):
+    if len(signs) != len(shape):
         raise ValueError(
-            "expected %d sign tuples, got %d" % (len(real_classes), len(signs))
+            "expected %d sign tuples, got %d" % (len(shape), len(signs))
         )
-    for cls, ws in zip(real_classes, signs):
-        expected = len(cls.partition.dual())
+    for cls, expected, ws in zip(orbit.real_classes(), shape, signs):
         if len(ws) != expected:
             raise ValueError(
                 "class at eigenvalue %s needs %d signs, got %d"
@@ -339,13 +347,12 @@ def _trimmed_signs(orbit: OrbitDatum, signs, a_part: OrbitDatum):
 
     Dual parts of size one disappear under restriction; their signs are
     dropped, the rest ride along unchanged.  Classes are matched by their
-    eigenvalue.
+    eigenvalue.  signs must already have passed _check_signs.
     """
     if orbit.field == COMPLEX:
         return None
-    signs = _check_signs(orbit, signs)
     by_eigenvalue = {}
-    for cls, ws in zip(orbit.real_classes(), signs):
+    for cls, ws in zip(orbit.real_classes(), signs or ()):
         dual_parts = list(cls.partition.dual())
         by_eigenvalue[cls.re] = tuple(
             w for w, p in zip(ws, dual_parts) if p >= 2
@@ -360,13 +367,11 @@ def _trimmed_signs(orbit: OrbitDatum, signs, a_part: OrbitDatum):
 
 def all_sign_choices(orbit: OrbitDatum):
     """Every admissible sign assignment for the orbit's real classes."""
-    real_classes = orbit.real_classes()
-    if orbit.field == COMPLEX or not real_classes:
+    shape = sign_shape(orbit)
+    if not shape:
         yield None
         return
-    lengths = [len(cls.partition.dual()) for cls in real_classes]
-    pools = [list(product((0, 1), repeat=ln)) for ln in lengths]
-    for combo in product(*pools):
+    for combo in product(*(product((0, 1), repeat=k) for k in shape)):
         yield list(combo)
 
 

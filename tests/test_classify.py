@@ -18,9 +18,9 @@ from mirabolic import (
     gl_centralizer_dim,
     inverse,
     jordan_block,
-    kernel_dim,
     point_stabilizer_dim,
     project_to_p_star,
+    rank,
     realize_normal_form,
     realize_orbit,
     stabilizer_dim,
@@ -49,7 +49,8 @@ def _commutant_dim(a):
             cols.append(col)
     if not cols:
         return 0
-    return kernel_dim(ExactMatrix(list(map(list, zip(*cols)))))
+    m = ExactMatrix(list(map(list, zip(*cols))))
+    return m.cols - rank(m)
 
 
 def normal_forms(nmax, field=COMPLEX, require_pair=True):
@@ -178,6 +179,15 @@ class TestCertificate:
         assert not certificate_holds(
             x, ExactMatrix.identity(3), datum, COMPLEX, [0]
         )
+
+    def test_singular_conjugator_fails(self):
+        # last row e_n, so only invertibility can refuse it
+        x = example_27_matrix(3)
+        datum, _ = classify_certified(x, COMPLEX, [0])
+        singular = ExactMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+        assert certificate_holds(x, singular, datum, COMPLEX, [0]) is False
+        singular = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+        assert certificate_holds(x, singular, datum, COMPLEX, [0]) is False
 
 
 class TestStabilizer:

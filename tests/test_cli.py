@@ -239,6 +239,14 @@ class TestVerify:
         assert code == 0
         assert payload["summary"]["fail"] == 0
 
+    def test_spec_and_corpus_together_are_an_input_error(self, tmp_path, capsys):
+        # a spec, even one that cannot be read, is not silently ignored
+        for path in (write_json(tmp_path, "u.json", UNIPOTENT_21),
+                     str(tmp_path / "missing.json")):
+            code, out, err = run(capsys, "verify", path, "--corpus", "1")
+            assert (code, out) == (2, "")
+            assert err == "error: verify takes an orbit spec or --corpus N, not both\n"
+
 
 class TestDeterminismAndErrors:
     def test_byte_identical_output(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mirabolic import (
+    COMPLEX,
     REAL,
     ExactMatrix,
     SpectrumMismatch,
@@ -13,11 +14,9 @@ from mirabolic import (
     classify,
     classify_certified,
     integer_rank,
-    integer_rows,
     inverse,
     jordan_block,
     jordan_structure,
-    kernel_dim,
     orbit_from_matrix,
     pair_block,
     project_to_p_star,
@@ -40,7 +39,7 @@ class TestRank:
 
     def test_regular_nilpotent(self):
         assert rank(jordan_block(3)) == 2
-        assert kernel_dim(jordan_block(3)) == 1
+        assert jordan_block(3).cols - rank(jordan_block(3)) == 1
 
     def test_conjugation_invariance(self):
         rng = random.Random(7)
@@ -109,8 +108,8 @@ def rational_matrices(draw, shape=None):
 class TestIntegerKernel:
     def test_integer_rows_clear_the_common_denominator(self):
         m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [0, 2], [0, 0]])
-        assert integer_rows(m) == [{0: 3, 1: 2}, {1: 12}, {}]
-        assert integer_rows(ExactMatrix([[Fraction(-4, 6)]])) == [{0: -2}]
+        assert m.numerators == [{0: 3, 1: 2}, {1: 12}, {}]
+        assert ExactMatrix([[Fraction(-4, 6)]]).numerators == [{0: -2}]
 
     def test_integer_rank_leaves_its_rows_alone(self):
         rows = [{0: 2, 1: 4}, {0: 3, 2: 5}, {1: 6, 2: -5}, {}]
@@ -165,7 +164,7 @@ class TestStoredForm:
             inverse(p)
             jordan_structure(a, o.spectrum())
             jordan_structure(y, o.spectrum() + [Fraction(1, 3)])
-            integer_rank(integer_rows(x))
+            integer_rank(x.numerators)
             stabilizer_dim(x)
             classify(x, o.field, o.spectrum())
             classify_certified(x, o.field, o.spectrum())
@@ -321,6 +320,72 @@ class TestRealKernels:
             inverse(ExactMatrix([[1j]]))
         with pytest.raises(ValueError):
             inverse(ExactMatrix([[1, 2]]))
+
+
+def _fraction_matmul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row) if x) for j in range(len(b[0]))]
+            for row in a]
+
+
+def _reference_ranks(m, lam, count):
+    """[rank s^k for k = 0..count] by eliminate, for the Fraction matrix s = m - r
+    at a rational r or s = (m - a)^2 + b^2 at a pair (a, b)."""
+    a, b = lam if isinstance(lam, tuple) else (lam, 0)
+    s = [[v - a if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m.data)]
+    if b:
+        s = _fraction_matmul(s, s)
+        for i in range(m.rows):
+            s[i][i] += b * b
+    ranks, power = [m.rows], s
+    for _ in range(count):
+        ranks.append(len(eliminate([list(row) for row in power], m.rows)))
+        power = _fraction_matmul(power, s)
+    return ranks
+
+
+class TestWorkloadSizes:
+    """The kernels at the sizes the benchmark workloads run, beyond the 6 x 6
+    of the hypothesis strategies."""
+
+    # the geometry_large orbits of perfbench/workloads.py (sizes 12, 10, 12)
+    GEOMETRY_LARGE = (
+        orbit(REAL, (1, [3, 2, 1]), (0, 1, [2, 1])),
+        orbit(REAL, (1, [2, 1]), (0, [2, 1]), (0, 1, [2])),
+        orbit(COMPLEX, (0, [5, 4, 2, 1])),
+    )
+
+    def test_inverse_and_jordan_structure_at_sizes_8_to_12(self):
+        rng = random.Random(23)
+        for n in range(8, 13):
+            for _ in range(3):
+                p = random_mirabolic(n, rng)
+                scaled = p * ExactMatrix([[Fraction(1, i + 2) if i == j else 0
+                                           for j in range(n)] for i in range(n)])
+                for m in (p, scaled):
+                    inv = inverse(m)
+                    assert inv == _scalar_inverse(m)
+                    assert m * inv == ExactMatrix.identity(n)
+        rows = [list(row) for row in random_mirabolic(12, rng).data]
+        rows[5] = [u + 3 * v for u, v in zip(rows[2], rows[7])]
+        singular = ExactMatrix(rows)
+        assert _scalar_inverse(singular) is None
+        with pytest.raises(ValueError, match="matrix is singular"):
+            inverse(singular)
+
+        for o in self.GEOMETRY_LARGE:
+            for _ in range(2):
+                p = random_mirabolic(o.size, rng)
+                y = p * realize_orbit(o) * inverse(p)
+                structure = jordan_structure(y, o.spectrum())
+                assert structure == {c.eigenvalue(): c.partition for c in o.classes}
+                for lam, blocks in structure.items():
+                    # rank s^k = n - degree * sum over blocks of min(k, size)
+                    degree = 2 if isinstance(lam, tuple) else 1
+                    count = blocks.largest() + 1
+                    assert _reference_ranks(y, lam, count) == [
+                        o.size - degree * sum(min(k, size) for size in blocks)
+                        for k in range(count + 1)
+                    ], (o, lam)
 
 
 class TestSolve:

@@ -18,12 +18,15 @@ from mirabolic import (
     character,
     dense_selection,
     restrict_to_mirabolic,
+    sign_shape,
     speh,
     speh_complementary,
     stein,
     symbolic_image,
     verify_restriction,
 )
+from mirabolic.cli import _signs
+from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
 from conftest import orbit
@@ -232,6 +235,23 @@ class TestVerifyRestriction:
             assert verify_restriction(o, signs).ok
             count += 1
         assert count == 4  # two dual parts on the real class
+
+    def test_sign_shape_is_the_shape_of_every_sign_assignment(self):
+        for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
+            shape = sign_shape(o)
+            choices = list(all_sign_choices(o))
+            assert len(choices) == 2 ** sum(shape), o
+            for signs in choices:
+                assert [len(ws) for ws in signs or ()] == shape, o
+            # the CLI's default --signs, all zero
+            assert [len(ws) for ws in _signs(o, None) or ()] == shape, o
+        assert sign_shape(orbit(COMPLEX, (0, [2, 1]))) == []
+        assert sign_shape(orbit(REAL, (0, 1, [2, 1]))) == []
+        assert sign_shape(orbit(REAL, (1, [3, 1]), (0, [2, 2]), (0, 1, [1]))) == [3, 2]
+
+    def test_pair_only_real_orbit_needs_no_signs(self):
+        report = verify_restriction(orbit(REAL, (0, 1, [2, 1])))
+        assert report.ok and report.signs is None
 
     def test_unsupported_shape_propagates(self):
         with pytest.raises(UnsupportedOrbitShape):
