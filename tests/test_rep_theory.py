@@ -249,10 +249,6 @@ class TestVerifyRestriction:
         assert sign_shape(orbit(REAL, (0, 1, [2, 1]))) == []
         assert sign_shape(orbit(REAL, (1, [3, 1]), (0, [2, 2]), (0, 1, [1]))) == [3, 2]
 
-    def test_pair_only_real_orbit_needs_no_signs(self):
-        report = verify_restriction(orbit(REAL, (0, 1, [2, 1])))
-        assert report.ok and report.signs is None
-
     def test_unsupported_shape_propagates(self):
         with pytest.raises(UnsupportedOrbitShape):
             verify_restriction(orbit(REAL, (0, "1/3", [1])))
