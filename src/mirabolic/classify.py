@@ -187,7 +187,7 @@ def certificate_holds(
     with exactly the recorded Jordan data.
     """
     n = x.rows
-    if conjugator.rows != n or conjugator.cols != n:
+    if n == 0 or conjugator.rows != n or conjugator.cols != n:
         return False
     if conjugator.numerators[n - 1] != {n - 1: conjugator.denominator}:
         return False  # the last row is not e_n

@@ -305,13 +305,15 @@ def _cmd_verify(args) -> dict:
     if args.corpus is not None:
         if args.input is not None:
             raise InputError("verify takes an orbit spec or --corpus N, not both")
-        if args.field == COMPLEX:
-            orbits = list(complex_corpus(args.corpus))
-        else:
+        if args.field == REAL:
             orbits = list(real_corpus(args.corpus, require_pair=False))
+        else:
+            orbits = list(complex_corpus(args.corpus))
     else:
         if args.input is None:
             raise InputError("verify needs an orbit spec or --corpus N")
+        if args.field is not None:
+            raise InputError("--field chooses the corpus; an orbit spec names its own field")
         orbits = [_load_orbit(args.input)]
     results = [_verify_one(orbit, args.conjugations, rng) for orbit in orbits]
     counts = {"pass": 0, "fail": 0, "skipped": 0}
@@ -399,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="restriction matches the dense-orbit attachment")
     p.add_argument("input", nargs="?", help="orbit spec (omit with --corpus)")
     p.add_argument("--corpus", type=_count, help="verify every corpus orbit up to this size")
-    p.add_argument("--field", default=COMPLEX, choices=(COMPLEX, REAL),
-                   help='corpus field, "C" (default) or "R"')
+    p.add_argument("--field", choices=(COMPLEX, REAL),
+                   help='corpus field, "C" (default) or "R"; not with an orbit spec')
     p.add_argument("--conjugations", type=_count, default=0,
                    help="random conjugation-invariance checks per orbit")
     p.add_argument("--seed", type=int, default=20508, help="seed for the random checks")

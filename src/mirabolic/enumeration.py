@@ -60,6 +60,13 @@ class IndexSelection:
             raise ValueError("a selection must involve at least one class")
         self.choices = tuple(normalized)
 
+    @classmethod
+    def _canonical(cls, choices: tuple) -> "IndexSelection":
+        """Takes over choices that are already in the constructor's normal form."""
+        s = object.__new__(cls)
+        s.choices = choices
+        return s
+
     def to_json(self) -> dict:
         return {
             str(idx): {str(i): x for i, x in pairs}
@@ -102,7 +109,7 @@ def enumerate_selections(orbit: OrbitDatum) -> List[IndexSelection]:
         for c in range(start, len(chains)):
             classes = chosen + (c,)
             for combo in product(*(chains[i] for i in classes)):
-                selections.append(IndexSelection(zip(classes, combo)))
+                selections.append(IndexSelection._canonical(tuple(zip(classes, combo))))
             walk(classes, c + 1)
 
     walk((), 0)
@@ -157,10 +164,17 @@ def selection_conjugator(orbit: OrbitDatum, selection: IndexSelection) -> ExactM
     (0,...,0,1) lands on the representative vector, i.e. the last row of
     the returned matrix is the representative vector.
     """
+    return _conjugator_pair(orbit, selection)[0]
+
+
+def _conjugator_pair(orbit: OrbitDatum, selection: IndexSelection):
+    """(g, g^-1) in closed form: g is the identity with row k - 1 (k the largest
+    position) moved to the bottom and replaced by the representative vector v,
+    so g^-1 moves it back and has e_n - (v - e_k) as row k - 1."""
     n = orbit.size
     positions = selection_positions(orbit, selection)
-    # the identity with row k - 1 (k the largest position) moved to the
-    # bottom and replaced by the representative vector
-    k = max(positions)
-    rows = [{i: 1} for i in range(k - 1)] + [{i + 1: 1} for i in range(k - 1, n - 1)]
-    return ExactMatrix.from_integer(1, rows + [{p - 1: 1 for p in positions}], n)
+    k = positions[-1]
+    head, tail = [{i: 1} for i in range(k - 1)], range(k - 1, n - 1)
+    g = head + [{i + 1: 1} for i in tail] + [{p - 1: 1 for p in positions}]
+    g_inv = head + [{n - 1: 1, **{p - 1: -1 for p in positions[:-1]}}] + [{i: 1} for i in tail]
+    return ExactMatrix.from_integer(1, g, n), ExactMatrix.from_integer(1, g_inv, n)

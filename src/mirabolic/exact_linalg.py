@@ -327,6 +327,8 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     result = {}
     total = 0
     for lam in dict.fromkeys(map(_eigenvalue, eigenvalues)):
+        if total == n:
+            break  # the hints left are distinct, so each has multiplicity zero
         ranks = _power_ranks(n, _shifted_rows(m, lam))
         if ranks[-1] == n:
             continue

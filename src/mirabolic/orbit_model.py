@@ -112,9 +112,9 @@ class EigenvalueClass:
     __slots__ = ("re", "im", "partition")
 
     def __init__(self, re, partition: Partition, im=None):
-        self.re = Fraction(re)
+        self.re = re if type(re) is Fraction else Fraction(re)
         if im is not None:
-            im = Fraction(im)
+            im = im if type(im) is Fraction else Fraction(im)
             if im == 0:
                 im = None
             elif im < 0:
@@ -172,19 +172,21 @@ class EigenvalueClass:
 class OrbitDatum:
     """A GL_n(k) coadjoint orbit: field tag plus canonically sorted classes."""
 
-    __slots__ = ("field", "classes")
+    __slots__ = ("field", "classes", "_representative")
 
     def __init__(self, field: str, classes: Iterable[EigenvalueClass] = ()):
         if field not in (REAL, COMPLEX):
             raise OrbitSpecError("field must be %r or %r" % (REAL, COMPLEX))
         self.field = field
         ordered = tuple(sorted(classes, key=EigenvalueClass.sort_key))
-        keys = [c.key() for c in ordered]
-        if len(set(keys)) != len(keys):
-            raise OrbitSpecError("duplicate eigenvalue classes: %r" % (keys,))
+        # equal keys have equal sort keys, so duplicates are neighbours
+        if any(a.key() == b.key() for a, b in zip(ordered, ordered[1:])):
+            raise OrbitSpecError("duplicate eigenvalue classes: %r"
+                                 % ([c.key() for c in ordered],))
         if field == COMPLEX and any(c.is_pair for c in ordered):
             raise OrbitSpecError("pair classes are only allowed over the real field")
         self.classes = ordered
+        self._representative = None
 
     @property
     def size(self) -> int:
@@ -274,29 +276,21 @@ def pair_block(size: int, re, im) -> ExactMatrix:
     return ExactMatrix.from_integer(d, rows, 2 * size)
 
 
-def _class_blocks(cls: EigenvalueClass) -> List[ExactMatrix]:
-    """Blocks of one class in ascending size order, one per Jordan block."""
-    blocks = []
-    for k, l in cls.partition.runs_ascending():
-        for _ in range(l):
-            if cls.is_pair:
-                blocks.append(pair_block(k, cls.re, cls.im))
-            else:
-                blocks.append(jordan_block(k, cls.re))
-    return blocks
-
-
 def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
     """Block-diagonal matrix representative of the orbit.
 
     Classes follow the canonical class order; inside a class the blocks are
     laid out with sizes ascending, which the selection position formulas
-    rely on.
+    rely on.  Built once and kept in a slot that ==, hash and to_json ignore.
     """
-    blocks = []
-    for cls in orbit.classes:
-        blocks.extend(_class_blocks(cls))
-    return block_diag(*blocks)
+    if orbit._representative is None:
+        blocks = []
+        for cls in orbit.classes:
+            for k, l in cls.partition.runs_ascending():
+                block = pair_block(k, cls.re, cls.im) if cls.is_pair else jordan_block(k, cls.re)
+                blocks += [block] * l  # matrices are immutable, so copies may share
+        orbit._representative = block_diag(*blocks)
+    return orbit._representative
 
 
 def realize_normal_form(datum: MirabolicOrbitDatum) -> ExactMatrix:

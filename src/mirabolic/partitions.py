@@ -17,13 +17,14 @@ class Partition:
     construction, so equal partitions compare equal structurally.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_ascending")
 
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = sorted((int(p) for p in parts), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative")
         self._parts = tuple(p for p in cleaned if p > 0)
+        self._ascending = None
 
     @property
     def parts(self) -> Tuple[int, ...]:
@@ -83,8 +84,10 @@ class Partition:
         return tuple((k, l) for k, l in out)
 
     def runs_ascending(self) -> Tuple[Tuple[int, int], ...]:
-        """Distinct part sizes with multiplicities, sizes ascending."""
-        return tuple(reversed(self.runs()))
+        """Distinct part sizes with multiplicities, sizes ascending (cached)."""
+        if self._ascending is None:
+            self._ascending = tuple(reversed(self.runs()))
+        return self._ascending
 
     def to_json(self) -> list:
         return list(self._parts)

@@ -189,6 +189,12 @@ class TestCertificate:
         singular = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
         assert certificate_holds(x, singular, datum, COMPLEX, [0]) is False
 
+    def test_empty_matrices_are_no_certificate(self):
+        # a 0x0 conjugator has no last row e_n to check
+        empty = ExactMatrix([])
+        datum = MirabolicOrbitDatum(1, OrbitDatum(COMPLEX))
+        assert certificate_holds(empty, empty, datum, COMPLEX) is False
+
 
 class TestStabilizer:
     def test_zero_stabilized_by_everything(self):

@@ -239,6 +239,19 @@ class TestVerify:
         assert code == 0
         assert payload["summary"]["fail"] == 0
 
+    def test_field_with_a_spec_is_an_input_error(self, tmp_path, capsys):
+        # the spec names its field, so --field would have no effect
+        path = write_json(tmp_path, "u.json", UNIPOTENT_21)
+        for field in ("R", "C"):
+            code, out, err = run(capsys, "verify", path, "--field", field)
+            assert (code, out) == (2, "")
+            assert err == ("error: --field chooses the corpus; "
+                           "an orbit spec names its own field\n")
+
+    def test_corpus_field_defaults_to_complex(self, capsys):
+        assert run(capsys, "verify", "--corpus", "3") == run(
+            capsys, "verify", "--corpus", "3", "--field", "C")
+
     def test_spec_and_corpus_together_are_an_input_error(self, tmp_path, capsys):
         # a spec, even one that cannot be read, is not silently ignored
         for path in (write_json(tmp_path, "u.json", UNIPOTENT_21),

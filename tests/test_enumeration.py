@@ -18,6 +18,7 @@ from mirabolic import (
     selection_vector,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
+from mirabolic.enumeration import _conjugator_pair
 from mirabolic.moment import dense_selection
 
 from conftest import orbit
@@ -212,6 +213,31 @@ class TestConjugator:
         assert selection_positions(o, sel) == [1, 3]
         g = selection_conjugator(o, sel)
         assert g == ExactMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+        assert _conjugator_pair(o, sel)[1] == ExactMatrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
+
+    def test_closed_form_inverse_on_the_size_6_corpora(self):
+        count = 0
+        for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
+            identity = ExactMatrix.identity(o.size)
+            for sel in enumerate_selections(o):
+                g, g_inv = _conjugator_pair(o, sel)
+                assert g == selection_conjugator(o, sel)
+                assert g_inv == inverse(g), (o, sel)
+                assert g * g_inv == identity
+                count += 1
+        assert count == 14656
+
+
+class TestCanonicalConstruction:
+    def test_enumerated_selections_are_already_normalized(self):
+        # enumerate_selections skips the normalizing constructor, so each
+        # selection must equal its re-normalized copy, structure and all
+        one_class_orbits = [one_class(list(p)) for weight in range(1, 11)
+                            for p in partitions_of_weight(weight)]
+        corpora = list(complex_corpus(5)) + list(real_corpus(5, require_pair=True))
+        for o in one_class_orbits + corpora:
+            for sel in enumerate_selections(o):
+                assert IndexSelection(sel.choices).choices == sel.choices
 
 
 class TestSelectionJson:

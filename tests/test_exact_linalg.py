@@ -456,6 +456,17 @@ class TestJordanStructure:
         with pytest.raises(SpectrumMismatch):
             jordan_structure(m, [0])
 
+    def test_hints_after_an_exhausted_spectrum(self):
+        m = block_diag(jordan_block(2), jordan_block(1, 3))
+        expected = {0: Partition([2]), 3: Partition([1])}
+        assert jordan_structure(m, [0, 3]) == expected
+        for extra in ([5], [(0, 1), Fraction(1, 2)], [3, 0, (1, 2)]):
+            assert jordan_structure(m, [0, 3] + extra) == expected
+        # the hints still have to cover the whole dimension
+        for short in ([0], [3], [5, 0], [3, (0, 1)]):
+            with pytest.raises(SpectrumMismatch):
+                jordan_structure(m, short)
+
     def test_roundtrip_all_small_partitions(self):
         for weight in range(1, 7):
             for p in partitions_of_weight(weight):

@@ -53,6 +53,15 @@ class TestRealize:
         for o in complex_corpus_4 + real_corpus_4:
             assert realize_orbit(o).rows == o.size
 
+    def test_representative_is_built_once_per_orbit(self):
+        o = orbit(REAL, (1, [2, 1]), (0, "1/2", [2, 1]))
+        x = realize_orbit(o)
+        assert realize_orbit(o) is x
+        fresh = orbit(REAL, (0, "1/2", [2, 1]), (1, [2, 1]))
+        assert realize_orbit(fresh) == x
+        # the stored representative is no part of the orbit's value
+        assert (fresh, hash(fresh), fresh.to_json()) == (o, hash(o), o.to_json())
+
     def test_normal_form_realization(self):
         datum = MirabolicOrbitDatum(2, orbit(COMPLEX, (1, [1])))
         assert realize_normal_form(datum) == ExactMatrix(
@@ -157,6 +166,25 @@ class TestDatumValidation:
     def test_duplicate_classes_rejected(self):
         with pytest.raises(OrbitSpecError):
             orbit(COMPLEX, (1, [1]), (1, [2]))
+
+    @pytest.mark.parametrize("classes, message", [
+        ([(1, [1]), (2, [1]), (1, [2])],
+         "[(Fraction(2, 1), None), (Fraction(1, 1), None), (Fraction(1, 1), None)]"),
+        ([(0, 1, [1]), (0, [1]), (0, 1, [2])],
+         "[(Fraction(0, 1), None), (Fraction(0, 1), Fraction(1, 1)), "
+         "(Fraction(0, 1), Fraction(1, 1))]"),
+    ])
+    def test_duplicate_classes_message(self, classes, message):
+        # every key, in canonical order, however far apart the twins were given
+        with pytest.raises(OrbitSpecError) as err:
+            orbit(REAL, *classes)
+        assert str(err.value) == "duplicate eigenvalue classes: " + message
+
+    def test_fraction_values_are_kept(self):
+        re, im = Fraction(1, 3), Fraction(2)
+        c = EigenvalueClass(re, Partition([1]), im=im)
+        assert c.re is re and c.im is im
+        assert EigenvalueClass("1/3", Partition([1]), im=2) == c
 
     def test_pair_needs_real_field(self):
         with pytest.raises(OrbitSpecError):
