@@ -12,7 +12,10 @@ All arithmetic is exact over Q and runs on the stored form of
 exact_linalg: a common denominator d and the sparse integer rows of d*x.
 Each step is an O(s^2) rank-one update of those rows over the denominator
 d^2 * beta_p (scaling by the pivot beta_p of the restriction row instead of
-dividing by it), after which one gcd is divided out.  The head block is
+dividing by it), after which one gcd is divided out.  Rows are combined
+only by exact_linalg's kernels (_combination, _integer_matmul, block_diag,
+ExactMatrix + and *); _bracket_rank alone builds its rows inline, because
+it is the inner loop of the stabilizer ranks.  The head block is
 identified from eigenvalue hints, a rational r for a real eigenvalue and a
 pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the pair off
 the real quadratic (x - a)^2 + b^2).
@@ -27,7 +30,9 @@ from typing import Sequence, Tuple
 from .exact_linalg import (
     ExactMatrix,
     SpectrumMismatch,
-    _add_scaled,
+    _combination,
+    _integer_matmul,
+    block_diag,
     integer_rank,
     inverse,
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
@@ -79,14 +84,10 @@ def _completion(d: int, beta: dict, s: int) -> ExactMatrix:
 def _step_conjugator(m: ExactMatrix, e: int, t: Sequence[int], n: int) -> ExactMatrix:
     """diag(m, I) at ambient size n with -t / e added in column m.rows: the
     Levi conjugation of one step followed by the column shift that absorbs
-    t / e.  e is a multiple of the denominator of m."""
-    s, f = m.rows, e // m.denominator
-    rows = [{k: f * v for k, v in row.items()} for row in m.numerators]
-    rows += [{i: e} for i in range(s, n)]
-    for i, v in enumerate(t):
-        if v:
-            rows[i][s] = -v
-    return ExactMatrix.from_integer(e, rows, n)
+    t / e."""
+    s = m.rows
+    column = [{s: -v} if v else {} for v in t] + [{} for _ in range(s, n)]
+    return block_diag(m, ExactMatrix.identity(n - s)) + ExactMatrix.from_integer(e, column, n)
 
 
 def classify(
@@ -135,16 +136,11 @@ def _conjugate_step(d: int, rows: list, p: int) -> tuple:
     beta = rows[-1]
     bp = beta[p]
     sign = 1 if bp > 0 else -1
-    top = {}
-    for k, b in beta.items():
-        for j, v in rows[k].items():
-            top[j] = top.get(j, 0) + b * v
+    top = _integer_matmul([beta], rows)[0]
     head, t = [], []
     for v, f in [(rows[q], sign * d) for q in range(len(rows) - 1) if q != p] + [(top, sign)]:
         vp = f * v.get(p, 0)
-        new = {j: f * bp * x for j, x in v.items() if x}
-        if vp:
-            _add_scaled(new, beta, -vp)  # clears column p
+        new = _combination(f * bp, v, -vp, beta)  # clears column p
         head.append({j - (j > p): x for j, x in new.items()})
         t.append(vp * d)
     return d * d * abs(bp), head, t
@@ -161,7 +157,7 @@ def _classify(x, field, eigenvalues, want_certificate):
         beta = rows[s - 1]
         if not beta:
             head = ExactMatrix.from_integer(d, rows[: s - 1], s - 1)
-            a_part = orbit_from_matrix(head, field, eigenvalues) if s > 1 else OrbitDatum(field)
+            a_part = orbit_from_matrix(head, field, eigenvalues)
             return MirabolicOrbitDatum(steps + 1, a_part), cert
         e, head, t = _conjugate_step(d, rows, min(beta))
         # absorb the column t the unipotent radical can reach, then recurse

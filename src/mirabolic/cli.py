@@ -122,21 +122,31 @@ def _json_list(obj: dict, key: str) -> list:
 
 
 def _load_classify_input(args):
-    """Returns (matrix representative, field, eigenvalue hints)."""
+    """Returns (matrix representative, field, eigenvalue hints).
+
+    An orbit spec names its own field and eigenvalues, and a matrix object
+    may name its field; a flag that would be ignored is an input error.
+    """
     text = _read_text(args.input)
     stripped = text.strip()
     obj = None
     if stripped.startswith("{"):
         obj = _parse_json(text)
     if obj is not None and "classes" in obj:
-        orbit = orbit_from_json(obj)
+        for flag in ("field", "eigenvalues", "pairs"):
+            if getattr(args, flag) is not None:
+                raise InputError("--%s: an orbit spec names its own field and eigenvalues"
+                                 % flag)
+        orbit = _orbit_spec(obj)
         x = project_to_p_star(realize_orbit(orbit))
         return x, orbit.field, orbit.spectrum()
     if obj is not None:
         if "matrix" not in obj:
             raise InputError('matrix object needs a "matrix" key')
         matrix = _parse_matrix_rows(obj["matrix"], "matrix")
-        field = obj.get("field", args.field)
+        if "field" in obj and args.field is not None:
+            raise InputError("--field: the matrix object names its own field")
+        field = obj.get("field", args.field or COMPLEX)
         if field not in (REAL, COMPLEX):
             raise InputError('field must be "R" or "C"')
         hints = [parse_rational(v, "eigenvalues") for v in _json_list(obj, "eigenvalues")]
@@ -148,18 +158,23 @@ def _load_classify_input(args):
         return project_to_p_star(matrix), field, hints
     rows = [line.split() for line in stripped.splitlines() if line.strip()]
     matrix = _parse_matrix_rows(rows, "matrix")
-    field = args.field
+    field = args.field or COMPLEX
     hints = _parse_eigenvalue_flags(args)
     if not hints:
         hints = [Fraction(0)]
     return project_to_p_star(matrix), field, hints
 
 
-def _load_orbit(path: str) -> OrbitDatum:
-    orbit = orbit_from_json(_parse_json(_read_text(path)))
+def _orbit_spec(obj) -> OrbitDatum:
+    """The orbit datum of a parsed orbit spec, which must name a class."""
+    orbit = orbit_from_json(obj)
     if not orbit.classes:
         raise InputError("orbit spec needs at least one eigenvalue class")
     return orbit
+
+
+def _load_orbit(path: str) -> OrbitDatum:
+    return _orbit_spec(_parse_json(_read_text(path)))
 
 
 def _signs(orbit: OrbitDatum, raw: Optional[str]):
@@ -363,10 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="normal form of a mirabolic functional")
     p.add_argument("input", help="orbit spec, matrix JSON, or plain-text matrix ('-' for stdin)")
-    p.add_argument("--field", default=COMPLEX, choices=(COMPLEX, REAL),
-                   help='base field, "C" (default) or "R"')
-    p.add_argument("--eigenvalues", help="comma-separated rational eigenvalue hints")
-    p.add_argument("--pairs", help="comma-separated re:im conjugate-pair hints")
+    p.add_argument("--field", choices=(COMPLEX, REAL),
+                   help='base field of a matrix that names none, "C" (default) or "R"')
+    p.add_argument("--eigenvalues", help="comma-separated rational hints, for a matrix")
+    p.add_argument("--pairs", help="comma-separated re:im conjugate-pair hints, for a matrix")
     p.add_argument("--certificate", action="store_true", help="include the verified conjugator")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_classify)

@@ -40,25 +40,27 @@ class IndexSelection:
 
     choices maps the class index (canonical class order, 0-based) to pairs
     (block index in the ascending-size view, x with 1 <= x <= block size).
+    Indices may be given as ints or as the strings to_json writes, so
+    IndexSelection(sel.to_json()) == sel; a class given twice raises
+    ValueError.
     """
 
     __slots__ = ("choices",)
 
     def __init__(self, choices):
-        if isinstance(choices, dict):
-            items = choices.items()
-        else:
-            items = choices
-        normalized = []
-        for cls_idx, blocks in sorted(items):
+        normalized = {}
+        for cls_idx, blocks in choices.items() if isinstance(choices, dict) else choices:
+            cls_idx = int(cls_idx)
+            if cls_idx in normalized:
+                raise ValueError("class %d is selected more than once" % cls_idx)
             pairs = tuple(sorted((int(i), int(x)) for i, x in
                                  (blocks.items() if isinstance(blocks, dict) else blocks)))
             if not pairs:
                 raise ValueError("selected class %d has no blocks" % cls_idx)
-            normalized.append((int(cls_idx), pairs))
+            normalized[cls_idx] = pairs
         if not normalized:
             raise ValueError("a selection must involve at least one class")
-        self.choices = tuple(normalized)
+        self.choices = tuple(sorted(normalized.items()))
 
     @classmethod
     def _canonical(cls, choices: tuple) -> "IndexSelection":

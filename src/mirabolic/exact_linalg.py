@@ -18,7 +18,11 @@ data and repr):
   the echelon form of [d*m | I] and puts the result over the lcm of its
   pivots, raising ValueError on a singular matrix;
 * a product multiplies the integer rows of both factors over d_a*d_b and
-  divides out one gcd.
+  divides out one gcd;
+* two sparse rows are combined only by _combination (f*row + g*other):
+  sums, the elimination step and the diagonal shifts of jordan_structure
+  all call it, and other modules combine rows only through it,
+  _integer_matmul, block_diag and the + and * of ExactMatrix.
 
 Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads
@@ -127,11 +131,7 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
         d = lcm(self.denominator, other.denominator)
         fa, fb = d // self.denominator, d // other.denominator
-        out = []
-        for ra, rb in zip(self.numerators, other.numerators):
-            new = {j: fa * v for j, v in ra.items()}
-            _add_scaled(new, rb, fb)
-            out.append(new)
+        out = [_combination(fa, ra, fb, rb) for ra, rb in zip(self.numerators, other.numerators)]
         return ExactMatrix.from_integer(d, out, self.cols)
 
     def __sub__(self, other):
@@ -195,15 +195,18 @@ def block_diag(*blocks: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_integer(d, rows, c)
 
 
-def _add_scaled(row: dict, other: dict, f: int) -> None:
-    """row += f * other on sparse integer rows, in place, for an int f != 0;
-    no zero is kept."""
-    for c, v in other.items():
-        w = row.get(c, 0) + f * v
-        if w:
-            row[c] = w
-        else:
-            del row[c]
+def _combination(f: int, row: dict, g: int, other: dict) -> dict:
+    """f * row + g * other as a new sparse integer row, for ints f != 0 and g;
+    no zero is kept and neither input is modified."""
+    new = {c: f * v for c, v in row.items()} if f != 1 else dict(row)
+    if g:
+        for c, v in other.items():
+            w = new.get(c, 0) + g * v
+            if w:
+                new[c] = w
+            else:
+                del new[c]
+    return new
 
 
 def _reduce(row: dict, top: dict, col: int) -> dict:
@@ -216,9 +219,7 @@ def _reduce(row: dict, top: dict, col: int) -> dict:
     """
     p, f = top[col], row[col]
     g = gcd(p, f)
-    p, f = p // g, f // g
-    new = {c: p * v for c, v in row.items()} if p != 1 else dict(row)
-    _add_scaled(new, top, -f)
+    new = _combination(p // g, row, -(f // g), top)
     content = gcd(*new.values()) if new else 1
     if content > 1:
         new = {c: v // content for c, v in new.items()}
@@ -356,29 +357,12 @@ def _shifted_rows(m: ExactMatrix, lam) -> list:
     """
     a, b = lam if isinstance(lam, tuple) else (lam, 0)
     q, shift = a.denominator, a.numerator * m.denominator
-    rows = []
-    for i, row in enumerate(m.numerators):
-        new = {j: q * v for j, v in row.items()} if q != 1 else dict(row)
-        x = new.get(i, 0) - shift
-        if x:
-            new[i] = x
-        else:
-            new.pop(i, None)
-        rows.append(new)
+    rows = [_combination(q, row, -shift, {i: 1}) for i, row in enumerate(m.numerators)]
     if not b:
         return rows
     # s = q*d*(m - a) and (q*d*b)^2 = u/v give v*(q*d)^2*q = v*s^2 + u*I
     u, v = ((q * m.denominator * b) ** 2).as_integer_ratio()
-    square = _integer_matmul(rows, rows)
-    for i, row in enumerate(square):
-        if v != 1:
-            square[i] = row = {j: v * x for j, x in row.items()}
-        x = row.get(i, 0) + u
-        if x:
-            row[i] = x
-        else:
-            del row[i]
-    return square
+    return [_combination(v, row, u, {i: 1}) for i, row in enumerate(_integer_matmul(rows, rows))]
 
 
 def _power_ranks(n: int, shifted: list) -> list:

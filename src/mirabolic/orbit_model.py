@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, List, Sequence
 
 from .exact_linalg import (
@@ -263,17 +262,10 @@ def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
 
 def pair_block(size: int, re, im) -> ExactMatrix:
     """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]]."""
-    b = Fraction(im)
     j = jordan_block(size, re)
-    d = lcm(j.denominator, b.denominator)
-    f, off = d // j.denominator, b.numerator * (d // b.denominator)
-    rows = [{k: f * v for k, v in row.items()} for row in j.numerators]
-    rows += [{size + k: v for k, v in row.items()} for row in rows]
-    if off:
-        for i in range(size):
-            rows[i][size + i] = off
-            rows[size + i][i] = -off
-    return ExactMatrix.from_integer(d, rows, 2 * size)
+    rotation = ExactMatrix.from_integer(
+        1, [{size + i: 1} for i in range(size)] + [{i: -1} for i in range(size)], 2 * size)
+    return block_diag(j, j) + rotation * Fraction(im)
 
 
 def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
@@ -309,8 +301,6 @@ def project_to_p_star(x: ExactMatrix) -> ExactMatrix:
     if not x.is_square():
         raise ValueError("expected a square matrix")
     n = x.rows
-    if n == 0:
-        return x
     return ExactMatrix.from_integer(
         x.denominator,
         [{j: v for j, v in row.items() if j != n - 1} if n - 1 in row else row

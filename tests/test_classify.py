@@ -106,6 +106,20 @@ class TestClassify:
             assert datum.depth == n
             assert datum.a_part == OrbitDatum(COMPLEX)
 
+    @pytest.mark.parametrize("field, hints", [
+        (COMPLEX, ()), (COMPLEX, [0, 1]), (REAL, ()), (REAL, [0, (0, 1)]),
+    ])
+    def test_depth_n_head_is_the_empty_orbit(self, field, hints):
+        # the head of a depth-n functional is 0 x 0; orbit_from_matrix reads
+        # it as the empty orbit datum of the field
+        for n in range(1, 6):
+            for x in (example_27_matrix(n), realize_normal_form(
+                    MirabolicOrbitDatum(n, OrbitDatum(field)))):
+                datum, g = classify_certified(x, field, hints)
+                assert datum == MirabolicOrbitDatum(n, OrbitDatum(field))
+                assert classify(x, field, hints) == datum
+                assert certificate_holds(x, g, datum, field, hints)
+
     def test_malformed_inputs(self):
         with pytest.raises(MalformedRepresentative):
             classify(ExactMatrix.zeros(2, 3), COMPLEX)

@@ -105,6 +105,41 @@ class TestClassify:
         assert code == 0
         assert payload["certificate"]["verified"] is True
 
+    @pytest.mark.parametrize("flags", [
+        ("--field", "R"), ("--field", "C"), ("--eigenvalues", "0"), ("--pairs", "0:1"),
+    ])
+    def test_flag_with_an_orbit_spec_is_an_input_error(self, tmp_path, capsys, flags):
+        # the spec names its field and eigenvalues, so the flag would have no effect
+        path = write_json(tmp_path, "orbit.json", REAL_21)
+        code, out, err = run(capsys, "classify", path, *flags)
+        assert (code, out) == (2, "")
+        assert err == ("error: %s: an orbit spec names its own field and eigenvalues\n"
+                       % flags[0])
+
+    def test_field_flag_with_a_matrix_naming_its_field_is_an_input_error(
+            self, tmp_path, capsys):
+        path = write_json(tmp_path, "m.json", {"field": "C", "matrix": [["0"]]})
+        for field in ("R", "C"):
+            code, out, err = run(capsys, "classify", path, "--field", field)
+            assert (code, out) == (2, "")
+            assert err == "error: --field: the matrix object names its own field\n"
+
+    def test_field_flag_or_complex_for_a_matrix_naming_none(self, tmp_path, capsys):
+        text = tmp_path / "m.txt"
+        text.write_text("0 0\n1 0\n", encoding="utf-8")
+        matrix = write_json(tmp_path, "m.json", {"matrix": [["0", "0"], ["1", "0"]]})
+        for path in (str(text), matrix):
+            for flags, field in (((), "C"), (("--field", "C"), "C"), (("--field", "R"), "R")):
+                code, out, _ = run(capsys, "classify", path, *flags)
+                assert code == 0
+                assert json.loads(out)["field"] == field
+
+    def test_orbit_spec_without_classes_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "empty.json", {"field": "C", "classes": []})
+        code, out, err = run(capsys, "classify", path)
+        assert (code, out) == (2, "")
+        assert err == "error: orbit spec needs at least one eigenvalue class\n"
+
     def test_spectrum_mismatch_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text("7 0\n0 0\n", encoding="utf-8")

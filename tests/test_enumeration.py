@@ -245,6 +245,20 @@ class TestSelectionJson:
         sel = IndexSelection({1: {0: 2}, 0: {1: 1}})
         assert sel.to_json() == {"0": {"1": 1}, "1": {"0": 2}}
 
+    def test_round_trip_with_ten_or_more_classes(self):
+        # class keys are strings in JSON: '10' must not sort before '2'
+        o = orbit(COMPLEX, *((e, [1]) for e in range(12)))
+        selections = enumerate_selections(o)
+        assert len(selections) == 4095
+        for sel in selections:
+            assert IndexSelection(sel.to_json()) == sel
+
+    def test_rejects_a_repeated_class(self):
+        with pytest.raises(ValueError, match="class 0 is selected more than once"):
+            IndexSelection([(0, ((0, 1),)), (0, ((0, 2),))])
+        with pytest.raises(ValueError, match="class 1 is selected more than once"):
+            IndexSelection({"1": {0: 1}, 1: {0: 1}})
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             IndexSelection({})

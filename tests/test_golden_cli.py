@@ -10,6 +10,8 @@ re-record with
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 
 from mirabolic.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
@@ -64,6 +67,16 @@ def test_golden(name):
     expected = _results()[name]
     assert (code, err) == (expected["exit"], expected["stderr"])
     assert out == (GOLDEN / (name + ".stdout")).read_text(encoding="utf-8")
+
+
+def test_module_entry_point():
+    # python -m mirabolic runs __main__.py, which the in-process cases never reach
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mirabolic", "enumerate", str(INPUTS / "mixed_real.json")],
+        capture_output=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (GOLDEN / "enumerate.stdout").read_text(encoding="utf-8")
 
 
 def _record():

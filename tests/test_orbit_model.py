@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,6 +15,7 @@ from mirabolic import (
     OrbitSpecError,
     Partition,
     inverse,
+    jordan_block,
     jordan_structure,
     orbit_from_json,
     orbit_from_matrix,
@@ -28,6 +30,22 @@ from mirabolic import orbit_model
 from mirabolic.orbit_model import MAX_DECIMAL_EXPONENT, parse_rational
 
 from conftest import orbit
+
+
+def _hand_built_pair_block(size, re, im):
+    """pair_block as it was built before it became block_diag(j, j) + T * im:
+    the rows of J_k(a) brought to the common denominator by hand."""
+    b = Fraction(im)
+    j = jordan_block(size, re)
+    d = lcm(j.denominator, b.denominator)
+    f, off = d // j.denominator, b.numerator * (d // b.denominator)
+    rows = [{k: f * v for k, v in row.items()} for row in j.numerators]
+    rows += [{size + k: v for k, v in row.items()} for row in rows]
+    if off:
+        for i in range(size):
+            rows[i][size + i] = off
+            rows[size + i][i] = -off
+    return ExactMatrix.from_integer(d, rows, 2 * size)
 
 
 class TestRealize:
@@ -62,6 +80,19 @@ class TestRealize:
         # the stored representative is no part of the orbit's value
         assert (fresh, hash(fresh), fresh.to_json()) == (o, hash(o), o.to_json())
 
+    @pytest.mark.parametrize("re, im", [("1/2", "3/2"), ("-2/3", "1/5"), (0, 1)])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_pair_block_matches_the_hand_built_rows(self, size, re, im):
+        block = pair_block(size, re, im)
+        expected = _hand_built_pair_block(size, re, im)
+        assert block == expected and hash(block) == hash(expected)
+        b, j = Fraction(im), jordan_block(size, re).data
+        dense = [list(row) + [b if c == r else 0 for c in range(size)]
+                 for r, row in enumerate(j)]
+        dense += [[-b if c == r else 0 for c in range(size)] + list(row)
+                  for r, row in enumerate(j)]
+        assert block == ExactMatrix(dense)
+
     def test_normal_form_realization(self):
         datum = MirabolicOrbitDatum(2, orbit(COMPLEX, (1, [1])))
         assert realize_normal_form(datum) == ExactMatrix(
@@ -74,9 +105,11 @@ class TestProject:
         x = ExactMatrix([[1, 0], [3, 0]])
         assert project_to_p_star(x) == x
 
-    def test_nilpotent_block_untouched(self):
-        from mirabolic import jordan_block
+    def test_empty_matrix(self):
+        p = project_to_p_star(ExactMatrix([]))
+        assert (p.rows, p.cols, p.denominator, p.numerators) == (0, 0, 1, [])
 
+    def test_nilpotent_block_untouched(self):
         j = jordan_block(2)
         assert project_to_p_star(j) == j
 
