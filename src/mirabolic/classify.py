@@ -68,16 +68,15 @@ def _validate_representative(x: ExactMatrix) -> None:
         raise MalformedRepresentative("representative must have zero last column")
 
 
-def _completion(d: int, beta: dict, s: int) -> ExactMatrix:
-    """Deterministic invertible s x s matrix whose last row is beta / d.
+def _completion(d: int, beta: dict, s: int, p: int) -> ExactMatrix:
+    """Invertible s x s matrix whose last row is beta / d and whose other rows
+    are the standard basis vectors e_q, q != p, in order.
 
-    beta is a nonzero sparse integer row.  Its first nonzero column is the
-    pivot; the remaining rows are the standard basis vectors in order.
+    beta is a sparse integer row and p any column with beta_p != 0.
     Conjugating by diag(M, 1) with this M moves the unipotent-restriction
     row vector to (0,...,0,1).
     """
-    pivot = min(beta)
-    rows = [{q: d} for q in range(s) if q != pivot]
+    rows = [{q: d} for q in range(s) if q != p]
     return ExactMatrix.from_integer(d, rows + [beta], s)
 
 
@@ -124,10 +123,10 @@ def classify_certified(
 def _conjugate_step(d: int, rows: list, p: int) -> tuple:
     """One step on the s x s representative rows / d (zero last column), in O(s^2).
 
-    beta = rows[s-1] / d has first nonzero column p; H is the leading block
-    and M = _completion(d, rows[s-1], s-1).  M*H has the rows of H other
-    than row p, then beta*H, and v*M^-1 has the entries v_q - t*beta_q for
-    q != p, then t = v_p / beta_p.  With B = d*beta and each row v as an
+    beta = rows[s-1] / d, p is any column with beta_p != 0, H is the leading
+    block and M = _completion(d, rows[s-1], s-1, p).  M*H has the rows of H
+    other than row p, then beta*H, and v*M^-1 has the entries v_q - t*beta_q
+    for q != p, then t = v_p / beta_p.  With B = d*beta and each row v as an
     integer row V over d^2, that is B_p*V_q - V_p*B_q, then V_p*d, over
     d^2*B_p; the sign of B_p moves into the rows.
 
@@ -159,10 +158,11 @@ def _classify(x, field, eigenvalues, want_certificate):
             head = ExactMatrix.from_integer(d, rows[: s - 1], s - 1)
             a_part = orbit_from_matrix(head, field, eigenvalues)
             return MirabolicOrbitDatum(steps + 1, a_part), cert
-        e, head, t = _conjugate_step(d, rows, min(beta))
+        p = min(beta)
+        e, head, t = _conjugate_step(d, rows, p)
         # absorb the column t the unipotent radical can reach, then recurse
         if want_certificate:
-            cert = _step_conjugator(_completion(d, beta, s - 1), e, t, n) * cert
+            cert = _step_conjugator(_completion(d, beta, s - 1, p), e, t, n) * cert
         cur = ExactMatrix.from_integer(e, head, s - 1)
         steps += 1
 

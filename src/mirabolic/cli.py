@@ -248,12 +248,15 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_moment(args) -> dict:
-    orbit = _load_orbit(args.input)
     if args.geometry:
-        report = check_geometry(orbit)
+        for flag in ("all", "dense", "oracle"):
+            if getattr(args, flag):
+                raise InputError("--%s: --geometry checks all selections with the oracle" % flag)
+        report = check_geometry(_load_orbit(args.input))
         payload = report.to_json()
         payload["_exit"] = 0 if report.ok else 1
         return payload
+    orbit = _load_orbit(args.input)
     selections = enumerate_selections(orbit) if args.all else [dense_selection(orbit)]
     records = []
     disagreements = 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 from itertools import product
 from typing import List, Tuple
 
+from .classify import _completion
 from .exact_linalg import ExactMatrix
 from .orbit_model import OrbitDatum
 
@@ -41,8 +42,8 @@ class IndexSelection:
     choices maps the class index (canonical class order, 0-based) to pairs
     (block index in the ascending-size view, x with 1 <= x <= block size).
     Indices may be given as ints or as the strings to_json writes, so
-    IndexSelection(sel.to_json()) == sel; a class given twice raises
-    ValueError.
+    IndexSelection(sel.to_json()) == sel; a class given twice, or a block
+    given twice within one class, raises ValueError.
     """
 
     __slots__ = ("choices",)
@@ -57,6 +58,8 @@ class IndexSelection:
                                  (blocks.items() if isinstance(blocks, dict) else blocks)))
             if not pairs:
                 raise ValueError("selected class %d has no blocks" % cls_idx)
+            if len({i for i, _ in pairs}) < len(pairs):
+                raise ValueError("class %d selects a block more than once" % cls_idx)
             normalized[cls_idx] = pairs
         if not normalized:
             raise ValueError("a selection must involve at least one class")
@@ -160,23 +163,8 @@ def selection_vector(orbit: OrbitDatum, selection: IndexSelection) -> Tuple[int,
 
 
 def selection_conjugator(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
-    """Group element carrying the base covector to the selection's vector.
-
-    Under the right action v . g = (row vector v) g, the base vector
-    (0,...,0,1) lands on the representative vector, i.e. the last row of
-    the returned matrix is the representative vector.
-    """
-    return _conjugator_pair(orbit, selection)[0]
-
-
-def _conjugator_pair(orbit: OrbitDatum, selection: IndexSelection):
-    """(g, g^-1) in closed form: g is the identity with row k - 1 (k the largest
-    position) moved to the bottom and replaced by the representative vector v,
-    so g^-1 moves it back and has e_n - (v - e_k) as row k - 1."""
-    n = orbit.size
+    """Group element g carrying the base covector (0,...,0,1) to the selection's
+    vector v under the right action v . g: _completion(1, v, n, k - 1), k the
+    largest position, whose last row is v."""
     positions = selection_positions(orbit, selection)
-    k = positions[-1]
-    head, tail = [{i: 1} for i in range(k - 1)], range(k - 1, n - 1)
-    g = head + [{i + 1: 1} for i in tail] + [{p - 1: 1 for p in positions}]
-    g_inv = head + [{n - 1: 1, **{p - 1: -1 for p in positions[:-1]}}] + [{i: 1} for i in tail]
-    return ExactMatrix.from_integer(1, g, n), ExactMatrix.from_integer(1, g_inv, n)
+    return _completion(1, {p - 1: 1 for p in positions}, orbit.size, positions[-1] - 1)

@@ -9,16 +9,17 @@ independent computations of its normal form are provided:
   k - x_h + x_{h-1}, and zero-size leftovers vanish.
 
 * oracle_image conjugates the orbit representative by the selection's group
-  element g (g^-1 in closed form, not by elimination), projects to the
-  mirabolic dual and classifies.  It shares no formulas with the symbolic path.
+  element g in one closed-form classify step (no inverse is formed),
+  projects to the mirabolic dual and classifies.  It shares no formulas
+  with the symbolic path.
 """
 from __future__ import annotations
 
 from typing import List, Optional
 
-from .classify import classify, point_stabilizer_dim, stabilizer_dim
-from .enumeration import IndexSelection, _conjugator_pair, enumerate_selections
-from .exact_linalg import inverse  # noqa: F401  unused here; perfbench/tests checks this site
+from .classify import _conjugate_step, classify, point_stabilizer_dim, stabilizer_dim
+from .enumeration import IndexSelection, enumerate_selections, selection_positions
+from .exact_linalg import ExactMatrix, inverse  # noqa: F401  perfbench/tests checks inverse here
 from .orbit_model import (
     EigenvalueClass,
     MirabolicOrbitDatum,
@@ -80,10 +81,17 @@ def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbit
     return classify(project_to_p_star(moved), orbit.field, orbit.spectrum())
 
 
-def _moved(orbit: OrbitDatum, selection: IndexSelection):
-    """g x g^-1 for the orbit representative x and the selection's conjugator g."""
-    g, g_inv = _conjugator_pair(orbit, selection)
-    return g * realize_orbit(orbit) * g_inv
+def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
+    """g x g^-1 for the orbit representative x and the selection's conjugator
+    g = _completion(1, v, n, k - 1): the classify step at pivot k - 1 on x
+    bordered below by v, as its head with the column t last, over e."""
+    x = realize_orbit(orbit)
+    n, d = x.rows, x.denominator
+    positions = selection_positions(orbit, selection)
+    bordered = x.numerators + [{p - 1: d for p in positions}]
+    e, head, t = _conjugate_step(d, bordered, positions[-1] - 1)
+    rows = [{**row, n - 1: v} if v else row for row, v in zip(head, t)]
+    return ExactMatrix.from_integer(e, rows, n)
 
 
 class GeometryReport:

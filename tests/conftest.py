@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,25 @@ from mirabolic import (
     Partition,
 )
 from mirabolic.corpus import complex_corpus, real_corpus
+
+
+# the slowest test takes under 10 s; a wrong closed form can make the exact
+# coefficients grow without bound, so a test past this deadline fails
+DEADLINE_S = 120
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    def expire(signum, frame):
+        pytest.fail("test ran past its %d s deadline" % DEADLINE_S, pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def eliminate(rows: list, ncols: int) -> list:

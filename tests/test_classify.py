@@ -147,10 +147,11 @@ class TestClassify:
 
 class TestClosedFormStep:
     def test_matches_dense_conjugation_through_the_recursion(self):
-        """Each classify step equals M * H * inverse(M), M = _completion(d, beta, s - 1)."""
+        """Each classify step equals M * H * inverse(M), M = _completion(d, beta, s - 1, p),
+        at every pivot p with beta_p != 0; the recursion goes on from p = min(beta)."""
         rng = random.Random(808)
         orbits = list(complex_corpus(4)) + list(real_corpus(4, require_pair=False))
-        steps = 0
+        steps = pivots = 0
         for o in orbits:
             for _ in range(3):
                 p = random_mirabolic(o.size, rng)
@@ -161,14 +162,16 @@ class TestClosedFormStep:
                     if not beta:
                         break
                     h = cur.submatrix(0, s - 1, 0, s - 1)
-                    m = _completion(d, beta, s - 1)
-                    expected = m * h * inverse(m)
-                    e, head, t = _conjugate_step(d, cur.numerators, min(beta))
-                    rows = [{**row, s - 2: v} if v else row for row, v in zip(head, t)]
-                    assert ExactMatrix.from_integer(e, rows, s - 1) == expected, o
+                    for pivot in sorted(beta, reverse=True):  # classify's min(beta) last
+                        m = _completion(d, beta, s - 1, pivot)
+                        expected = m * h * inverse(m)
+                        e, head, t = _conjugate_step(d, cur.numerators, pivot)
+                        rows = [{**row, s - 2: v} if v else row for row, v in zip(head, t)]
+                        assert ExactMatrix.from_integer(e, rows, s - 1) == expected, (o, pivot)
+                        pivots += 1
                     cur = project_to_p_star(expected)
                     steps += 1
-        assert steps > 500
+        assert steps > 500 and pivots > steps
 
 
 class TestCertificate:

@@ -188,6 +188,15 @@ class TestEnumerateAndMoment:
         assert code == 0
         assert payload["ok"] is True
 
+    def test_moment_geometry_with_a_selection_flag_is_an_input_error(self, tmp_path, capsys):
+        # --geometry checks every selection with the oracle, so these would be ignored
+        path = write_json(tmp_path, "u.json", UNIPOTENT_21)
+        for flags in (["--all"], ["--dense"], ["--oracle"], ["--all", "--oracle"]):
+            code, out, err = run(capsys, "moment", path, "--geometry", *flags)
+            assert (code, out) == (2, "")
+            assert err == ("error: %s: --geometry checks all selections with the oracle\n"
+                           % flags[0])
+
 
 class TestAttachAndRestrict:
     def test_attach_complex(self, tmp_path, capsys):

@@ -13,13 +13,13 @@ from mirabolic import (
     enumerate_selections,
     inverse,
     partitions_of_weight,
+    realize_orbit,
     selection_conjugator,
     selection_positions,
     selection_vector,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
-from mirabolic.enumeration import _conjugator_pair
-from mirabolic.moment import dense_selection
+from mirabolic.moment import _moved, dense_selection
 
 from conftest import orbit
 
@@ -213,17 +213,17 @@ class TestConjugator:
         assert selection_positions(o, sel) == [1, 3]
         g = selection_conjugator(o, sel)
         assert g == ExactMatrix([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
-        assert _conjugator_pair(o, sel)[1] == ExactMatrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
+        assert inverse(g) == ExactMatrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
 
-    def test_closed_form_inverse_on_the_size_6_corpora(self):
+    def test_moved_is_the_conjugate_on_the_size_6_corpora(self):
+        # _moved conjugates by one closed-form classify step; the reference
+        # inverts g by elimination
         count = 0
         for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
-            identity = ExactMatrix.identity(o.size)
+            x = realize_orbit(o)
             for sel in enumerate_selections(o):
-                g, g_inv = _conjugator_pair(o, sel)
-                assert g == selection_conjugator(o, sel)
-                assert g_inv == inverse(g), (o, sel)
-                assert g * g_inv == identity
+                g = selection_conjugator(o, sel)
+                assert _moved(o, sel) == g * x * inverse(g), (o, sel)
                 count += 1
         assert count == 14656
 
@@ -258,6 +258,16 @@ class TestSelectionJson:
             IndexSelection([(0, ((0, 1),)), (0, ((0, 2),))])
         with pytest.raises(ValueError, match="class 1 is selected more than once"):
             IndexSelection({"1": {0: 1}, 1: {0: 1}})
+
+    def test_rejects_a_repeated_block_within_a_class(self):
+        # e.g. block 1 of C {0:[3,1]} at x = 1 and at x = 2
+        with pytest.raises(ValueError, match="class 0 selects a block more than once"):
+            IndexSelection([(0, [(1, 1), (1, 2)])])
+        with pytest.raises(ValueError, match="class 0 selects a block more than once"):
+            IndexSelection({0: {"1": 1, 1: 2}})
+        # the same block in different classes is a valid selection
+        o = orbit(COMPLEX, (0, [1]), (1, [1]))
+        assert IndexSelection({0: {0: 1}, 1: {0: 1}}) in enumerate_selections(o)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
