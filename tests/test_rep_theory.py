@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -248,6 +250,19 @@ class TestVerifyRestriction:
         assert sign_shape(orbit(COMPLEX, (0, [2, 1]))) == []
         assert sign_shape(orbit(REAL, (0, 1, [2, 1]))) == []
         assert sign_shape(orbit(REAL, (1, [3, 1]), (0, [2, 2]), (0, 1, [1]))) == [3, 2]
+
+    def test_reports_are_pinned(self):
+        # criterion 7's checks: both size-6 corpora, every sign vector; the
+        # digest covers labels, factor order, images and verdicts
+        reports = [verify_restriction(o).to_json() for o in complex_corpus(6)]
+        reports += [
+            verify_restriction(o, signs).to_json()
+            for o in real_corpus(6, require_pair=False)
+            for signs in all_sign_choices(o)
+        ]
+        assert len(reports) == 4968
+        assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+            "d490d536ac6835a12b74502688240a2d97a52a189cc092ec41850702c776a767")
 
     def test_unsupported_shape_propagates(self):
         with pytest.raises(UnsupportedOrbitShape):
