@@ -130,6 +130,31 @@ def _class_offsets(orbit: OrbitDatum) -> List[int]:
     return offsets
 
 
+def _fitted_choices(orbit: OrbitDatum, selection: IndexSelection):
+    """(class index, class, ascending runs, pairs) for each chosen class.
+
+    Raises ValueError naming the first class, block or coordinate of the
+    selection that the orbit does not have.
+    """
+    classes = orbit.classes
+    out = []
+    for cls_idx, pairs in selection.choices:
+        if not 0 <= cls_idx < len(classes):
+            raise ValueError("selection names class %d of an orbit with %d classes"
+                             % (cls_idx, len(classes)))
+        cls = classes[cls_idx]
+        runs = cls.partition.runs_ascending()
+        for i, x in pairs:
+            if not 0 <= i < len(runs):
+                raise ValueError("class %d has no block %d: its partition has %d block sizes"
+                                 % (cls_idx, i, len(runs)))
+            if not 1 <= x <= runs[i][0]:
+                raise ValueError("coordinate %d outside block %d of class %d, of size %d"
+                                 % (x, i, cls_idx, runs[i][0]))
+        out.append((cls_idx, cls, runs, pairs))
+    return out
+
+
 def selection_positions(orbit: OrbitDatum, selection: IndexSelection) -> List[int]:
     """1-based coordinates of the representative vector's nonzero entries.
 
@@ -139,17 +164,13 @@ def selection_positions(orbit: OrbitDatum, selection: IndexSelection) -> List[in
     """
     offsets = _class_offsets(orbit)
     positions = []
-    for cls_idx, pairs in selection.choices:
-        cls = orbit.classes[cls_idx]
-        runs = cls.partition.runs_ascending()
+    for cls_idx, cls, runs, pairs in _fitted_choices(orbit, selection):
         c = 2 if cls.is_pair else 1
         prefix = [0]
         for k, l in runs:
             prefix.append(prefix[-1] + c * k * l)
         for i, x in pairs:
             k, l = runs[i]
-            if not 1 <= x <= k:
-                raise ValueError("coordinate %d outside block of size %d" % (x, k))
             positions.append(offsets[cls_idx] + prefix[i] + k * (c * l - 1) + x)
     positions.sort()
     return positions

@@ -18,7 +18,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .classify import _conjugate_step, classify, point_stabilizer_dim, stabilizer_dim
-from .enumeration import IndexSelection, enumerate_selections, selection_positions
+from .enumeration import (
+    IndexSelection,
+    _fitted_choices,
+    enumerate_selections,
+    selection_positions,
+)
 from .exact_linalg import ExactMatrix, inverse  # noqa: F401  perfbench/tests checks inverse here
 from .orbit_model import (
     EigenvalueClass,
@@ -51,16 +56,15 @@ def dense_selection(orbit: OrbitDatum) -> IndexSelection:
         runs = cls.partition.runs_ascending()
         top = len(runs) - 1
         choices.append((idx, ((top, runs[top][0]),)))
-    return IndexSelection(choices)
+    # class indices ascending, one block each: already the canonical form
+    return IndexSelection._canonical(tuple(choices))
 
 
 def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Closed-form normal form of the image orbit at one selection."""
     depth = 0
     classes = list(orbit.classes)
-    for idx, pairs in selection.choices:
-        cls = classes[idx]
-        runs = cls.partition.runs_ascending()
+    for idx, cls, runs, pairs in _fitted_choices(orbit, selection):
         parts = list(cls.partition)
         x_prev = 0
         for i, x in pairs:

@@ -1,4 +1,8 @@
-"""Integer partitions: duals, largest-part removal, exponent notation."""
+"""Integer partitions: duals, largest-part removal, exponent notation.
+
+A Partition is immutable, so its dual and its ascending runs are each
+computed once, on first use, and kept.
+"""
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Tuple
@@ -17,7 +21,7 @@ class Partition:
     construction, so equal partitions compare equal structurally.
     """
 
-    __slots__ = ("_parts", "_ascending")
+    __slots__ = ("_parts", "_ascending", "_dual")
 
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = sorted((int(p) for p in parts), reverse=True)
@@ -25,6 +29,16 @@ class Partition:
             raise ValueError("partition parts must be nonnegative")
         self._parts = tuple(p for p in cleaned if p > 0)
         self._ascending = None
+        self._dual = None
+
+    @classmethod
+    def _canonical(cls, parts: tuple) -> "Partition":
+        """Takes over parts that are already positive and descending."""
+        p = object.__new__(cls)
+        p._parts = parts
+        p._ascending = None
+        p._dual = None
+        return p
 
     @property
     def parts(self) -> Tuple[int, ...]:
@@ -58,20 +72,21 @@ class Partition:
         return "Partition(%s)" % list(self._parts)
 
     def dual(self) -> "Partition":
-        """The transposed Young diagram: column counts become parts."""
-        if not self._parts:
-            return Partition()
-        counts = [0] * self._parts[0]
-        for p in self._parts:
-            for i in range(p):
-                counts[i] += 1
-        return Partition(counts)
+        """The transposed Young diagram: column counts become parts (cached)."""
+        if self._dual is None:
+            counts = [0] * self.largest()
+            for p in self._parts:
+                for i in range(p):
+                    counts[i] += 1
+            # column counts of a diagram are positive and weakly decreasing
+            self._dual = Partition._canonical(tuple(counts))
+        return self._dual
 
     def remove_largest_part(self) -> "Partition":
         """Drop one copy of the largest part."""
         if not self._parts:
             raise EmptyPartitionError("cannot remove a part from the empty partition")
-        return Partition(self._parts[1:])
+        return Partition._canonical(self._parts[1:])
 
     def runs(self) -> Tuple[Tuple[int, int], ...]:
         """Distinct part sizes with multiplicities, sizes descending."""

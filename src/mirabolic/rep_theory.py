@@ -11,6 +11,10 @@ one from its size at depth cost 1, Speh and Stein blocks at cost 2, Speh
 complementary blocks at cost 4, and costs add over products.  The orbit
 dictionaries attach labels through dual partitions: a class with partition
 P contributes one factor per part of the dual of P.
+
+A label keeps its factors sorted once, descending by Factor.sort_key.
+Restriction shrinks every factor by one, which keeps that order, so the
+restricted label is built without sorting or validating again.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, List, Optional, Tuple
 
+from .exact_linalg import _fraction
 from .moment import dense_selection, symbolic_image
 from .orbit_model import COMPLEX, REAL, MirabolicOrbitDatum, OrbitDatum
 
@@ -55,6 +60,17 @@ SPEH_CS = "spehcs"
 # the shrunk label (criterion 8)
 _UNIT = {CHARACTER: 1, SPEH: 2, STEIN: 2, SPEH_CS: 4}
 _KIND_ORDER = {CHARACTER: 0, SPEH: 1, STEIN: 2, SPEH_CS: 3}
+_HALF = Fraction(1, 2)
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; raises TypeError unless it is one, so a float or a
+    Fraction is never rounded."""
+    if type(value) is int:
+        return value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError("%s must be an int, got %r" % (what, value))
 
 
 class UnsupportedOrbitShape(Exception):
@@ -69,26 +85,27 @@ class Factor:
     def __init__(self, kind, t, twist=0, w=0, m=None, s=None):
         if kind not in _UNIT:
             raise ValueError("unknown factor kind %r" % (kind,))
-        t = int(t)
+        t = _integer(t, "factor size t")
         if t < 1:
             raise ValueError("factor size must be >= 1")
         self.kind = kind
         self.t = t
-        self.twist = Fraction(twist)
-        self.w = int(w)
+        self.twist = _fraction(twist)
+        self.w = _integer(w, "sign exponent w")
         if self.w not in (0, 1):
             raise ValueError("sign exponent must be 0 or 1")
         if kind in (SPEH, SPEH_CS):
-            if m is None or int(m) < 1:
+            m = None if m is None else _integer(m, "Speh parameter m")
+            if m is None or m < 1:
                 raise ValueError("Speh parameter m must be a positive integer")
-            self.m = int(m)
+            self.m = m
         else:
             if m is not None:
                 raise ValueError("m only applies to Speh factors")
             self.m = None
         if kind in (STEIN, SPEH_CS):
-            s = Fraction(s)
-            if not 0 < s < Fraction(1, 2):
+            s = _fraction(s)
+            if not 0 < s < _HALF:
                 raise ValueError("Stein parameter must lie strictly in (0, 1/2)")
             self.s = s
         else:
@@ -109,16 +126,22 @@ class Factor:
         """The factor left after one restriction step, or None when it vanishes."""
         if self.t == 1:
             return None
-        return Factor(self.kind, self.t - 1, self.twist, self.w, self.m, self.s)
+        # t - 1 >= 1 keeps every check of the constructor satisfied
+        left = object.__new__(Factor)
+        left.kind, left.t, left.twist = self.kind, self.t - 1, self.twist
+        left.w, left.m, left.s = self.w, self.m, self.s
+        return left
 
     def sort_key(self):
+        # labels sort by this key descending; it covers every field of _id,
+        # so factors with equal keys are equal
         return (
-            -self.twist,
-            _KIND_ORDER[self.kind],
-            -self.t,
-            -(self.m or 0),
-            -(self.s or 0),
-            self.w,
+            self.twist,
+            -_KIND_ORDER[self.kind],
+            self.t,
+            self.m or 0,
+            self.s or 0,
+            -self.w,
         )
 
     def to_json(self) -> dict:
@@ -177,7 +200,7 @@ class RepLabel:
     def __init__(self, field: str, factors: Iterable[Factor] = ()):
         if field not in (REAL, COMPLEX):
             raise ValueError("field must be R or C")
-        factors = tuple(sorted(factors, key=Factor.sort_key))
+        factors = tuple(sorted(factors, key=Factor.sort_key, reverse=True))
         for f in factors:
             if field == COMPLEX and f.kind in (SPEH, SPEH_CS):
                 raise ValueError("Speh factors only exist over the real field")
@@ -185,6 +208,15 @@ class RepLabel:
                 raise ValueError("sign twists only exist over the real field")
         self.field = field
         self.factors = factors
+
+    @classmethod
+    def _canonical(cls, field: str, factors: tuple) -> "RepLabel":
+        """Takes over factors that are already valid over field and in the
+        constructor's order."""
+        label = object.__new__(cls)
+        label.field = field
+        label.factors = factors
+        return label
 
     @property
     def size(self) -> int:
@@ -318,6 +350,8 @@ def adduce(label: RepLabel) -> Tuple[int, RepLabel]:
 
     Factorwise: every factor contributes its depth cost, its size drops by
     one, and size-zero leftovers disappear.  Costs add over products.
+    Shrinking every factor by one keeps their order, so the label is not
+    sorted again.
     """
     depth = 0
     shrunk = []
@@ -326,7 +360,7 @@ def adduce(label: RepLabel) -> Tuple[int, RepLabel]:
         left = f.shrink()
         if left is not None:
             shrunk.append(left)
-    return depth, RepLabel(label.field, shrunk)
+    return depth, RepLabel._canonical(label.field, tuple(shrunk))
 
 
 def restrict_to_mirabolic(label: RepLabel) -> MirabolicRepLabel:

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from mirabolic import (
     COMPLEX,
     REAL,
@@ -80,6 +82,26 @@ class TestSymbolicImage:
             for sel in enumerate_selections(o):
                 img = symbolic_image(o, sel)
                 assert img.depth + img.a_part.size == o.size
+
+
+class TestSelectionFit:
+    # a selection must name a class, a block and a coordinate that the orbit
+    # has; both image paths refuse it by the same check and message
+    CASES = [
+        ({0: {2: 1}}, "class 0 has no block 2"),
+        ({1: {0: 1}}, "selection names class 1 of an orbit with 1 classes"),
+        ({0: {1: 4}}, "coordinate 4 outside block 1 of class 0, of size 3"),
+        ({0: {1: 0}}, "coordinate 0 outside block 1 of class 0, of size 3"),
+    ]
+
+    @pytest.mark.parametrize("choices, message", CASES)
+    @pytest.mark.parametrize("image", [symbolic_image, oracle_image])
+    def test_unfit_selection_is_refused(self, image, choices, message):
+        o = orbit(COMPLEX, (0, [3, 1]))
+        with pytest.raises(ValueError) as err:
+            image(o, IndexSelection(choices))
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(message)
 
 
 class TestOracleImage:

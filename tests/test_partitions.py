@@ -49,6 +49,16 @@ def test_laws_exhaustive_to_weight_12():
                 assert removed.dual() == decremented
 
 
+def test_dual_is_computed_once_and_is_the_transposition():
+    for weight in range(13):
+        for p in partitions_of_weight(weight):
+            d = p.dual()
+            assert p.dual() is d
+            columns = [sum(1 for part in p if part > i) for i in range(p.largest())]
+            assert d.parts == tuple(columns)
+            assert d == Partition(columns)
+
+
 @given(part_lists)
 def test_dual_involution_random(parts):
     p = Partition(parts)

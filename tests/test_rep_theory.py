@@ -28,6 +28,7 @@ from mirabolic import (
     verify_restriction,
 )
 from mirabolic.cli import _signs
+from mirabolic.rep_theory import _KIND_ORDER
 from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
@@ -50,6 +51,30 @@ class TestFactors:
             character(0)
         with pytest.raises(ValueError):
             character(1, w=2)
+        # inexact parameters are refused, never rounded or converted
+        with pytest.raises(TypeError):
+            character(2.9, twist=Fraction(1, 10))
+        with pytest.raises(TypeError):
+            character(2, twist=0.1)
+        with pytest.raises(TypeError):
+            character(2, twist="1/2")
+        with pytest.raises(TypeError):
+            character(Fraction(2))
+        with pytest.raises(TypeError):
+            character(1, w=1.0)
+        with pytest.raises(TypeError):
+            speh(1, 1.5)
+        with pytest.raises(TypeError):
+            stein(1, 0.25)
+        with pytest.raises(TypeError):
+            speh_complementary(1, 1, 0.25)
+
+    def test_exact_parameters_are_kept(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        assert character(2, twist=half).twist is half
+        assert stein(1, quarter).s is quarter
+        assert character(2, twist=-1).twist == Fraction(-1)
+        assert type(character(True).t) is int
 
     def test_label_product_is_commutative(self):
         a = RepLabel(REAL, [character(2, Fraction(1, 2)), speh(1, 3)])
@@ -158,6 +183,46 @@ class TestAdduce:
             dp, sp = adduce(a * b)
             assert dp == da + db
             assert sp == sa * sb
+
+
+def _old_order(factors):
+    """The factors sorted by the ascending key labels used to sort by; the
+    reference for the descending Factor.sort_key."""
+    return tuple(sorted(factors, key=lambda f: (
+        -f.twist, _KIND_ORDER[f.kind], -f.t, -(f.m or 0), -(f.s or 0), f.w)))
+
+
+def _corpus_labels():
+    """Every label the restriction check attaches over the size <= 7 corpora,
+    with all sign choices: the orbit's, its restriction's and the dense
+    image's."""
+    for o in list(complex_corpus(7)) + list(real_corpus(7, require_pair=False)):
+        for signs in all_sign_choices(o):
+            report = verify_restriction(o, signs)
+            yield attach_gl_rep(o, signs)
+            yield report.restricted.adduced
+            yield report.attached.adduced
+
+
+class TestFactorOrder:
+    def test_order_matches_the_ascending_reference_key(self):
+        count = 0
+        for label in _corpus_labels():
+            assert label.factors == _old_order(label.factors), label
+            count += 1
+        assert count == 3 * 13920
+        for label in _random_labels(random.Random(88), 2000):
+            assert label.factors == _old_order(label.factors), label
+
+    def test_adduce_equals_the_sorting_constructor(self):
+        labels = list(_random_labels(random.Random(88), 2000))
+        labels += [attach_gl_rep(o, signs)
+                   for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False))
+                   for signs in all_sign_choices(o)]
+        for label in labels:
+            shrunk = [f.shrink() for f in label.factors]
+            expected = RepLabel(label.field, [f for f in shrunk if f is not None])
+            assert adduce(label)[1] == expected
 
 
 def _random_labels(rng, count):
