@@ -75,8 +75,10 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
         depth += (2 if cls.is_pair else 1) * x_prev
         partition = Partition(parts)
         classes[idx] = EigenvalueClass(cls.re, partition, im=cls.im) if partition else None
+    # the order of classes depends on their eigenvalues only, which the
+    # surgery keeps, so the head is already in canonical form
     return MirabolicOrbitDatum(
-        depth, OrbitDatum(orbit.field, [c for c in classes if c is not None]))
+        depth, OrbitDatum._canonical(orbit.field, tuple(c for c in classes if c is not None)))
 
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:

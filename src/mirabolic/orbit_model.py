@@ -187,6 +187,16 @@ class OrbitDatum:
         self.classes = ordered
         self._representative = None
 
+    @classmethod
+    def _canonical(cls, field: str, classes: tuple) -> "OrbitDatum":
+        """Takes over classes that are already valid over field, distinct and
+        in the constructor's order."""
+        o = object.__new__(cls)
+        o.field = field
+        o.classes = classes
+        o._representative = None
+        return o
+
     @property
     def size(self) -> int:
         return sum(c.contribution for c in self.classes)
