@@ -24,6 +24,10 @@ data and repr):
   all call it, and other modules combine rows only through it,
   _integer_matmul, block_diag and the + and * of ExactMatrix.
 
+Exact inputs are read by one rule, here and in the other modules: _fraction
+takes an int or a Fraction, _integer takes an int, and anything else (a
+float, a string) raises TypeError instead of being rounded or converted.
+
 Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads
 a pair off the real quadratic q(x) = (x - a)^2 + b^2, so no arithmetic ever
@@ -59,6 +63,16 @@ def _fraction(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError("expected an int or a Fraction, got %r" % (value,))
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; raises TypeError naming what unless it is one, so a
+    float, a Fraction or a string is never rounded or converted."""
+    if type(value) is int:
+        return value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError("%s must be an int, got %r" % (what, value))
 
 
 _ZERO = Fraction(0)

@@ -25,6 +25,7 @@ from typing import Iterable, List, Sequence
 from .exact_linalg import (
     ExactMatrix,
     SpectrumMismatch,
+    _integer,
     block_diag,
     jordan_structure,
 )
@@ -135,12 +136,10 @@ class EigenvalueClass:
         mult = 2 if self.is_pair else 1
         return mult * self.partition.weight
 
-    def key(self) -> tuple:
-        return (self.re, self.im)
-
     def sort_key(self) -> tuple:
-        # real classes first (re descending), then pairs by (re, im) descending
-        return (1 if self.is_pair else 0, -self.re, -(self.im or 0))
+        # orbits sort classes by this key descending (real classes first,
+        # then (re, im) descending); it is also the eigenvalue's identity
+        return (self.im is None, self.re, self.im or 0)
 
     def eigenvalue(self):
         """The class as an eigenvalue hint: re, or (re, im) for a pair."""
@@ -157,11 +156,11 @@ class EigenvalueClass:
 
     def __eq__(self, other):
         if isinstance(other, EigenvalueClass):
-            return self.key() == other.key() and self.partition == other.partition
+            return self.sort_key() == other.sort_key() and self.partition == other.partition
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.key(), self.partition))
+        return hash((self.sort_key(), self.partition))
 
     def __repr__(self):
         ev = str(self.re) if not self.is_pair else "%s+-%si" % (self.re, self.im)
@@ -177,11 +176,11 @@ class OrbitDatum:
         if field not in (REAL, COMPLEX):
             raise OrbitSpecError("field must be %r or %r" % (REAL, COMPLEX))
         self.field = field
-        ordered = tuple(sorted(classes, key=EigenvalueClass.sort_key))
-        # equal keys have equal sort keys, so duplicates are neighbours
-        if any(a.key() == b.key() for a, b in zip(ordered, ordered[1:])):
+        ordered = tuple(sorted(classes, key=EigenvalueClass.sort_key, reverse=True))
+        # duplicates have equal keys, so they are neighbours
+        if any(a.sort_key() == b.sort_key() for a, b in zip(ordered, ordered[1:])):
             raise OrbitSpecError("duplicate eigenvalue classes: %r"
-                                 % ([c.key() for c in ordered],))
+                                 % ([(c.re, c.im) for c in ordered],))
         if field == COMPLEX and any(c.is_pair for c in ordered):
             raise OrbitSpecError("pair classes are only allowed over the real field")
         self.classes = ordered
@@ -232,7 +231,7 @@ class MirabolicOrbitDatum:
     __slots__ = ("depth", "a_part")
 
     def __init__(self, depth: int, a_part: OrbitDatum):
-        depth = int(depth)
+        depth = _integer(depth, "depth")
         if depth < 1:
             raise OrbitSpecError("depth must be >= 1")
         self.depth = depth

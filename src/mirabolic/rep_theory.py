@@ -10,9 +10,13 @@ Restriction to the mirabolic subgroup acts factorwise: a character drops
 one from its size at depth cost 1, Speh and Stein blocks at cost 2, Speh
 complementary blocks at cost 4, and costs add over products.  The orbit
 dictionaries attach labels through dual partitions: a class with partition
-P contributes one factor per part of the dual of P.
+P contributes one factor per part of the dual of P.  Signs are keyed by
+eigenvalue: _check_signs reads the caller's assignment once into
+{eigenvalue: sign tuple}, and _attach is the one loop that turns classes
+into factors, for an orbit and for the head of its dense image alike.
 
-A label keeps its factors sorted once, descending by Factor.sort_key.
+A label keeps its factors sorted once, descending by Factor.sort_key, which
+covers every field of a factor and so is also its identity for == and hash.
 Restriction shrinks every factor by one, which keeps that order, so the
 restricted label is built without sorting or validating again.
 """
@@ -22,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, List, Optional, Tuple
 
-from .exact_linalg import _fraction
+from .exact_linalg import _fraction, _integer
 from .moment import dense_selection, symbolic_image
 from .orbit_model import COMPLEX, REAL, MirabolicOrbitDatum, OrbitDatum
 
@@ -63,16 +67,6 @@ _KIND_ORDER = {CHARACTER: 0, SPEH: 1, STEIN: 2, SPEH_CS: 3}
 _HALF = Fraction(1, 2)
 
 
-def _integer(value, what: str) -> int:
-    """value as an int; raises TypeError unless it is one, so a float or a
-    Fraction is never rounded."""
-    if type(value) is int:
-        return value
-    if isinstance(value, int):
-        return int(value)
-    raise TypeError("%s must be an int, got %r" % (what, value))
-
-
 class UnsupportedOrbitShape(Exception):
     """No attachment formula covers this orbit shape."""
 
@@ -94,6 +88,8 @@ class Factor:
         self.w = _integer(w, "sign exponent w")
         if self.w not in (0, 1):
             raise ValueError("sign exponent must be 0 or 1")
+        if self.w and kind != CHARACTER:
+            raise ValueError("a sign exponent only applies to characters")
         if kind in (SPEH, SPEH_CS):
             m = None if m is None else _integer(m, "Speh parameter m")
             if m is None or m < 1:
@@ -133,8 +129,8 @@ class Factor:
         return left
 
     def sort_key(self):
-        # labels sort by this key descending; it covers every field of _id,
-        # so factors with equal keys are equal
+        # labels sort by this key descending; it covers every field, so it
+        # is also the factor's identity for == and hash
         return (
             self.twist,
             -_KIND_ORDER[self.kind],
@@ -154,16 +150,13 @@ class Factor:
             obj["s"] = str(self.s)
         return obj
 
-    def _id(self):
-        return (self.kind, self.t, self.twist, self.w, self.m, self.s)
-
     def __eq__(self, other):
         if isinstance(other, Factor):
-            return self._id() == other._id()
+            return self.sort_key() == other.sort_key()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._id())
+        return hash(self.sort_key())
 
     def __repr__(self):
         extra = ""
@@ -171,7 +164,7 @@ class Factor:
             extra += ", m=%d" % self.m
         if self.s is not None:
             extra += ", s=%s" % self.s
-        if self.kind == CHARACTER and self.w:
+        if self.w:
             extra += ", w=1"
         return "%s(t=%d, twist=%s%s)" % (self.kind, self.t, self.twist, extra)
 
@@ -254,7 +247,7 @@ class MirabolicRepLabel:
     __slots__ = ("depth", "adduced")
 
     def __init__(self, depth: int, adduced: RepLabel):
-        depth = int(depth)
+        depth = _integer(depth, "depth")
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
@@ -283,18 +276,21 @@ def sign_shape(orbit: OrbitDatum) -> List[int]:
     return [len(cls.partition.dual()) for cls in orbit.real_classes()]
 
 
-def _check_signs(orbit: OrbitDatum, signs) -> List[Tuple[int, ...]]:
+def _check_signs(orbit: OrbitDatum, signs) -> dict:
+    """The caller's sign assignment as {eigenvalue: sign tuple} over the real
+    classes of a real-field orbit, {} when the orbit takes none; raises on
+    any other shape and TypeError on a sign that is not an int."""
     shape = sign_shape(orbit)
     if not shape:
         if signs:
             raise ValueError("sign assignment given but no real classes need one")
-        return []
+        return {}
     if signs is None:
         raise ValueError(
             "real-field orbit with real classes needs a sign assignment "
             "(one 0/1 tuple per real class, one entry per dual-partition part)"
         )
-    signs = [tuple(int(w) for w in ws) for ws in signs]
+    signs = [tuple(_integer(w, "sign exponent") for w in ws) for ws in signs]
     if len(signs) != len(shape):
         raise ValueError(
             "expected %d sign tuples, got %d" % (len(shape), len(signs))
@@ -307,7 +303,28 @@ def _check_signs(orbit: OrbitDatum, signs) -> List[Tuple[int, ...]]:
             )
         if any(w not in (0, 1) for w in ws):
             raise ValueError("signs must be 0 or 1")
-    return signs
+    return {cls.re: ws for cls, ws in zip(orbit.real_classes(), signs)}
+
+
+def _attach(orbit: OrbitDatum, signs: dict) -> RepLabel:
+    """The label attached to orbit, with signs keyed by eigenvalue.  A part
+    of a real class beyond its entry (every part over C) takes sign 0, so no
+    part is dropped; a pair class reads no sign."""
+    factors = []
+    for cls in orbit.classes:
+        dual_parts = cls.partition.dual()
+        if cls.is_pair:
+            m2 = 2 * cls.im
+            if m2.denominator != 1 or m2 <= 0:
+                raise UnsupportedOrbitShape(
+                    "pair class at %s+-%si: imaginary part must be a positive "
+                    "half-integer" % (cls.re, cls.im)
+                )
+            factors += [speh(p, int(m2), twist=cls.re) for p in dual_parts]
+        else:
+            ws = signs.get(cls.re, ()) + (0,) * len(dual_parts)
+            factors += [character(p, cls.re, w) for p, w in zip(dual_parts, ws)]
+    return RepLabel(orbit.field, factors)
 
 
 def attach_gl_rep(orbit: OrbitDatum, signs=None) -> RepLabel:
@@ -320,29 +337,7 @@ def attach_gl_rep(orbit: OrbitDatum, signs=None) -> RepLabel:
     positive integer; any other pair parameter has no attachment formula
     and raises UnsupportedOrbitShape.
     """
-    signs = _check_signs(orbit, signs)
-    factors = []
-    real_idx = 0
-    for cls in orbit.classes:
-        dual_parts = list(cls.partition.dual())
-        if cls.is_pair:
-            m2 = 2 * cls.im
-            if m2.denominator != 1 or m2 <= 0:
-                raise UnsupportedOrbitShape(
-                    "pair class at %s+-%si: imaginary part must be a positive "
-                    "half-integer" % (cls.re, cls.im)
-                )
-            for p in dual_parts:
-                factors.append(speh(p, int(m2), twist=cls.re))
-        elif orbit.field == REAL:
-            ws = signs[real_idx]
-            real_idx += 1
-            for p, w in zip(dual_parts, ws):
-                factors.append(character(p, twist=cls.re, w=w))
-        else:
-            for p in dual_parts:
-                factors.append(character(p, twist=cls.re))
-    return RepLabel(orbit.field, factors)
+    return _attach(orbit, _check_signs(orbit, signs))
 
 
 def adduce(label: RepLabel) -> Tuple[int, RepLabel]:
@@ -374,29 +369,6 @@ def restrict_to_mirabolic(label: RepLabel) -> MirabolicRepLabel:
 def attach_mirabolic_rep(datum: MirabolicOrbitDatum, signs=None) -> MirabolicRepLabel:
     """The mirabolic label attached to a mirabolic orbit normal form."""
     return MirabolicRepLabel(datum.depth, attach_gl_rep(datum.a_part, signs))
-
-
-def _trimmed_signs(orbit: OrbitDatum, signs, a_part: OrbitDatum):
-    """Signs for the head orbit induced by the per-part size decrement.
-
-    Dual parts of size one disappear under restriction; their signs are
-    dropped, the rest ride along unchanged.  Classes are matched by their
-    eigenvalue.  signs must already have passed _check_signs.
-    """
-    if orbit.field == COMPLEX:
-        return None
-    by_eigenvalue = {}
-    for cls, ws in zip(orbit.real_classes(), signs or ()):
-        dual_parts = list(cls.partition.dual())
-        by_eigenvalue[cls.re] = tuple(
-            w for w, p in zip(ws, dual_parts) if p >= 2
-        )
-    out = []
-    for cls in a_part.real_classes():
-        if cls.re not in by_eigenvalue:
-            raise ValueError("head class at %s has no sign source" % cls.re)
-        out.append(by_eigenvalue[cls.re])
-    return out
 
 
 def all_sign_choices(orbit: OrbitDatum):
@@ -436,12 +408,19 @@ def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
 
     Computes the label attached to the orbit, restricts it to the mirabolic
     subgroup, computes the dense moment-map image, attaches a mirabolic
-    label to that image (with the induced signs), and compares.
+    label to that image (with the induced signs), and compares.  A dual part
+    of size one vanishes under restriction and its sign with it; the other
+    parts keep theirs, so a head class takes the signs of its eigenvalue.
     """
-    label = attach_gl_rep(orbit, signs)
-    restricted = restrict_to_mirabolic(label)
+    # the signs are read twice, so a one-shot iterator is read into a list
+    signs = None if signs is None else [tuple(ws) for ws in signs]
+    restricted = restrict_to_mirabolic(attach_gl_rep(orbit, signs))
     omega = symbolic_image(orbit, dense_selection(orbit))
-    attached = attach_mirabolic_rep(omega, _trimmed_signs(orbit, signs, omega.a_part))
+    image_signs = {
+        cls.re: tuple(w for w, p in zip(ws, cls.partition.dual()) if p >= 2)
+        for cls, ws in zip(orbit.real_classes(), signs or ())
+    }
+    attached = MirabolicRepLabel(omega.depth, _attach(omega.a_part, image_signs))
     return RestrictionReport(
         orbit, signs, restricted == attached, restricted, attached, omega
     )

@@ -27,6 +27,7 @@ from mirabolic import (
 )
 
 from mirabolic import orbit_model
+from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.orbit_model import MAX_DECIMAL_EXPONENT, parse_rational
 
 from conftest import orbit
@@ -192,6 +193,10 @@ class TestDatumValidation:
         assert a == b
         assert [c.re for c in a.classes] == [2, 0]
 
+    def test_order_does_not_depend_on_the_input_order(self):
+        for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
+            assert OrbitDatum(o.field, reversed(o.classes)).classes == o.classes, o
+
     def test_real_classes_precede_pairs(self):
         o = orbit(REAL, (0, 1, [1]), (5, [1]))
         assert [c.is_pair for c in o.classes] == [False, True]
@@ -206,6 +211,8 @@ class TestDatumValidation:
         ([(0, 1, [1]), (0, [1]), (0, 1, [2])],
          "[(Fraction(0, 1), None), (Fraction(0, 1), Fraction(1, 1)), "
          "(Fraction(0, 1), Fraction(1, 1))]"),
+        ([(0, [1]), ("1/2", 1, [2]), (0, [2])],
+         "[(Fraction(0, 1), None), (Fraction(0, 1), None), (Fraction(1, 2), Fraction(1, 1))]"),
     ])
     def test_duplicate_classes_message(self, classes, message):
         # every key, in canonical order, however far apart the twins were given
@@ -230,6 +237,12 @@ class TestDatumValidation:
     def test_empty_partition_rejected(self):
         with pytest.raises(OrbitSpecError):
             EigenvalueClass(0, Partition([]))
+
+    def test_depth_must_be_an_int(self):
+        with pytest.raises(TypeError):
+            MirabolicOrbitDatum(1.5, OrbitDatum(COMPLEX))
+        with pytest.raises(OrbitSpecError):
+            MirabolicOrbitDatum(0, OrbitDatum(COMPLEX))
 
     def test_same_real_part_real_and_pair_allowed(self):
         o = orbit(REAL, (0, [1]), (0, 1, [1]))

@@ -28,7 +28,8 @@ from mirabolic import (
     verify_restriction,
 )
 from mirabolic.cli import _signs
-from mirabolic.rep_theory import _KIND_ORDER
+from mirabolic import rep_theory
+from mirabolic.rep_theory import _KIND_ORDER, SPEH, STEIN, Factor
 from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
@@ -51,6 +52,11 @@ class TestFactors:
             character(0)
         with pytest.raises(ValueError):
             character(1, w=2)
+        # a sign exponent would not show in to_json or repr
+        with pytest.raises(ValueError):
+            Factor(SPEH, 2, m=1, w=1)
+        with pytest.raises(ValueError):
+            Factor(STEIN, 2, s=Fraction(1, 4), w=1)
         # inexact parameters are refused, never rounded or converted
         with pytest.raises(TypeError):
             character(2.9, twist=Fraction(1, 10))
@@ -128,6 +134,17 @@ class TestAttach:
         o = orbit(REAL, (0, [2, 1]))
         with pytest.raises(ValueError):
             attach_gl_rep(o, [(1,)])
+
+    def test_inexact_signs_are_refused(self):
+        o = orbit(REAL, (0, [1]))
+        with pytest.raises(TypeError):
+            attach_gl_rep(o, [(0.5,)])
+        with pytest.raises(TypeError):
+            attach_gl_rep(o, ["1"])
+
+    def test_signs_never_reach_a_pair_class(self):
+        o = orbit(REAL, (0, [1]), (0, 1, [1]))
+        assert attach_gl_rep(o, [(1,)]) == RepLabel(REAL, [character(1, 0, w=1), speh(1, 2)])
 
     def test_complex_rejects_signs(self):
         with pytest.raises(ValueError):
@@ -259,6 +276,10 @@ class TestRestrict:
         restricted = restrict_to_mirabolic(label)
         assert restricted == MirabolicRepLabel(2, RepLabel(COMPLEX, [character(1)]))
 
+    def test_depth_must_be_an_int(self):
+        with pytest.raises(TypeError):
+            MirabolicRepLabel(2.7, RepLabel(REAL))
+
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
             restrict_to_mirabolic(RepLabel(COMPLEX))
@@ -302,6 +323,36 @@ class TestVerifyRestriction:
             assert verify_restriction(o, signs).ok
             count += 1
         assert count == 4  # two dual parts on the real class
+
+    def test_head_classes_keep_the_signs_of_their_eigenvalue(self):
+        # class 1 leaves the head, and class 0 keeps the sign of its dual
+        # part 2 and drops that of its dual part 1
+        o = orbit(REAL, (1, [1]), (0, [2, 1]))
+        report = verify_restriction(o, [(1,), (1, 0)])
+        assert report.ok
+        assert report.attached.adduced == RepLabel(REAL, [character(1, 0, w=1)])
+        # signs that can be read only once give the same report
+        once = verify_restriction(o, iter([iter((1,)), iter((1, 0))]))
+        assert once.to_json() == report.to_json()
+
+    @pytest.mark.parametrize("head, attached", [
+        # a class at an eigenvalue the orbit lacks
+        ([(0, [1]), (5, [1])], [character(1, 5), character(1, 0, w=1)]),
+        # a class with a dual part its source cannot account for, which
+        # takes sign 0: the sign of the vanished part is not passed on
+        ([(0, [2])], [character(1, 0, w=1), character(1, 0)]),
+    ])
+    def test_a_head_the_orbit_cannot_account_for_fails_the_check(
+            self, monkeypatch, head, attached):
+        o = orbit(REAL, (0, [2, 1]))
+        report = verify_restriction(o, [(1, 1)])
+        assert report.ok
+        assert report.omega == MirabolicOrbitDatum(2, orbit(REAL, (0, [1])))
+        monkeypatch.setattr(rep_theory, "symbolic_image",
+                            lambda o, selection: MirabolicOrbitDatum(2, orbit(REAL, *head)))
+        report = verify_restriction(o, [(1, 1)])
+        assert not report.ok
+        assert report.attached.adduced == RepLabel(REAL, attached)
 
     def test_sign_shape_is_the_shape_of_every_sign_assignment(self):
         for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
