@@ -14,18 +14,26 @@ Each step is an O(s^2) rank-one update of those rows over the denominator
 d^2 * beta_p (scaling by the pivot beta_p of the restriction row instead of
 dividing by it), after which one gcd is divided out.  Rows are combined
 only by exact_linalg's kernels (_combination, _integer_matmul, block_diag,
-ExactMatrix + and *); _bracket_rank alone builds its rows inline, because
+ExactMatrix + and *); _bracket_rows alone builds its rows inline, because
 it is the inner loop of the stabilizer ranks.  The head block is
 identified from eigenvalue hints, a rational r for a real eigenvalue and a
 pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the pair off
 the real quadratic (x - a)^2 + b^2).
+
+The stabilizer dimensions rank the bracket map Y -> [x, Y].  The public
+stabilizer_dim and point_stabilizer_dim eliminate its whole matrix.  A
+caller that ranks many matrices made of the same blocks (check_geometry,
+over the normal forms of one orbit) passes a dict to the private
+_stabilizer_dim instead: [x, E_ij] lives in the rows of i's block and the
+columns of j's block, so the map splits over ordered pairs of blocks, and
+each pair is ranked once per key of its two blocks' integer rows.
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .exact_linalg import (
     ExactMatrix,
@@ -210,23 +218,47 @@ def certificate_holds(
     return recognized == datum.a_part
 
 
-def _bracket_rank(x: ExactMatrix, columns: int) -> int:
-    """Rank of Y -> [x, Y] on the mirabolic algebra, read in columns 0..columns-1.
+def _components(rows: list, n: int) -> list:
+    """The blocks of an n x n matrix given by its sparse rows: the connected
+    components of the graph on 0..n-1 with an edge r - c for each nonzero
+    entry (r, c), each an ascending index list, ordered by least index."""
+    parent = list(range(n))
 
-    The mirabolic algebra is spanned by E_ij over all rows i but the last.
-    Each E_ij gives one sparse integer row: [d*x, E_ij] puts column i of d*x
-    into column j and minus row j of d*x into row i, with d the common
-    denominator of x, which scales no rank.
-    """
-    n = x.rows
-    rows = x.numerators
-    cols = [{} for _ in range(n)]
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     for r, row in enumerate(rows):
-        for c, v in row.items():
+        for c in row:
+            a, b = root(r), root(c)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(root(i), []).append(i)
+    return list(blocks.values())
+
+
+def _bracket_rows(rows: list, a: Sequence[int], b: Sequence[int], columns: int) -> list:
+    """Sparse integer rows of Y -> [d*x, Y] on the E_ij with i in a, i < n - 1
+    and j in b, read at (r, c) in a x b with c < columns, for the n rows of
+    d*x and ascending index lists a and b.
+
+    Each E_ij puts column i of d*x into column j and minus row j of d*x into
+    row i.  When a and b are blocks (_components), both land in a x b; with
+    a = b = range(n) the rows are those of the whole bracket map.
+    """
+    n = len(rows)
+    cols = {i: {} for i in a}
+    for r in a:
+        for c, v in rows[r].items():
             cols[c][r] = v
     brackets = []
-    for i in range(n - 1):
-        for j in range(n):
+    for i in a:
+        if i == n - 1:
+            break
+        for j in b:
             entries = {r * n + j: v for r, v in cols[i].items()} if j < columns else {}
             for c, v in rows[j].items():
                 if c < columns:
@@ -237,7 +269,51 @@ def _bracket_rank(x: ExactMatrix, columns: int) -> int:
                     else:
                         del entries[key]
             brackets.append(entries)
-    return integer_rank(brackets)
+    return brackets
+
+
+def _bracket_rank(x: ExactMatrix, columns: int, ranks: Optional[dict] = None) -> int:
+    """Rank of Y -> [x, Y] on the mirabolic algebra, read in columns 0..columns-1,
+    for columns n - 1 or n.
+
+    The mirabolic algebra is spanned by E_ij over all rows i but the last;
+    the rank is that of the integer rows of [d*x, E_ij], with d the common
+    denominator of x, which scales no rank.  Without ranks the whole matrix
+    is eliminated.  With a dict ranks, which the caller keeps for as long as
+    it likes, the map is split over the ordered pairs (A, B) of blocks of x:
+    [x, E_ij] with i in A and j in B lives in A x B, so the rank is the sum
+    of the parts' ranks.  A part is fixed by the integer rows of A and of B
+    relabelled in index order, whether each holds index n - 1 (no E_ij with
+    i = n - 1, and the column n - 1 that columns may leave out) and
+    columns < n; ranks maps that key to the part's rank, and a part is
+    eliminated only when its key is new.
+    """
+    n = x.rows
+    rows = x.numerators
+    if ranks is None:
+        return integer_rank(_bracket_rows(rows, range(n), range(n), columns))
+    blocks = _components(rows, n)
+    keys = []
+    for block in blocks:
+        at = {r: k for k, r in enumerate(block)}
+        relabelled = tuple(frozenset((at[c], v) for c, v in rows[r].items()) for r in block)
+        keys.append((relabelled, block[-1] == n - 1))
+    short = columns < n
+    total = 0
+    for a, key_a in zip(blocks, keys):
+        for b, key_b in zip(blocks, keys):
+            key = (key_a, key_b, short)
+            part = ranks.get(key)
+            if part is None:
+                part = ranks[key] = integer_rank(_bracket_rows(rows, a, b, columns))
+            total += part
+    return total
+
+
+def _stabilizer_dim(x: ExactMatrix, ranks: Optional[dict] = None) -> int:
+    """stabilizer_dim, with the block-pair ranks of _bracket_rank kept in ranks."""
+    n = x.rows
+    return n * (n - 1) - _bracket_rank(x, n - 1, ranks)
 
 
 def stabilizer_dim(x: ExactMatrix) -> int:
@@ -248,8 +324,7 @@ def stabilizer_dim(x: ExactMatrix) -> int:
     last column.  Counted over the entry field (real dimension over R,
     complex over C).
     """
-    n = x.rows
-    return n * (n - 1) - _bracket_rank(x, n - 1)
+    return _stabilizer_dim(x)
 
 
 def point_stabilizer_dim(z: ExactMatrix) -> int:

@@ -341,9 +341,9 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     n = m.rows
     result = {}
     total = 0
-    for lam in dict.fromkeys(map(_eigenvalue, eigenvalues)):
+    for lam in map(_eigenvalue, eigenvalues):
         if total == n:
-            break  # the hints left are distinct, so each has multiplicity zero
+            break  # every hint left has multiplicity zero or repeats one found
         ranks = _power_ranks(n, _shifted_rows(m, lam))
         if ranks[-1] == n:
             continue
@@ -353,8 +353,10 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
         parts = []
         for size in range(len(at_least) - 1, 0, -1):
             parts.extend([size] * (at_least[size - 1] - at_least[size]))
-        result[lam] = Partition(parts)
-        total += n - ranks[-1]
+        partition = Partition(parts)
+        # a hint is hashed only here; a repeat of one already found is dropped
+        if result.setdefault(lam, partition) is partition:
+            total += n - ranks[-1]
     if total != n:
         raise SpectrumMismatch(
             "eigenvalues account for dimension %d of %d" % (total, n)

@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .classify import _conjugate_step, classify, point_stabilizer_dim, stabilizer_dim
+from .classify import (
+    _conjugate_step,
+    _stabilizer_dim,
+    classify,
+    point_stabilizer_dim,
+    stabilizer_dim,
+)
 from .enumeration import (
     IndexSelection,
     _fitted_choices,
@@ -83,8 +89,12 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Conjugate, project, classify: the independent check of symbolic_image."""
-    moved = _moved(orbit, selection)
-    return classify(project_to_p_star(moved), orbit.field, orbit.spectrum())
+    return _classify_point(orbit, project_to_p_star(_moved(orbit, selection)))
+
+
+def _classify_point(orbit: OrbitDatum, point: ExactMatrix) -> MirabolicOrbitDatum:
+    """The normal form of a projected point of the orbit's moment-map image."""
+    return classify(point, orbit.field, orbit.spectrum())
 
 
 def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
@@ -135,6 +145,12 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     (iii) at the dense selection the stabilizer of the image functional has
     the same dimension as the stabilizer of the moved point itself, which
     is the singleton-fiber statement in computable form.
+
+    Each selection's moved point is formed once and feeds the oracle and,
+    at the dense selection, both of its stabilizers, which rank the whole
+    bracket matrix.  The normal forms of one orbit are built from nearly
+    the same blocks, so their stabilizers share one dict of block-pair
+    ranks (classify._bracket_rank) that lives as long as this call.
     """
     selections = enumerate_selections(orbit)
     dense = dense_selection(orbit)
@@ -144,13 +160,16 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     dense_stab: Optional[int] = None
     dense_point_stab: Optional[int] = None
     other_stabs: List[int] = []
+    ranks: dict = {}
     for sel in selections:
         sym = symbolic_image(orbit, sel)
-        orc = oracle_image(orbit, sel)
+        moved = _moved(orbit, sel)
+        point = project_to_p_star(moved)
+        orc = _classify_point(orbit, point)
         agree = sym == orc
         if not agree:
             failures.append("symbolic/oracle disagree at %r" % (sel.to_json(),))
-        stab = stabilizer_dim(realize_normal_form(sym))
+        stab = _stabilizer_dim(realize_normal_form(sym), ranks)
         record = {
             "selection": sel.to_json(),
             "symbolic": sym.to_json(),
@@ -159,8 +178,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
             "stab_dims": {"image": stab},
         }
         if sel == dense:
-            moved = _moved(orbit, sel)
-            dense_stab = stabilizer_dim(project_to_p_star(moved))
+            dense_stab = stabilizer_dim(point)
             dense_point_stab = point_stabilizer_dim(moved)
             record["stab_dims"]["point"] = dense_point_stab
             record["dense"] = True

@@ -26,9 +26,10 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
-from mirabolic.classify import _completion, _conjugate_step
+from mirabolic.classify import _bracket_rank, _completion, _components, _conjugate_step
 
 from conftest import eliminate, example_27_matrix, orbit
+from test_acceptance import normal_form_corpus
 
 
 def _commutant_dim(a):
@@ -254,6 +255,79 @@ class TestStabilizer:
 
     def test_point_stabilizer_on_zero(self):
         assert point_stabilizer_dim(ExactMatrix.zeros(3, 3)) == 6
+
+
+def _shared_and_whole(x, ranks):
+    """(stabilizer, point stabilizer) of x through the shared block-pair
+    ranks, and the same pair from the whole bracket matrix."""
+    n = x.rows
+    shared = [n * (n - 1) - _bracket_rank(x, columns, ranks) for columns in (n - 1, n)]
+    return shared, [stabilizer_dim(x), point_stabilizer_dim(x)]
+
+
+class TestBlockPairRanks:
+    def test_components(self):
+        x = ExactMatrix([[0, 0, 1, 0], [0, 5, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
+        assert _components(x.numerators, 4) == [[0, 2, 3], [1]]
+        assert _components(ExactMatrix.zeros(3, 3).numerators, 3) == [[0], [1], [2]]
+        assert _components(example_27_matrix(4).numerators, 4) == [[0, 1, 2, 3]]
+
+    def test_one_dict_across_the_size_six_normal_forms(self):
+        # both fields, denominators 1, 2 (the pair pool) and 2, 3, 6 (the
+        # fractional heads), all through one dict
+        forms = normal_form_corpus(6)
+        fractional = [orbit(COMPLEX, ("1/3", [2, 1])), orbit(COMPLEX, ("1/2", [1]), ("1/3", [1])),
+                      orbit(COMPLEX, ("-1/3", [1, 1]), ("1/2", [2])),
+                      orbit(REAL, ("1/3", "1/2", [1]), ("1/2", [1, 1]))]
+        forms += [MirabolicOrbitDatum(depth, head) for head in fractional
+                  for depth in range(1, 7 - head.size)]
+        assert {realize_normal_form(f).denominator for f in forms} == {1, 2, 3, 6}
+        ranks = {}
+        pairs = 0
+        for datum in forms:
+            x = realize_normal_form(datum)
+            shared, whole = _shared_and_whole(x, ranks)
+            law = gl_centralizer_dim(datum.a_part) + datum.size - datum.depth
+            assert shared == whole and shared[0] == law, datum
+            pairs += 2 * len(_components(x.numerators, x.rows)) ** 2
+        assert len(forms) == 1105
+        assert 5 * len(ranks) < pairs, (len(ranks), pairs)  # most block pairs repeat
+
+    def test_keys_that_differ_only_in_the_last_index_or_columns(self):
+        # diag(1, 2, 1): blocks {0} and {2} have the same rows, but E_21 is
+        # not in the algebra, so ({0}, {1}) has rank 1 and ({2}, {1}) rank 0.
+        # diag(1, 2, 0): ({0}, {2}) has rank 1 only when column 2 is read.
+        ranks = {}
+        for diagonal in ([1, 2, 1], [2, 1, 2], [1, 2, 0], [0, 2, 1], [1, 1, 0]):
+            x = ExactMatrix([[v if i == j else 0 for j in range(3)]
+                             for i, v in enumerate(diagonal)])
+            for fresh in ({}, ranks):
+                shared, whole = _shared_and_whole(x, fresh)
+                assert shared == whole, (diagonal, fresh is ranks)
+        assert _bracket_rank(ExactMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]]), 3, {}) == 3
+
+    def test_repeated_identical_blocks(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        ranks = {}
+        for blocks in (
+            [half, half, third, third, 0, 0],
+            [third, half, third, half, 0, 0],
+        ):
+            x = ExactMatrix([[v if i == j else 0 for j in range(6)]
+                             for i, v in enumerate(blocks)])
+            for fresh in ({}, ranks):
+                assert _shared_and_whole(x, fresh)[0] == _shared_and_whole(x, None)[1]
+        x = block_diag(jordan_block(2, half), jordan_block(2, half), jordan_block(2, half),
+                       ExactMatrix.zeros(2, 2))
+        for fresh in ({}, ranks):
+            shared, whole = _shared_and_whole(x, fresh)
+            assert shared == whole
+        n = x.rows
+        one = {}
+        _bracket_rank(x, n - 1, one)
+        # three equal Jordan blocks and two zero blocks, the last holding n - 1
+        assert len(_components(x.numerators, n)) == 5
+        assert len(one) == 9
 
 
 def _reference_bracket_rank(x, coords):

@@ -467,6 +467,30 @@ class TestJordanStructure:
             with pytest.raises(SpectrumMismatch):
                 jordan_structure(m, short)
 
+    @pytest.mark.parametrize("hints, expected", [
+        # [1, 1]: a repeat found before the spectrum is exhausted
+        ([1, 1, 2], [(1, [2]), (2, [1])]),
+        ([2, 1, 2, 1], [(2, [1]), (1, [2])]),
+        # (a, b) beside (a, -b), and (a, 0) beside a: one key each
+        ([(Fraction(1, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(-3, 2)), 1, 2],
+         [((Fraction(1, 2), Fraction(3, 2)), [1]), (1, [2]), (2, [1])]),
+        ([(1, 0), 1, (1, -0), 2], [(1, [2]), (2, [1])]),
+        ([(2, 0), 2, (1, 0), Fraction(1), 1], [(2, [1]), (1, [2])]),
+    ])
+    def test_repeated_hints(self, hints, expected):
+        # the first occurrence of each eigenvalue fixes its place in the dict
+        m = block_diag(jordan_block(2, 1), jordan_block(1, 2))
+        if isinstance(expected[0][0], tuple):
+            m = block_diag(pair_block(1, Fraction(1, 2), Fraction(3, 2)), m)
+        structure = jordan_structure(m, hints)
+        assert list(structure.items()) == [(k, Partition(p)) for k, p in expected]
+
+    def test_repeated_hints_do_not_count_twice(self):
+        m = block_diag(jordan_block(2, 1), jordan_block(1, 2))
+        for hints in ([1, 1], [1, (1, 0), Fraction(1)]):
+            with pytest.raises(SpectrumMismatch, match="dimension 2 of 3"):
+                jordan_structure(m, hints)
+
     def test_roundtrip_all_small_partitions(self):
         for weight in range(1, 7):
             for p in partitions_of_weight(weight):

@@ -46,6 +46,8 @@ CASES = {
     "verify_corpus": ["verify", "--corpus", "3", "--field", "R", "--conjugations", "5"],
     "classify_mixed_denominators": ["classify", "@mixed_denominators.json", "--certificate"],
     "verify_corpus_complex": ["verify", "--corpus", "4", "--field", "C", "--conjugations", "5"],
+    "moment_geometry_north_star": ["moment", "@north_star.json", "--geometry"],
+    "moment_geometry_repeated_parts": ["moment", "@repeated_parts.json", "--geometry"],
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from mirabolic import (
     realize_normal_form,
     symbolic_image,
 )
-from mirabolic.corpus import compositions
+from mirabolic.corpus import complex_corpus, compositions, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
 from conftest import orbit
@@ -220,6 +222,18 @@ class TestGeometry:
         for o in complex_corpus_4[::13] + real_corpus_4[::13]:
             report = check_geometry(o)
             assert report.ok, (o, report.failures)
+
+    def test_reports_are_pinned_to_size_six(self):
+        # every orbit of both size-6 corpora; the digest covers each
+        # selection's images, verdict and stabilizer dimensions
+        reports = [check_geometry(o) for o in complex_corpus(6)]
+        reports += [check_geometry(o) for o in real_corpus(6, require_pair=False)]
+        assert len(reports) == 1669
+        for report in reports:
+            assert report.ok, (report.orbit, report.failures)
+        payload = json.dumps([report.to_json() for report in reports])
+        assert hashlib.sha256(payload.encode()).hexdigest() == (
+            "d6f6b936d24542d3ba0419b704572f9d21b86cb15c15fac926ede5d9f2df1bb8")
 
 
 class TestFiberStabilizers:
