@@ -21,19 +21,21 @@ pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the pair off
 the real quadratic (x - a)^2 + b^2).
 
 The stabilizer dimensions rank the bracket map Y -> [x, Y].  The public
-stabilizer_dim and point_stabilizer_dim eliminate its whole matrix.  A
-caller that ranks many matrices made of the same blocks (check_geometry,
-over the normal forms of one orbit) passes a dict to the private
-_stabilizer_dim instead: [x, E_ij] lives in the rows of i's block and the
-columns of j's block, so the map splits over ordered pairs of blocks, and
-each pair is ranked once per key of its two blocks' integer rows.
+stabilizer_dim and point_stabilizer_dim eliminate its whole matrix.  The
+normal forms of one orbit are made of the same few blocks, and their datum
+names them, so check_geometry ranks them through the private
+_normal_form_stabilizer_dim instead: [x, E_ij] lives in the rows of i's
+block and the columns of j's block, so the map splits over ordered pairs of
+blocks.  A block's kind is its size and eigenvalue, or the nilpotent tail of
+its depth; each pair of kinds is ranked once, and counts once per pair of
+copies.
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exact_linalg import (
     ExactMatrix,
@@ -48,7 +50,9 @@ from .exact_linalg import (
 from .orbit_model import (
     MirabolicOrbitDatum,
     OrbitDatum,
+    jordan_block,
     orbit_from_matrix,
+    pair_block,
 )
 
 __all__ = [
@@ -218,36 +222,14 @@ def certificate_holds(
     return recognized == datum.a_part
 
 
-def _components(rows: list, n: int) -> list:
-    """The blocks of an n x n matrix given by its sparse rows: the connected
-    components of the graph on 0..n-1 with an edge r - c for each nonzero
-    entry (r, c), each an ascending index list, ordered by least index."""
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for r, row in enumerate(rows):
-        for c in row:
-            a, b = root(r), root(c)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    blocks = {}
-    for i in range(n):
-        blocks.setdefault(root(i), []).append(i)
-    return list(blocks.values())
-
-
 def _bracket_rows(rows: list, a: Sequence[int], b: Sequence[int], columns: int) -> list:
     """Sparse integer rows of Y -> [d*x, Y] on the E_ij with i in a, i < n - 1
     and j in b, read at (r, c) in a x b with c < columns, for the n rows of
     d*x and ascending index lists a and b.
 
     Each E_ij puts column i of d*x into column j and minus row j of d*x into
-    row i.  When a and b are blocks (_components), both land in a x b; with
-    a = b = range(n) the rows are those of the whole bracket map.
+    row i.  When a and b are blocks, both land in a x b; with a = b =
+    range(n) the rows are those of the whole bracket map.
     """
     n = len(rows)
     cols = {i: {} for i in a}
@@ -272,48 +254,61 @@ def _bracket_rows(rows: list, a: Sequence[int], b: Sequence[int], columns: int) 
     return brackets
 
 
-def _bracket_rank(x: ExactMatrix, columns: int, ranks: Optional[dict] = None) -> int:
+def _bracket_rank(x: ExactMatrix, columns: int) -> int:
     """Rank of Y -> [x, Y] on the mirabolic algebra, read in columns 0..columns-1,
     for columns n - 1 or n.
 
     The mirabolic algebra is spanned by E_ij over all rows i but the last;
     the rank is that of the integer rows of [d*x, E_ij], with d the common
-    denominator of x, which scales no rank.  Without ranks the whole matrix
-    is eliminated.  With a dict ranks, which the caller keeps for as long as
-    it likes, the map is split over the ordered pairs (A, B) of blocks of x:
-    [x, E_ij] with i in A and j in B lives in A x B, so the rank is the sum
-    of the parts' ranks.  A part is fixed by the integer rows of A and of B
-    relabelled in index order, whether each holds index n - 1 (no E_ij with
-    i = n - 1, and the column n - 1 that columns may leave out) and
-    columns < n; ranks maps that key to the part's rank, and a part is
-    eliminated only when its key is new.
+    denominator of x, which scales no rank.
     """
-    n = x.rows
-    rows = x.numerators
-    if ranks is None:
-        return integer_rank(_bracket_rows(rows, range(n), range(n), columns))
-    blocks = _components(rows, n)
-    keys = []
-    for block in blocks:
-        at = {r: k for k, r in enumerate(block)}
-        relabelled = tuple(frozenset((at[c], v) for c, v in rows[r].items()) for r in block)
-        keys.append((relabelled, block[-1] == n - 1))
-    short = columns < n
+    if not x.is_square():
+        raise ValueError("a stabilizer dimension needs a square matrix")
+    return integer_rank(_bracket_rows(x.numerators, range(x.rows), range(x.rows), columns))
+
+
+def _normal_form_stabilizer_dim(datum: MirabolicOrbitDatum, ranks: dict) -> int:
+    """stabilizer_dim(realize_normal_form(datum)), read off the datum's blocks.
+
+    The blocks are l copies of jordan_block(k, re) or pair_block(k, re, im)
+    per run (k, l) of each class, then the tail jordan_block(depth, 0),
+    which alone holds index n - 1.  The rank splits over ordered pairs of
+    blocks, and a pair's part (_bracket_rows on the two blocks alone) depends
+    only on their kinds: two copies of one block give the block with itself.
+    ranks, kept by the caller as long as it likes, maps each kind to a small
+    id and one block of it, and each ordered pair of ids to its part's rank.
+    """
+    kinds = [((k, cls.re, cls.im), l) for cls in datum.a_part.classes
+             for k, l in cls.partition.runs_ascending()]
+    kinds.append(((datum.depth,), 1))
+    blocks = []
+    for kind, l in kinds:
+        entry = ranks.get(kind)
+        if entry is None:
+            k, re, im = kind if len(kind) == 3 else kind + (0, None)
+            block = jordan_block(k, re) if im is None else pair_block(k, re, im)
+            entry = ranks[kind] = (len(ranks), block)  # ids grow with ranks
+        blocks.append(entry + (l,))
+    tail = blocks[-1][0]
     total = 0
-    for a, key_a in zip(blocks, keys):
-        for b, key_b in zip(blocks, keys):
-            key = (key_a, key_b, short)
-            part = ranks.get(key)
+    for ia, a, la in blocks:
+        for ib, b, lb in blocks:
+            part = ranks.get((ia, ib))
             if part is None:
-                part = ranks[key] = integer_rank(_bracket_rows(rows, a, b, columns))
-            total += part
-    return total
-
-
-def _stabilizer_dim(x: ExactMatrix, ranks: Optional[dict] = None) -> int:
-    """stabilizer_dim, with the block-pair ranks of _bracket_rank kept in ranks."""
-    n = x.rows
-    return n * (n - 1) - _bracket_rank(x, n - 1, ranks)
+                # the tail goes last, where it holds index n - 1 and the
+                # column left unread; a head pair gets an empty last row
+                if ia == ib:
+                    pair, at, bt = [a], 0, 0
+                elif ia == tail:
+                    pair, at, bt = [b, a], b.rows, 0
+                else:
+                    pair, at, bt = [a, b], 0, a.rows
+                rows = block_diag(*pair).numerators + ([] if tail in (ia, ib) else [{}])
+                part = ranks[ia, ib] = integer_rank(_bracket_rows(
+                    rows, range(at, at + a.rows), range(bt, bt + b.rows), len(rows) - 1))
+            total += la * lb * part
+    n = datum.size
+    return n * (n - 1) - total
 
 
 def stabilizer_dim(x: ExactMatrix) -> int:
@@ -324,7 +319,8 @@ def stabilizer_dim(x: ExactMatrix) -> int:
     last column.  Counted over the entry field (real dimension over R,
     complex over C).
     """
-    return _stabilizer_dim(x)
+    n = x.rows
+    return n * (n - 1) - _bracket_rank(x, n - 1)
 
 
 def point_stabilizer_dim(z: ExactMatrix) -> int:

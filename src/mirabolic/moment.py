@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from .classify import (
     _conjugate_step,
-    _stabilizer_dim,
+    _normal_form_stabilizer_dim,
     classify,
     point_stabilizer_dim,
     stabilizer_dim,
@@ -36,7 +36,6 @@ from .orbit_model import (
     MirabolicOrbitDatum,
     OrbitDatum,
     project_to_p_star,
-    realize_normal_form,
     realize_orbit,
 )
 from .partitions import Partition
@@ -148,9 +147,12 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
 
     Each selection's moved point is formed once and feeds the oracle and,
     at the dense selection, both of its stabilizers, which rank the whole
-    bracket matrix.  The normal forms of one orbit are built from nearly
-    the same blocks, so their stabilizers share one dict of block-pair
-    ranks (classify._bracket_rank) that lives as long as this call.
+    bracket matrix.  The image stabilizers are read off each symbolic
+    normal form's blocks without building its matrix: the normal forms of
+    one orbit hold the same few kinds of block (a size and an eigenvalue,
+    or the tail of one depth), so one dict that lives as long as this call
+    gives each kind an id and ranks each ordered pair of kinds once
+    (classify._normal_form_stabilizer_dim).
     """
     selections = enumerate_selections(orbit)
     dense = dense_selection(orbit)
@@ -169,7 +171,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
         agree = sym == orc
         if not agree:
             failures.append("symbolic/oracle disagree at %r" % (sel.to_json(),))
-        stab = _stabilizer_dim(realize_normal_form(sym), ranks)
+        stab = _normal_form_stabilizer_dim(sym, ranks)
         record = {
             "selection": sel.to_json(),
             "symbolic": sym.to_json(),

@@ -26,7 +26,7 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
-from mirabolic.classify import _bracket_rank, _completion, _components, _conjugate_step
+from mirabolic.classify import _completion, _conjugate_step, _normal_form_stabilizer_dim
 
 from conftest import eliminate, example_27_matrix, orbit
 from test_acceptance import normal_form_corpus
@@ -256,22 +256,30 @@ class TestStabilizer:
     def test_point_stabilizer_on_zero(self):
         assert point_stabilizer_dim(ExactMatrix.zeros(3, 3)) == 6
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_non_square_is_refused(self, shape):
+        x = ExactMatrix.zeros(*shape)
+        with pytest.raises(ValueError, match="square"):
+            stabilizer_dim(x)
+        with pytest.raises(ValueError, match="square"):
+            point_stabilizer_dim(x)
 
-def _shared_and_whole(x, ranks):
-    """(stabilizer, point stabilizer) of x through the shared block-pair
-    ranks, and the same pair from the whole bracket matrix."""
-    n = x.rows
-    shared = [n * (n - 1) - _bracket_rank(x, columns, ranks) for columns in (n - 1, n)]
-    return shared, [stabilizer_dim(x), point_stabilizer_dim(x)]
+
+def _shared_and_whole(datum, ranks):
+    """The stabilizer of a normal form through the block-pair ranks kept in
+    ranks, then from its whole bracket matrix, then by the closed law."""
+    law = gl_centralizer_dim(datum.a_part) + datum.size - datum.depth
+    return (_normal_form_stabilizer_dim(datum, ranks),
+            stabilizer_dim(realize_normal_form(datum)), law)
+
+
+def _pair_ranks(ranks):
+    """The entries of a block-pair dict that rank a pair of kinds; the rest
+    give each kind its id."""
+    return [key for key in ranks if len(key) == 2]
 
 
 class TestBlockPairRanks:
-    def test_components(self):
-        x = ExactMatrix([[0, 0, 1, 0], [0, 5, 0, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
-        assert _components(x.numerators, 4) == [[0, 2, 3], [1]]
-        assert _components(ExactMatrix.zeros(3, 3).numerators, 3) == [[0], [1], [2]]
-        assert _components(example_27_matrix(4).numerators, 4) == [[0, 1, 2, 3]]
-
     def test_one_dict_across_the_size_six_normal_forms(self):
         # both fields, denominators 1, 2 (the pair pool) and 2, 3, 6 (the
         # fractional heads), all through one dict
@@ -285,51 +293,54 @@ class TestBlockPairRanks:
         ranks = {}
         pairs = 0
         for datum in forms:
-            x = realize_normal_form(datum)
-            shared, whole = _shared_and_whole(x, ranks)
-            law = gl_centralizer_dim(datum.a_part) + datum.size - datum.depth
-            assert shared == whole and shared[0] == law, datum
-            pairs += 2 * len(_components(x.numerators, x.rows)) ** 2
+            shared, whole, law = _shared_and_whole(datum, ranks)
+            assert shared == whole == law, datum
+            blocks = 1 + sum(l for cls in datum.a_part.classes
+                             for _, l in cls.partition.runs_ascending())
+            pairs += blocks ** 2
         assert len(forms) == 1105
-        assert 5 * len(ranks) < pairs, (len(ranks), pairs)  # most block pairs repeat
+        assert 5 * len(_pair_ranks(ranks)) < pairs, (len(ranks), pairs)  # most block pairs repeat
 
-    def test_keys_that_differ_only_in_the_last_index_or_columns(self):
-        # diag(1, 2, 1): blocks {0} and {2} have the same rows, but E_21 is
-        # not in the algebra, so ({0}, {1}) has rank 1 and ({2}, {1}) rank 0.
-        # diag(1, 2, 0): ({0}, {2}) has rank 1 only when column 2 is read.
+    def test_tail_pairs_and_head_pairs_are_keyed_apart(self):
+        # depth 1 over C {2: [1], 0: [1]} is diag(2, 0, 0): the head block
+        # {1} and the tail {2} have the same matrix, but E_21 is not in the
+        # algebra, so ({1}, {0}) has rank 1 and ({2}, {0}) rank 0.  Over
+        # C {2: [1], 1: [1]}, ({0}, {1}) has rank 1 and ({0}, {0}) rank 0.
+        forms = [MirabolicOrbitDatum(depth, head)
+                 for head in (orbit(COMPLEX, (2, [1])), orbit(COMPLEX, (2, [1]), (0, [1])),
+                              orbit(COMPLEX, (2, [1]), (1, [1])), orbit(COMPLEX, (0, [2])),
+                              orbit(REAL, (0, 1, [1])), orbit(REAL, (0, [2]), (0, 1, [1])))
+                 for depth in (1, 2)]
+        for order in (forms, forms[::-1]):
+            ranks = {}
+            for datum in order:
+                for fresh in ({}, ranks):
+                    shared, whole, law = _shared_and_whole(datum, fresh)
+                    assert shared == whole == law, (datum, fresh is ranks)
         ranks = {}
-        for diagonal in ([1, 2, 1], [2, 1, 2], [1, 2, 0], [0, 2, 1], [1, 1, 0]):
-            x = ExactMatrix([[v if i == j else 0 for j in range(3)]
-                             for i, v in enumerate(diagonal)])
-            for fresh in ({}, ranks):
-                shared, whole = _shared_and_whole(x, fresh)
-                assert shared == whole, (diagonal, fresh is ranks)
-        # 4 if ({0}, {1}) and ({2}, {1}) shared a key
-        assert _bracket_rank(ExactMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]]), 3, {}) == 3
+        _normal_form_stabilizer_dim(MirabolicOrbitDatum(1, orbit(COMPLEX, (2, [1]))), ranks)
+        # 5 if ({1}, {0}) reused the rank of the tail's ({1}, {0}) in diag(2, 0)
+        assert _normal_form_stabilizer_dim(
+            MirabolicOrbitDatum(1, orbit(COMPLEX, (2, [1]), (0, [1]))), ranks) == 4
 
     def test_repeated_identical_blocks(self):
-        half, third = Fraction(1, 2), Fraction(1, 3)
+        # diag(1/2, 1/2, 1/3, 1/3, 0, 0), then three equal Jordan blocks
+        # beside a zero head block and the zero tail
         ranks = {}
-        for blocks in (
-            [half, half, third, third, 0, 0],
-            [third, half, third, half, 0, 0],
+        for datum in (
+            MirabolicOrbitDatum(1, orbit(COMPLEX, ("1/2", [1, 1]), ("1/3", [1, 1]), (0, [1]))),
+            MirabolicOrbitDatum(2, orbit(COMPLEX, ("1/2", [1, 1]), ("1/3", [1, 1]))),
+            MirabolicOrbitDatum(1, orbit(COMPLEX, ("1/2", [2, 2, 2]), (0, [1]))),
+            MirabolicOrbitDatum(1, orbit(REAL, (0, 1, [1, 1]), (0, 2, [1, 1, 1]))),
         ):
-            x = ExactMatrix([[v if i == j else 0 for j in range(6)]
-                             for i, v in enumerate(blocks)])
             for fresh in ({}, ranks):
-                shared, whole = _shared_and_whole(x, fresh)
-                assert shared == whole
-        x = block_diag(jordan_block(2, half), jordan_block(2, half), jordan_block(2, half),
-                       ExactMatrix.zeros(2, 2))
-        for fresh in ({}, ranks):
-            shared, whole = _shared_and_whole(x, fresh)
-            assert shared == whole
-        n = x.rows
+                shared, whole, law = _shared_and_whole(datum, fresh)
+                assert shared == whole == law, datum
         one = {}
-        _bracket_rank(x, n - 1, one)
-        # three equal Jordan blocks and two zero blocks, the last holding n - 1
-        assert len(_components(x.numerators, n)) == 5
-        assert len(one) == 9
+        _normal_form_stabilizer_dim(
+            MirabolicOrbitDatum(1, orbit(COMPLEX, ("1/2", [2, 2, 2]), (0, [1]))), one)
+        # five blocks of three kinds: each ordered pair of kinds once
+        assert len(one) == 3 + 9 and len(_pair_ranks(one)) == 9
 
 
 def _reference_bracket_rank(x, coords):

@@ -616,3 +616,13 @@ class TestFuzz:
     def test_attach_and_restrict(self, fuzz_path, text, command, signs):
         fuzz_path.write_text(text, encoding="utf-8")
         _run_in_process(fuzz_path, [command] + signs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(_orbit_specs().map(json.dumps), _texts),
+        st.sampled_from([["enumerate"], ["moment"], ["moment", "--all", "--oracle"],
+                         ["moment", "--geometry"]]),
+    )
+    def test_enumerate_and_moment(self, fuzz_path, text, argv):
+        fuzz_path.write_text(text, encoding="utf-8")
+        _run_in_process(fuzz_path, argv)
