@@ -16,7 +16,7 @@ from .exact_linalg import (
     jordan_structure,
     rank,
 )
-from .partitions import EmptyPartitionError, Partition, partitions_of_weight
+from .partitions import Partition, partitions_of_weight
 from .orbit_model import (
     COMPLEX,
     REAL,
@@ -46,7 +46,6 @@ from .enumeration import (
     enumerate_selections,
     selection_conjugator,
     selection_positions,
-    selection_vector,
 )
 from .moment import (
     GeometryReport,

@@ -14,21 +14,24 @@ Each step is an O(s^2) rank-one update of those rows over the denominator
 d^2 * beta_p (scaling by the pivot beta_p of the restriction row instead of
 dividing by it), after which one gcd is divided out.  Rows are combined
 only by exact_linalg's kernels (_combination, _integer_matmul, block_diag,
-ExactMatrix + and *); _bracket_rows alone builds its rows inline, because
-it is the inner loop of the stabilizer ranks.  The head block is
-identified from eigenvalue hints, a rational r for a real eigenvalue and a
-pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the pair off
-the real quadratic (x - a)^2 + b^2).
+ExactMatrix + and *); _bracket_rows and stabilizer_dim alone build their
+rows inline, because they are the inner loops of the stabilizer ranks.  The
+head block is identified from eigenvalue hints, a rational r for a real
+eigenvalue and a pair (a, b) for a +- ib (exact_linalg.jordan_structure
+reads the pair off the real quadratic (x - a)^2 + b^2).
 
-The stabilizer dimensions rank the bracket map Y -> [x, Y].  The public
-stabilizer_dim and point_stabilizer_dim eliminate its whole matrix.  The
-normal forms of one orbit are made of the same few blocks, and their datum
-names them, so check_geometry ranks them through the private
-_normal_form_stabilizer_dim instead: [x, E_ij] lives in the rows of i's
-block and the columns of j's block, so the map splits over ordered pairs of
-blocks.  A block's kind is its size and eigenvalue, or the nilpotent tail of
-its depth; each pair of kinds is ranked once, and counts once per pair of
-copies.
+point_stabilizer_dim ranks the whole matrix of the bracket map
+Y -> [x, Y].  stabilizer_dim ranks a smaller system instead: the last row
+of x, short of its corner, confines the upper-left block of a stabilizing
+Y to the kernel of that row and then fixes Y's last column, so only
+(n-1)(n-2) unknowns are eliminated ((n-1)^2 when the row vanishes and the
+last column is free).  The normal forms of one orbit are made of the same
+few blocks, and their datum names them, so check_geometry ranks their
+stabilizers through the private _normal_form_stabilizer_dim: [x, E_ij]
+lives in the rows of i's block and the columns of j's block, so the
+bracket map splits over ordered pairs of blocks.  A block's kind is its
+size and eigenvalue, or the nilpotent tail of its depth; each pair of kinds
+is ranked once, and counts once per pair of copies.
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
@@ -254,19 +257,6 @@ def _bracket_rows(rows: list, a: Sequence[int], b: Sequence[int], columns: int) 
     return brackets
 
 
-def _bracket_rank(x: ExactMatrix, columns: int) -> int:
-    """Rank of Y -> [x, Y] on the mirabolic algebra, read in columns 0..columns-1,
-    for columns n - 1 or n.
-
-    The mirabolic algebra is spanned by E_ij over all rows i but the last;
-    the rank is that of the integer rows of [d*x, E_ij], with d the common
-    denominator of x, which scales no rank.
-    """
-    if not x.is_square():
-        raise ValueError("a stabilizer dimension needs a square matrix")
-    return integer_rank(_bracket_rows(x.numerators, range(x.rows), range(x.rows), columns))
-
-
 def _normal_form_stabilizer_dim(datum: MirabolicOrbitDatum, ranks: dict) -> int:
     """stabilizer_dim(realize_normal_form(datum)), read off the datum's blocks.
 
@@ -318,19 +308,72 @@ def stabilizer_dim(x: ExactMatrix) -> int:
     trivially with the whole algebra, i.e. when [x, Y] vanishes outside the
     last column.  Counted over the entry field (real dimension over R,
     complex over C).
+
+    With m = n - 1, d*x = [[A, .], [c, .]] (the last column is never read)
+    and Y = [[U, w], [0, 0]], that is [A, U] = w*c and c*U = 0.  For c != 0
+    the columns of U lie in ker c, spanned by the columns c_p*e_q - c_q*e_p
+    (q != p) of an integer m x (m - 1) matrix K, with p the last nonzero
+    column of c (the first ranks the dense geometry points more slowly).
+    So U = K*V, and a w with [A, U] = w*c exists, and is unique, exactly
+    when [A, U]*K = 0, that is A*K*V*K = K*V*A*K.  For c = 0, K = I and w
+    is free.  Only the (m - 1)*m or m*m entries of V are eliminated, not
+    all n*(n - 1) of Y.
     """
-    n = x.rows
-    return n * (n - 1) - _bracket_rank(x, n - 1)
+    if not x.is_square():
+        raise ValueError("a stabilizer dimension needs a square matrix")
+    m = x.rows - 1
+    if m < 1:
+        return 0
+    rows = [{j: v for j, v in row.items() if j < m} for row in x.numerators]
+    c = rows.pop()
+    if c:
+        p = max(c)
+        kcols = [{q: c[p], p: -c[q]} if q in c else {q: c[p]} for q in range(m) if q != p]
+    else:
+        kcols = [{q: 1} for q in range(m)]
+    k = len(kcols)
+    krows = [{} for _ in range(m)]
+    for a, col in enumerate(kcols):
+        for r, u in col.items():
+            krows[r][a] = u
+    akrows = _integer_matmul(rows, krows)
+    akcols = [{} for _ in range(k)]
+    for r, row in enumerate(akrows):
+        for a, u in row.items():
+            akcols[a][r] = u
+    # row (a, b) of V -> A*K*V*K - K*V*A*K is (AK)[:, a] (x) K[b, :] minus
+    # K[:, a] (x) (AK)[b, :], read at (r, s) as r*k + s
+    brackets = []
+    for a in range(k):
+        for b in range(m):
+            entries = {}
+            for r, u in akcols[a].items():
+                for s, v in krows[b].items():
+                    entries[r * k + s] = u * v
+            for r, u in kcols[a].items():
+                for s, v in akrows[b].items():
+                    key = r * k + s
+                    w = entries.get(key, 0) - u * v
+                    if w:
+                        entries[key] = w
+                    else:
+                        del entries[key]
+            brackets.append(entries)
+    return k * m - integer_rank(brackets) + (0 if c else m)
 
 
 def point_stabilizer_dim(z: ExactMatrix) -> int:
     """Dimension of the mirabolic stabilizer of the full coadjoint point pr(z).
 
     Here the vanishing is required against the whole matrix algebra, so the
-    condition is [z, Y] = 0.
+    condition is [z, Y] = 0: the rank is that of the integer rows of
+    [d*z, E_ij] over the mirabolic basis (all rows i but the last), with d
+    the common denominator of z, which scales no rank.
     """
+    if not z.is_square():
+        raise ValueError("a stabilizer dimension needs a square matrix")
     n = z.rows
-    return n * (n - 1) - _bracket_rank(z, n)
+    return n * (n - 1) - integer_rank(_bracket_rows(z.numerators, range(n), range(n), n))
 
 
 def gl_centralizer_dim(orbit: OrbitDatum) -> int:

@@ -21,7 +21,7 @@ are the nonempty antichains of the Dutta-Prasad poset of the partition
 from __future__ import annotations
 
 from itertools import product
-from typing import List, Tuple
+from typing import List
 
 from .classify import _completion
 from .exact_linalg import ExactMatrix
@@ -31,7 +31,6 @@ __all__ = [
     "IndexSelection",
     "enumerate_selections",
     "selection_positions",
-    "selection_vector",
     "selection_conjugator",
 ]
 
@@ -174,13 +173,6 @@ def selection_positions(orbit: OrbitDatum, selection: IndexSelection) -> List[in
             positions.append(offsets[cls_idx] + prefix[i] + k * (c * l - 1) + x)
     positions.sort()
     return positions
-
-
-def selection_vector(orbit: OrbitDatum, selection: IndexSelection) -> Tuple[int, ...]:
-    """0/1 vector of length n with ones at the selection's positions."""
-    n = orbit.size
-    ones = set(selection_positions(orbit, selection))
-    return tuple(1 if (i + 1) in ones else 0 for i in range(n))
 
 
 def selection_conjugator(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:

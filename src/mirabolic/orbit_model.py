@@ -207,9 +207,6 @@ class OrbitDatum:
     def real_classes(self) -> List[EigenvalueClass]:
         return [c for c in self.classes if not c.is_pair]
 
-    def pair_classes(self) -> List[EigenvalueClass]:
-        return [c for c in self.classes if c.is_pair]
-
     def to_json(self) -> dict:
         return {"field": self.field, "classes": [c.to_json() for c in self.classes]}
 

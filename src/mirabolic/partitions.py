@@ -1,4 +1,4 @@
-"""Integer partitions: duals, largest-part removal, exponent notation.
+"""Integer partitions: duals and exponent notation.
 
 A Partition is immutable, so its dual and its ascending runs are each
 computed once, on first use, and kept.
@@ -7,11 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Tuple
 
-__all__ = ["Partition", "EmptyPartitionError", "partitions_of_weight"]
-
-
-class EmptyPartitionError(Exception):
-    """Raised when removing a part from the empty partition."""
+__all__ = ["Partition", "partitions_of_weight"]
 
 
 class Partition:
@@ -81,12 +77,6 @@ class Partition:
             # column counts of a diagram are positive and weakly decreasing
             self._dual = Partition._canonical(tuple(counts))
         return self._dual
-
-    def remove_largest_part(self) -> "Partition":
-        """Drop one copy of the largest part."""
-        if not self._parts:
-            raise EmptyPartitionError("cannot remove a part from the empty partition")
-        return Partition._canonical(self._parts[1:])
 
     def runs(self) -> Tuple[Tuple[int, int], ...]:
         """Distinct part sizes with multiplicities, sizes descending."""

@@ -65,6 +65,12 @@ def eliminate(rows: list, ncols: int) -> list:
     return pivots
 
 
+def without_largest_part(p: Partition) -> Partition:
+    """p with one copy of its largest part dropped; the reference for the
+    largest-part decrement identity and the dense image of a unipotent orbit."""
+    return Partition(list(p)[1:])
+
+
 def orbit(field, *classes):
     """orbit('C', (0, [2,1]), ...) or ('R', (0, '1/2', [1]), ...) for pairs."""
     built = []

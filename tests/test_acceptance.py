@@ -37,7 +37,7 @@ from mirabolic import (
 from mirabolic.corpus import complex_corpus, compositions, random_mirabolic, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
-from conftest import example_27_matrix, orbit
+from conftest import example_27_matrix, orbit, without_largest_part
 from test_rep_theory import _random_labels
 
 
@@ -199,7 +199,7 @@ def test_criterion_09_partition_laws():
             d = p.dual()
             assert d.dual() == p
             if p:
-                assert p.remove_largest_part().dual() == Partition([t - 1 for t in d])
+                assert without_largest_part(p).dual() == Partition([t - 1 for t in d])
             checked += 1
     report(9, "dual involution and the largest-part decrement identity hold for "
               "all %d partitions of weight <= 12" % checked)

@@ -343,6 +343,19 @@ class TestBlockPairRanks:
         assert len(one) == 3 + 9 and len(_pair_ranks(one)) == 9
 
 
+def _fractional_levi(n, rng, shuffle):
+    """diag(D, 1) for a random diagonal D of nonzero fractions, with its rows
+    shuffled when shuffle is set."""
+    order = list(range(n - 1))
+    if shuffle:
+        rng.shuffle(order)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in enumerate(order):
+        rows[i][j] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+    rows[n - 1][n - 1] = Fraction(1)
+    return ExactMatrix(rows)
+
+
 def _reference_bracket_rank(x, coords):
     """The Fraction bracket matrix of Y -> [x, Y], ranked by Gaussian elimination.
 
@@ -381,6 +394,62 @@ class TestStabilizerAgainstScalarReference:
                 assert stabilizer_dim(x) == basis - _reference_bracket_rank(x, coords), o
                 coords = [(r, c) for r in range(n) for c in range(n)]
                 assert point_stabilizer_dim(z) == basis - _reference_bracket_rank(z, coords), o
+
+    def test_seeded_sweep_to_size_six(self):
+        # stabilizer_dim ranks a reduced system in the kernel of the last row
+        # c; the Fraction bracket matrix shares nothing with it.  Normal forms
+        # conjugated by random mirabolic and fractional Levi elements give
+        # c = 0 (depth 1) and dense fractional c (depth > 1); conjugating by
+        # a shuffled fractional diagonal instead moves the single entry of a
+        # normal form's c off the last place.  The last column is filled at
+        # random, and must not be read.
+        rng = random.Random(1606)
+        forms = normal_forms(6) + normal_forms(6, REAL, require_pair=False)
+        sample = []
+        for n in range(2, 7):
+            for deep in (False, True):
+                some = [datum for datum in forms if datum.size == n and (datum.depth > 1) == deep]
+                sample += rng.sample(some, min(6, len(some)))
+        kinds = {"zero": 0, "single": 0, "dense": 0}
+        for datum in sample:
+            n = datum.size
+            x = realize_normal_form(datum)
+            for shuffle in (False, True):
+                g = _fractional_levi(n, rng, shuffle)
+                if not shuffle:
+                    g = random_mirabolic(n, rng) * g
+                rows = [list(row) for row in (g * x * inverse(g)).data]
+                for row in rows:
+                    row[-1] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                y = ExactMatrix(rows)
+                c = [v for v in rows[-1][:-1] if v]
+                kinds["zero" if not c else "single" if len(c) == 1 else "dense"] += 1
+                coords = [(r, col) for r in range(n) for col in range(n - 1)]
+                expected = n * (n - 1) - _reference_bracket_rank(y, coords)
+                assert expected == gl_centralizer_dim(datum.a_part) + n - datum.depth, datum
+                assert stabilizer_dim(y) == expected, (datum, shuffle)
+        assert min(kinds.values()) >= 20, kinds
+        for n in (0, 1):
+            assert stabilizer_dim(ExactMatrix.zeros(n, n)) == 0
+        assert stabilizer_dim(ExactMatrix([[Fraction(5, 3)]])) == 0
+
+    def test_last_column_is_not_read(self):
+        # the last column pairs with nothing in the mirabolic algebra; the
+        # functional of [[1, 2, 5], [0, 3, 7], [4, 1, 9]] is regular
+        x = ExactMatrix([[1, 2, 5], [0, 3, 7], [4, 1, 9]])
+        coords = [(r, c) for r in range(3) for c in range(2)]
+        assert stabilizer_dim(x) == 6 - _reference_bracket_rank(x, coords) == 0
+        rng = random.Random(77)
+        for n in range(2, 7):
+            for _ in range(25):
+                rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
+                         else Fraction(0) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.3:
+                    rows[-1][:-1] = [Fraction(0)] * (n - 1)
+                for row in rows:
+                    row[-1] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                x = ExactMatrix(rows)
+                assert stabilizer_dim(x) == stabilizer_dim(project_to_p_star(x)), rows
 
     def test_gaussian_entry_is_refused(self):
         # a non-rational entry cannot reach the bracket rank: the matrix refuses it

@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirabolic import orbit_model
+from mirabolic import MirabolicOrbitDatum, moment, orbit_model
+
+from conftest import orbit
 from mirabolic.cli import main
 
 
@@ -187,6 +189,20 @@ class TestEnumerateAndMoment:
         payload = json.loads(out)
         assert code == 0
         assert payload["ok"] is True
+
+    def test_moment_geometry_fails_on_a_disagreement(self, tmp_path, capsys, monkeypatch):
+        # a wrong symbolic image at one selection, which no other check sees
+        path = write_json(tmp_path, "rs.json", RS2)
+        real = moment.symbolic_image
+        wrong = MirabolicOrbitDatum(1, orbit("C", (3, [1])))
+        monkeypatch.setattr(moment, "symbolic_image",
+                            lambda o, s: wrong if s.to_json() == {"1": {"0": 1}} else real(o, s))
+        code, out, _ = run(capsys, "moment", path, "--geometry")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["ok"] is False
+        assert [r["agree"] for r in payload["records"]].count(False) == 1
+        assert payload["injective"] and payload["dense_minimal"] and payload["fiber_singleton"]
 
     def test_moment_geometry_with_a_selection_flag_is_an_input_error(self, tmp_path, capsys):
         # --geometry checks every selection with the oracle, so these would be ignored

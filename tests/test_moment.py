@@ -15,6 +15,7 @@ from mirabolic import (
     check_geometry,
     dense_selection,
     enumerate_selections,
+    moment,
     oracle_image,
     point_stabilizer_dim,
     realize_normal_form,
@@ -23,7 +24,7 @@ from mirabolic import (
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
-from conftest import orbit
+from conftest import orbit, without_largest_part
 
 
 class TestDenseSelection:
@@ -65,7 +66,7 @@ class TestSymbolicImage:
                 o = orbit(COMPLEX, (0, list(p)))
                 img = symbolic_image(o, dense_selection(o))
                 assert img.depth == p.largest()
-                removed = p.remove_largest_part()
+                removed = without_largest_part(p)
                 if removed:
                     assert img.a_part == orbit(COMPLEX, (0, list(removed)))
                 else:
@@ -222,6 +223,33 @@ class TestGeometry:
         for o in complex_corpus_4[::13] + real_corpus_4[::13]:
             report = check_geometry(o)
             assert report.ok, (o, report.failures)
+
+    def test_a_disagreement_fails_the_report(self, monkeypatch):
+        # one image is replaced by a normal form that is no image at all, so
+        # the images stay distinct and the dense one stays the strict
+        # minimum (2 against 0): only the oracle agreement fails
+        o = orbit(COMPLEX, (1, [1]), (0, [1]))
+        target = next(s for s in enumerate_selections(o) if s != dense_selection(o))
+        wrong = MirabolicOrbitDatum(1, orbit(COMPLEX, (3, [1])))
+        real = moment.symbolic_image
+        monkeypatch.setattr(moment, "symbolic_image",
+                            lambda o, s: wrong if s == target else real(o, s))
+        report = check_geometry(o)
+        assert report.injective and report.dense_minimal and report.fiber_singleton
+        assert report.failures == ["symbolic/oracle disagree at %r" % (target.to_json(),)]
+        assert not report.ok and report.to_json()["ok"] is False
+
+    def test_a_changed_dense_stabilizer_fails_the_report(self, monkeypatch):
+        # both dense stabilizers one too large: the fiber is still a
+        # singleton and the dense image still the minimum (1 against 2),
+        # but the moved point no longer matches its normal form
+        o = orbit(COMPLEX, (1, [1]), (0, [1]))
+        for name in ("stabilizer_dim", "point_stabilizer_dim"):
+            monkeypatch.setattr(moment, name, lambda x, f=getattr(moment, name): f(x) + 1)
+        report = check_geometry(o)
+        assert report.injective and report.dense_minimal and report.fiber_singleton
+        assert report.failures == ["stabilizer dimension changed under conjugation: 1 vs 0"]
+        assert not report.ok
 
     def test_reports_are_pinned_to_size_six(self):
         # every orbit of both size-6 corpora; the digest covers each

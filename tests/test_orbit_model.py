@@ -298,7 +298,7 @@ class TestRecognition:
         assert jordan_structure(m, hints + flipped) == structure
         # a pair that is not in the spectrum adds nothing, also with the real
         # part of a pair class and half its imaginary part
-        absent = [(c.re, c.im / 2) for c in o.pair_classes()] + [(Fraction(1, 2), 7)]
+        absent = [(c.re, c.im / 2) for c in o.classes if c.is_pair] + [(Fraction(1, 2), 7)]
         assert jordan_structure(m, hints + absent) == structure
 
     def test_structure_roundtrip_complex(self, complex_corpus_4):

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mirabolic import EmptyPartitionError, Partition, partitions_of_weight
+from mirabolic import Partition, partitions_of_weight
+
+from conftest import without_largest_part
 
 part_lists = st.lists(st.integers(min_value=1, max_value=12), max_size=8)
 
@@ -22,14 +24,6 @@ def test_dual_examples():
     assert Partition().dual() == Partition()
 
 
-def test_remove_largest_part():
-    assert Partition([2, 1]).remove_largest_part() == Partition([1])
-    assert Partition([1]).remove_largest_part() == Partition()
-    assert Partition([3, 3, 2]).remove_largest_part() == Partition([3, 2])
-    with pytest.raises(EmptyPartitionError):
-        Partition().remove_largest_part()
-
-
 def test_runs_and_exponent_notation():
     p = Partition([3, 3, 2])
     assert p.runs() == ((3, 2), (2, 1))
@@ -44,7 +38,7 @@ def test_laws_exhaustive_to_weight_12():
             assert d.weight == p.weight
             assert len(d) == p.largest()
             if p:
-                removed = p.remove_largest_part()
+                removed = without_largest_part(p)
                 decremented = Partition([t - 1 for t in d])
                 assert removed.dual() == decremented
 
