@@ -14,9 +14,9 @@ Each step is an O(s^2) rank-one update of those rows over the denominator
 d^2 * beta_p (scaling by the pivot beta_p of the restriction row instead of
 dividing by it), after which one gcd is divided out.  Rows are combined
 only by exact_linalg's kernels (_combination, _integer_matmul, block_diag,
-ExactMatrix + and *); _bracket_rows and stabilizer_dim alone build their
-rows inline, because they are the inner loops of the stabilizer ranks.  The
-head block is identified from eigenvalue hints, a rational r for a real
+ExactMatrix + and *); point_stabilizer_dim and stabilizer_dim alone build
+their rows inline, because they are the inner loops of the stabilizer ranks.
+The head block is identified from eigenvalue hints, a rational r for a real
 eigenvalue and a pair (a, b) for a +- ib (exact_linalg.jordan_structure
 reads the pair off the real quadratic (x - a)^2 + b^2).
 
@@ -25,13 +25,14 @@ Y -> [x, Y].  stabilizer_dim ranks a smaller system instead: the last row
 of x, short of its corner, confines the upper-left block of a stabilizing
 Y to the kernel of that row and then fixes Y's last column, so only
 (n-1)(n-2) unknowns are eliminated ((n-1)^2 when the row vanishes and the
-last column is free).  The normal forms of one orbit are made of the same
-few blocks, and their datum names them, so check_geometry ranks their
-stabilizers through the private _normal_form_stabilizer_dim: [x, E_ij]
-lives in the rows of i's block and the columns of j's block, so the
-bracket map splits over ordered pairs of blocks.  A block's kind is its
-size and eigenvalue, or the nilpotent tail of its depth; each pair of kinds
-is ranked once, and counts once per pair of copies.
+last column is free).  A normal form's stabilizer needs no rank: a normal
+form of depth j and head orbit O has a stabilizer of dimension
+gl_centralizer_dim(O) + (n - j).  At depth 1 the functional lives on the
+Levi block and is stabilized by the centralizer of its head and by the
+whole unipotent radical, of dimension n - 1.  A nonzero radical part
+reduces a P_n-orbit to a P_(n-1)-orbit with a stabilizer of the same
+dimension (Bernstein, LNM 1041, 1984), which is one step of the recursion
+above.  check_geometry reads its image stabilizers off this law.
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
@@ -50,13 +51,7 @@ from .exact_linalg import (
     inverse,
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
-from .orbit_model import (
-    MirabolicOrbitDatum,
-    OrbitDatum,
-    jordan_block,
-    orbit_from_matrix,
-    pair_block,
-)
+from .orbit_model import MirabolicOrbitDatum, OrbitDatum, orbit_from_matrix
 
 __all__ = [
     "MalformedRepresentative",
@@ -225,82 +220,6 @@ def certificate_holds(
     return recognized == datum.a_part
 
 
-def _bracket_rows(rows: list, a: Sequence[int], b: Sequence[int], columns: int) -> list:
-    """Sparse integer rows of Y -> [d*x, Y] on the E_ij with i in a, i < n - 1
-    and j in b, read at (r, c) in a x b with c < columns, for the n rows of
-    d*x and ascending index lists a and b.
-
-    Each E_ij puts column i of d*x into column j and minus row j of d*x into
-    row i.  When a and b are blocks, both land in a x b; with a = b =
-    range(n) the rows are those of the whole bracket map.
-    """
-    n = len(rows)
-    cols = {i: {} for i in a}
-    for r in a:
-        for c, v in rows[r].items():
-            cols[c][r] = v
-    brackets = []
-    for i in a:
-        if i == n - 1:
-            break
-        for j in b:
-            entries = {r * n + j: v for r, v in cols[i].items()} if j < columns else {}
-            for c, v in rows[j].items():
-                if c < columns:
-                    key = i * n + c
-                    w = entries.get(key, 0) - v
-                    if w:
-                        entries[key] = w
-                    else:
-                        del entries[key]
-            brackets.append(entries)
-    return brackets
-
-
-def _normal_form_stabilizer_dim(datum: MirabolicOrbitDatum, ranks: dict) -> int:
-    """stabilizer_dim(realize_normal_form(datum)), read off the datum's blocks.
-
-    The blocks are l copies of jordan_block(k, re) or pair_block(k, re, im)
-    per run (k, l) of each class, then the tail jordan_block(depth, 0),
-    which alone holds index n - 1.  The rank splits over ordered pairs of
-    blocks, and a pair's part (_bracket_rows on the two blocks alone) depends
-    only on their kinds: two copies of one block give the block with itself.
-    ranks, kept by the caller as long as it likes, maps each kind to a small
-    id and one block of it, and each ordered pair of ids to its part's rank.
-    """
-    kinds = [((k, cls.re, cls.im), l) for cls in datum.a_part.classes
-             for k, l in cls.partition.runs_ascending()]
-    kinds.append(((datum.depth,), 1))
-    blocks = []
-    for kind, l in kinds:
-        entry = ranks.get(kind)
-        if entry is None:
-            k, re, im = kind if len(kind) == 3 else kind + (0, None)
-            block = jordan_block(k, re) if im is None else pair_block(k, re, im)
-            entry = ranks[kind] = (len(ranks), block)  # ids grow with ranks
-        blocks.append(entry + (l,))
-    tail = blocks[-1][0]
-    total = 0
-    for ia, a, la in blocks:
-        for ib, b, lb in blocks:
-            part = ranks.get((ia, ib))
-            if part is None:
-                # the tail goes last, where it holds index n - 1 and the
-                # column left unread; a head pair gets an empty last row
-                if ia == ib:
-                    pair, at, bt = [a], 0, 0
-                elif ia == tail:
-                    pair, at, bt = [b, a], b.rows, 0
-                else:
-                    pair, at, bt = [a, b], 0, a.rows
-                rows = block_diag(*pair).numerators + ([] if tail in (ia, ib) else [{}])
-                part = ranks[ia, ib] = integer_rank(_bracket_rows(
-                    rows, range(at, at + a.rows), range(bt, bt + b.rows), len(rows) - 1))
-            total += la * lb * part
-    n = datum.size
-    return n * (n - 1) - total
-
-
 def stabilizer_dim(x: ExactMatrix) -> int:
     """Dimension of the mirabolic stabilizer of the functional pr'(x).
 
@@ -372,8 +291,26 @@ def point_stabilizer_dim(z: ExactMatrix) -> int:
     """
     if not z.is_square():
         raise ValueError("a stabilizer dimension needs a square matrix")
-    n = z.rows
-    return n * (n - 1) - integer_rank(_bracket_rows(z.numerators, range(n), range(n), n))
+    n, rows = z.rows, z.numerators
+    cols = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            cols[c][r] = v
+    # [d*z, E_ij] puts column i of d*z into column j and minus row j of d*z
+    # into row i, read at (r, c) as r*n + c
+    brackets = []
+    for i in range(n - 1):
+        for j in range(n):
+            entries = {r * n + j: v for r, v in cols[i].items()}
+            for c, v in rows[j].items():
+                key = i * n + c
+                w = entries.get(key, 0) - v
+                if w:
+                    entries[key] = w
+                else:
+                    del entries[key]
+            brackets.append(entries)
+    return n * (n - 1) - integer_rank(brackets)
 
 
 def gl_centralizer_dim(orbit: OrbitDatum) -> int:

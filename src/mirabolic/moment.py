@@ -19,8 +19,8 @@ from typing import List, Optional
 
 from .classify import (
     _conjugate_step,
-    _normal_form_stabilizer_dim,
     classify,
+    gl_centralizer_dim,
     point_stabilizer_dim,
     stabilizer_dim,
 )
@@ -152,11 +152,10 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     at the dense selection, both of its stabilizers (stabilizer_dim on the
     projected point, point_stabilizer_dim on the whole bracket matrix of
     the moved point).  The image stabilizers are read off each symbolic
-    normal form's blocks without building its matrix: the normal forms of
-    one orbit hold the same few kinds of block (a size and an eigenvalue,
-    or the tail of one depth), so one dict that lives as long as this call
-    gives each kind an id and ranks each ordered pair of kinds once
-    (classify._normal_form_stabilizer_dim).
+    normal form by the depth law of classify: gl_centralizer_dim of the
+    head plus the head's size.  At the dense selection the law is checked
+    against the rank of stabilizer_dim, and that against the rank of
+    point_stabilizer_dim.
     """
     selections = enumerate_selections(orbit)
     dense = dense_selection(orbit)
@@ -166,7 +165,6 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     dense_stab: Optional[int] = None
     dense_point_stab: Optional[int] = None
     other_stabs: List[int] = []
-    ranks: dict = {}
     for sel in selections:
         sym = symbolic_image(orbit, sel)
         moved = _moved(orbit, sel)
@@ -175,7 +173,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
         agree = sym == orc
         if not agree:
             failures.append("symbolic/oracle disagree at %r" % (sel.to_json(),))
-        stab = _normal_form_stabilizer_dim(sym, ranks)
+        stab = gl_centralizer_dim(sym.a_part) + sym.a_part.size
         record = {
             "selection": sel.to_json(),
             "symbolic": sym.to_json(),

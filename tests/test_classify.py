@@ -26,7 +26,7 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
-from mirabolic.classify import _completion, _conjugate_step, _normal_form_stabilizer_dim
+from mirabolic.classify import _completion, _conjugate_step
 
 from conftest import eliminate, example_27_matrix, orbit
 from test_acceptance import normal_form_corpus
@@ -265,24 +265,17 @@ class TestStabilizer:
             point_stabilizer_dim(x)
 
 
-def _shared_and_whole(datum, ranks):
-    """The stabilizer of a normal form through the block-pair ranks kept in
-    ranks, then from its whole bracket matrix, then by the closed law."""
-    law = gl_centralizer_dim(datum.a_part) + datum.size - datum.depth
-    return (_normal_form_stabilizer_dim(datum, ranks),
-            stabilizer_dim(realize_normal_form(datum)), law)
+def _law_and_rank(datum):
+    """The stabilizer of a normal form by the depth law, then ranked on its
+    realized matrix."""
+    return (gl_centralizer_dim(datum.a_part) + datum.a_part.size,
+            stabilizer_dim(realize_normal_form(datum)))
 
 
-def _pair_ranks(ranks):
-    """The entries of a block-pair dict that rank a pair of kinds; the rest
-    give each kind its id."""
-    return [key for key in ranks if len(key) == 2]
-
-
-class TestBlockPairRanks:
-    def test_one_dict_across_the_size_six_normal_forms(self):
+class TestDepthLawAgainstRanks:
+    def test_size_six_normal_forms(self):
         # both fields, denominators 1, 2 (the pair pool) and 2, 3, 6 (the
-        # fractional heads), all through one dict
+        # fractional heads)
         forms = normal_form_corpus(6)
         fractional = [orbit(COMPLEX, ("1/3", [2, 1])), orbit(COMPLEX, ("1/2", [1]), ("1/3", [1])),
                       orbit(COMPLEX, ("-1/3", [1, 1]), ("1/2", [2])),
@@ -290,57 +283,36 @@ class TestBlockPairRanks:
         forms += [MirabolicOrbitDatum(depth, head) for head in fractional
                   for depth in range(1, 7 - head.size)]
         assert {realize_normal_form(f).denominator for f in forms} == {1, 2, 3, 6}
-        ranks = {}
-        pairs = 0
-        for datum in forms:
-            shared, whole, law = _shared_and_whole(datum, ranks)
-            assert shared == whole == law, datum
-            blocks = 1 + sum(l for cls in datum.a_part.classes
-                             for _, l in cls.partition.runs_ascending())
-            pairs += blocks ** 2
         assert len(forms) == 1105
-        assert 5 * len(_pair_ranks(ranks)) < pairs, (len(ranks), pairs)  # most block pairs repeat
+        for datum in forms:
+            law, rank = _law_and_rank(datum)
+            assert law == rank, datum
 
-    def test_tail_pairs_and_head_pairs_are_keyed_apart(self):
+    def test_tail_and_head_blocks_with_one_matrix(self):
         # depth 1 over C {2: [1], 0: [1]} is diag(2, 0, 0): the head block
         # {1} and the tail {2} have the same matrix, but E_21 is not in the
-        # algebra, so ({1}, {0}) has rank 1 and ({2}, {0}) rank 0.  Over
-        # C {2: [1], 1: [1]}, ({0}, {1}) has rank 1 and ({0}, {0}) rank 0.
-        forms = [MirabolicOrbitDatum(depth, head)
-                 for head in (orbit(COMPLEX, (2, [1])), orbit(COMPLEX, (2, [1]), (0, [1])),
-                              orbit(COMPLEX, (2, [1]), (1, [1])), orbit(COMPLEX, (0, [2])),
-                              orbit(REAL, (0, 1, [1])), orbit(REAL, (0, [2]), (0, 1, [1])))
-                 for depth in (1, 2)]
-        for order in (forms, forms[::-1]):
-            ranks = {}
-            for datum in order:
-                for fresh in ({}, ranks):
-                    shared, whole, law = _shared_and_whole(datum, fresh)
-                    assert shared == whole == law, (datum, fresh is ranks)
-        ranks = {}
-        _normal_form_stabilizer_dim(MirabolicOrbitDatum(1, orbit(COMPLEX, (2, [1]))), ranks)
-        # 5 if ({1}, {0}) reused the rank of the tail's ({1}, {0}) in diag(2, 0)
-        assert _normal_form_stabilizer_dim(
-            MirabolicOrbitDatum(1, orbit(COMPLEX, (2, [1]), (0, [1]))), ranks) == 4
+        # algebra, so the two zero blocks are not interchangeable; its
+        # stabilizer is the centralizer of diag(2, 0) and the radical
+        for head in (orbit(COMPLEX, (2, [1])), orbit(COMPLEX, (2, [1]), (0, [1])),
+                     orbit(COMPLEX, (2, [1]), (1, [1])), orbit(COMPLEX, (0, [2])),
+                     orbit(REAL, (0, 1, [1])), orbit(REAL, (0, [2]), (0, 1, [1]))):
+            for depth in (1, 2):
+                datum = MirabolicOrbitDatum(depth, head)
+                law, rank = _law_and_rank(datum)
+                assert law == rank, datum
+        assert _law_and_rank(MirabolicOrbitDatum(1, orbit(COMPLEX, (2, [1]), (0, [1])))) == (4, 4)
 
     def test_repeated_identical_blocks(self):
         # diag(1/2, 1/2, 1/3, 1/3, 0, 0), then three equal Jordan blocks
         # beside a zero head block and the zero tail
-        ranks = {}
         for datum in (
             MirabolicOrbitDatum(1, orbit(COMPLEX, ("1/2", [1, 1]), ("1/3", [1, 1]), (0, [1]))),
             MirabolicOrbitDatum(2, orbit(COMPLEX, ("1/2", [1, 1]), ("1/3", [1, 1]))),
             MirabolicOrbitDatum(1, orbit(COMPLEX, ("1/2", [2, 2, 2]), (0, [1]))),
             MirabolicOrbitDatum(1, orbit(REAL, (0, 1, [1, 1]), (0, 2, [1, 1, 1]))),
         ):
-            for fresh in ({}, ranks):
-                shared, whole, law = _shared_and_whole(datum, fresh)
-                assert shared == whole == law, datum
-        one = {}
-        _normal_form_stabilizer_dim(
-            MirabolicOrbitDatum(1, orbit(COMPLEX, ("1/2", [2, 2, 2]), (0, [1]))), one)
-        # five blocks of three kinds: each ordered pair of kinds once
-        assert len(one) == 3 + 9 and len(_pair_ranks(one)) == 9
+            law, rank = _law_and_rank(datum)
+            assert law == rank, datum
 
 
 def _fractional_levi(n, rng, shuffle):

@@ -204,6 +204,19 @@ class TestEnumerateAndMoment:
         assert [r["agree"] for r in payload["records"]].count(False) == 1
         assert payload["injective"] and payload["dense_minimal"] and payload["fiber_singleton"]
 
+    def test_moment_geometry_fails_on_a_changed_law(self, tmp_path, capsys, monkeypatch):
+        # every image stabilizer one too large, which only the ranks at the
+        # dense point see
+        path = write_json(tmp_path, "rs.json", RS2)
+        real = moment.gl_centralizer_dim
+        monkeypatch.setattr(moment, "gl_centralizer_dim", lambda head: real(head) + 1)
+        code, out, _ = run(capsys, "moment", path, "--geometry")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["ok"] is False
+        assert payload["failures"] == ["stabilizer dimension changed under conjugation: 0 vs 1"]
+        assert payload["injective"] and payload["dense_minimal"] and payload["fiber_singleton"]
+
     def test_moment_geometry_with_a_selection_flag_is_an_input_error(self, tmp_path, capsys):
         # --geometry checks every selection with the oracle, so these would be ignored
         path = write_json(tmp_path, "u.json", UNIPOTENT_21)
@@ -595,13 +608,33 @@ def _text_matrices(n):
 _texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
 
 
+@st.composite
+def _conjugation_counts(draw):
+    """A count of 0-3, or about one time in eight a token that is no
+    nonnegative integer (it has no digits, so no large count is drawn)."""
+    if draw(st.integers(0, 7)) == 5:
+        return draw(st.sampled_from(["-1", "1.5", "3e0", "0x2", "--1"])
+                    | st.text("-+. xe", max_size=3))
+    return str(draw(st.integers(0, 3)))
+
+
 def _run_in_process(path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([argv[0], str(path)] + list(argv[1:]))
-    assert code in (0, 1, 2), (code, err.getvalue())
+        try:
+            code = main([argv[0], str(path)] + list(argv[1:]))
+            message = err.getvalue()
+        except SystemExit as exc:
+            # argparse refuses an option's value: it prints its usage, then
+            # the one error line after the command's name
+            code = exc.code
+            usage, _, message = err.getvalue().rstrip("\n").rpartition("\n")
+            prog = "mirabolic %s: " % argv[0]
+            assert usage.startswith("usage: ") and message.startswith(prog), err.getvalue()
+            message = message[len(prog):] + "\n"
+    assert code in (0, 1, 2), (code, message)
     if code == 2:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert message.startswith("error: ") and message.count("\n") == 1
     return code
 
 
@@ -642,3 +675,14 @@ class TestFuzz:
     def test_enumerate_and_moment(self, fuzz_path, text, argv):
         fuzz_path.write_text(text, encoding="utf-8")
         _run_in_process(fuzz_path, argv)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(_orbit_specs().map(json.dumps), _texts),
+        _conjugation_counts(),
+        st.integers(-2 ** 70, 2 ** 70),
+    )
+    def test_verify(self, fuzz_path, text, conjugations, seed):
+        fuzz_path.write_text(text, encoding="utf-8")
+        _run_in_process(fuzz_path, ["verify", "--conjugations=" + conjugations,
+                                    "--seed=%d" % seed])

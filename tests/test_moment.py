@@ -19,6 +19,7 @@ from mirabolic import (
     oracle_image,
     point_stabilizer_dim,
     realize_normal_form,
+    stabilizer_dim,
     symbolic_image,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
@@ -250,6 +251,34 @@ class TestGeometry:
         assert report.injective and report.dense_minimal and report.fiber_singleton
         assert report.failures == ["stabilizer dimension changed under conjugation: 1 vs 0"]
         assert not report.ok
+
+    def test_a_changed_law_fails_the_report(self, monkeypatch):
+        # every image stabilizer one too large by the law: the two ranks at
+        # the dense point still agree and the dense image is still the
+        # minimum (0 against 3), but the law no longer matches the ranks
+        o = orbit(COMPLEX, (1, [1]), (0, [1]))
+        real = moment.gl_centralizer_dim
+        monkeypatch.setattr(moment, "gl_centralizer_dim", lambda head: real(head) + 1)
+        report = check_geometry(o)
+        assert report.injective and report.dense_minimal and report.fiber_singleton
+        assert report.failures == ["stabilizer dimension changed under conjugation: 0 vs 1"]
+        assert not report.ok and report.to_json()["ok"] is False
+
+    def test_image_stabilizers_match_their_ranks_to_size_five(self):
+        # the law that check_geometry reads each image stabilizer off,
+        # against the rank of the image normal form's realized matrix
+        ranks = {}
+        records = 0
+        for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
+            report = check_geometry(o)
+            for sel, record in zip(enumerate_selections(o), report.records, strict=True):
+                assert record["selection"] == sel.to_json()
+                sym = symbolic_image(o, sel)
+                if sym not in ranks:
+                    ranks[sym] = stabilizer_dim(realize_normal_form(sym))
+                assert record["stab_dims"]["image"] == ranks[sym], (o, sel)
+                records += 1
+        assert (records, len(ranks)) == (4330, 415)
 
     def test_reports_are_pinned_to_size_six(self):
         # every orbit of both size-6 corpora; the digest covers each
