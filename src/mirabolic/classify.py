@@ -10,9 +10,17 @@ down with the depth counter incremented.
 
 All arithmetic is exact over Q and runs on the stored form of
 exact_linalg: a common denominator d and the sparse integer rows of d*x.
-Each step is an O(s^2) rank-one update of those rows over the denominator
+Each step is a rank-one update of those rows over the denominator
 d^2 * beta_p (scaling by the pivot beta_p of the restriction row instead of
-dividing by it), after which one gcd is divided out.  Rows are combined
+dividing by it), after which one gcd is divided out.  Its cost follows the
+entries it changes: only the rows with an entry in the pivot column, and
+beta times the head, are combined with beta; every other row is only
+scaled, by d * |beta_p|, and is kept as the same object when that scale,
+after the gcd, is 1.  The loop keeps each live row and column under the
+label it started with, in position order, so min(beta) is the least
+position and no step reindexes a column or builds an ExactMatrix; the
+labels are turned into positions once, at the head, and for a certificate
+each step's positional conjugator is derived from them.  Rows are combined
 only by exact_linalg's kernels (_combination, _integer_matmul, block_diag,
 ExactMatrix + and *); point_stabilizer_dim and stabilizer_dim alone build
 their rows inline, because they are the inner loops of the stabilizer ranks.
@@ -39,6 +47,7 @@ its input, and the conjugators can be accumulated into an exact certificate.
 """
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence, Tuple
 
 from .exact_linalg import (
@@ -90,11 +99,14 @@ def _completion(d: int, beta: dict, s: int, p: int) -> ExactMatrix:
     return ExactMatrix.from_integer(d, rows + [beta], s)
 
 
-def _step_conjugator(m: ExactMatrix, e: int, t: Sequence[int], n: int) -> ExactMatrix:
-    """diag(m, I) at ambient size n with -t / e added in column m.rows: the
-    Levi conjugation of one step followed by the column shift that absorbs
-    t / e."""
-    s = m.rows
+def _step_conjugator(d: int, rows: dict, beta: dict, p, n: int) -> ExactMatrix:
+    """The step of _conjugate_step at pivot label p as a conjugator at
+    ambient size n: diag(M, I) with -t / e added in the representative's last
+    column, for M = _completion at the positions of the labels."""
+    position = {q: i for i, q in enumerate(rows)}
+    s = len(rows)
+    m = _completion(d, {position[j]: v for j, v in beta.items()}, s, position[p])
+    e, t = _step_column(d, rows, beta, p)
     column = [{s: -v} if v else {} for v in t] + [{} for _ in range(s, n)]
     return block_diag(m, ExactMatrix.identity(n - s)) + ExactMatrix.from_integer(e, column, n)
 
@@ -130,51 +142,87 @@ def classify_certified(
     return datum, cert
 
 
-def _conjugate_step(d: int, rows: list, p: int) -> tuple:
-    """One step on the s x s representative rows / d (zero last column), in O(s^2).
+def _conjugate_step(d: int, rows: dict, beta: dict, p) -> tuple:
+    """One step on the representative with head rows / d and last row beta / d
+    (zero last column), at a cost set by the rows it changes.
 
-    beta = rows[s-1] / d, p is any column with beta_p != 0, H is the leading
-    block and M = _completion(d, rows[s-1], s-1, p).  M*H has the rows of H
-    other than row p, then beta*H, and v*M^-1 has the entries v_q - t*beta_q
-    for q != p, then t = v_p / beta_p.  With B = d*beta and each row v as an
-    integer row V over d^2, that is B_p*V_q - V_p*B_q, then V_p*d, over
-    d^2*B_p; the sign of B_p moves into the rows.
+    rows maps the label of each live row and column to its sparse integer
+    row, in position order, and p is any label with beta_p != 0.  With H the
+    head and M = _completion(d, beta, s, p) at the positions of the labels,
+    M*H has the rows of H other than row p, then beta*H, and v*M^-1 has the
+    entries v_q - t*beta_q for q != p, then t = v_p / beta_p.  With B =
+    d*beta and each row v as an integer row V over d^2, that is B_p*V_q -
+    V_p*B_q, then V_p*d, over d^2*B_p; the sign of B_p moves into the rows.
+    A row with no entry at p is only scaled, by c = d*|B_p|, and is kept as
+    it is when the scale left after the gcd is 1; only the rows with an
+    entry at p and beta*H are combined with beta.
 
-    Returns (e, head, t): M*H*M^-1 is head / e with the column t / e last.
+    Returns (e, head, top): M*H*M^-1 short of its last column is head with
+    the row top last, over e, in lowest terms (one gcd divided out); head
+    keeps the labels of rows but p.  _step_column gives the last column.
     """
-    beta = rows[-1]
     bp = beta[p]
     sign = 1 if bp > 0 else -1
+    c = d * abs(bp)
     top = _integer_matmul([beta], rows)[0]
-    head, t = [], []
-    for v, f in [(rows[q], sign * d) for q in range(len(rows) - 1) if q != p] + [(top, sign)]:
-        vp = f * v.get(p, 0)
-        new = _combination(f * bp, v, -vp, beta)  # clears column p
-        head.append({j - (j > p): x for j, x in new.items()})
-        t.append(vp * d)
-    return d * d * abs(bp), head, t
+    top = _combination(abs(bp), top, -sign * top.get(p, 0), beta)  # clears column p
+    touched = {q: _combination(c, v, -sign * d * v[p], beta)
+               for q, v in rows.items() if p in v and q != p}
+    e = g = d * c
+    for row in (top, *touched.values()):
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    for q, v in rows.items():  # the rows left alone are c*v
+        if c % g == 0:
+            break
+        if q != p and q not in touched:
+            g = gcd(g, c * gcd(*v.values()))
+    head = {}
+    for q, v in rows.items():
+        if q in touched:
+            v = touched[q] if g == 1 else {j: w // g for j, w in touched[q].items()}
+        elif q == p:
+            continue
+        elif c != g:
+            v = {j: c * w // g for j, w in v.items()}
+        head[q] = v
+    if g != 1:
+        top = {j: w // g for j, w in top.items()}
+    return e // g, head, top
+
+
+def _step_column(d: int, rows: dict, beta: dict, p) -> tuple:
+    """(e, t): the last column t / e of M*H*M^-1 for the step of
+    _conjugate_step at label p, t listed in position order (the rows of
+    head, then top) and e = d^2*|B_p|, with no gcd divided out."""
+    bp = beta[p]
+    f = (1 if bp > 0 else -1) * d
+    t = [f * d * v.get(p, 0) for q, v in rows.items() if q != p]
+    t.append(f * sum(b * rows[k].get(p, 0) for k, b in beta.items()))
+    return d * d * abs(bp), t
 
 
 def _classify(x, field, eigenvalues, want_certificate):
     _validate_representative(x)
     n = x.rows
     cert = ExactMatrix.identity(n) if want_certificate else None
-    cur = x
-    steps = 0
-    while True:
-        s, d, rows = cur.rows, cur.denominator, cur.numerators
-        beta = rows[s - 1]
-        if not beta:
-            head = ExactMatrix.from_integer(d, rows[: s - 1], s - 1)
-            a_part = orbit_from_matrix(head, field, eigenvalues)
-            return MirabolicOrbitDatum(steps + 1, a_part), cert
-        p = min(beta)
-        e, head, t = _conjugate_step(d, rows, p)
-        # absorb the column t the unipotent radical can reach, then recurse
+    d = x.denominator
+    rows = dict(enumerate(x.numerators))
+    beta = rows.pop(n - 1)
+    while beta:
+        p = min(beta)  # labels keep position order, so this is the least position
         if want_certificate:
-            cert = _step_conjugator(_completion(d, beta, s - 1, p), e, t, n) * cert
-        cur = ExactMatrix.from_integer(e, head, s - 1)
-        steps += 1
+            cert = _step_conjugator(d, rows, beta, p, n) * cert
+        # absorb the column t the unipotent radical can reach, then recurse
+        d, rows, beta = _conjugate_step(d, rows, beta, p)
+    heads = rows.values()
+    if len(rows) < n - 1:  # relabel the columns to positions once, at the head
+        position = {q: i for i, q in enumerate(rows)}
+        heads = [{position[j]: v for j, v in row.items()} for row in heads]
+    head = ExactMatrix.from_integer(d, list(heads), len(rows))
+    a_part = orbit_from_matrix(head, field, eigenvalues)
+    return MirabolicOrbitDatum(n - len(rows), a_part), cert
 
 
 def certificate_holds(

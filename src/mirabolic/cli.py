@@ -362,13 +362,16 @@ def _count(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose error message, which quotes a refused token whole,
-    is cut to 140 characters (the messages of _count fit); subparsers inherit it."""
+    """ArgumentParser that refuses a command line with an InputError, which
+    main reports in one line like any other input error, instead of printing
+    its usage and exiting.  The message, which quotes a refused token whole,
+    is cut to 140 characters (the messages of _count fit); subparsers
+    inherit it.  --help still prints the help and exits."""
 
     def error(self, message):
         if len(message) > 140:
             message = "%s... (%d characters)" % (message[:140], len(message))
-        super().error(message)
+        raise InputError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -431,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         payload = args.func(args)
     except (InputError, OrbitSpecError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -22,7 +22,10 @@ data and repr):
 * two sparse rows are combined only by _combination (f*row + g*other):
   sums, the elimination step and the diagonal shifts of jordan_structure
   all call it, and other modules combine rows only through it,
-  _integer_matmul, block_diag and the + and * of ExactMatrix.
+  _integer_matmul, block_diag and the + and * of ExactMatrix;
+* rows are never modified, so they are shared wherever a value repeats:
+  a product row with one entry 1 is the row of the other factor it picks,
+  and the shift of jordan_structure at 0 is the stored rows themselves.
 
 Exact inputs are read by one rule, here and in the other modules: _fraction
 takes an int or a Fraction, _integer takes an int, and anything else (a
@@ -31,7 +34,14 @@ float, a string) raises TypeError instead of being rounded or converted.
 Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads
 a pair off the real quadratic q(x) = (x - a)^2 + b^2, so no arithmetic ever
-leaves Q.
+leaves Q.  It chains its hints: each hint's rank filtration starts from the
+stable rows that the hints found before it leave, the row space W of the
+last stable power, times its own shifted matrix s.  W is invariant under
+the matrix and holds every generalized eigenspace not yet found; the
+eigenspaces it lost belong to other eigenvalues, on which s is invertible.
+So the rank drops of a later hint are the same on W as on the whole space,
+a hint found before drops nothing, and the last eigenvalue found leaves
+W = 0; rows left after the last hint are a SpectrumMismatch.
 """
 from __future__ import annotations
 
@@ -264,10 +274,17 @@ def integer_rank(rows: Iterable[dict]) -> int:
     return len(_echelon(rows))
 
 
-def _integer_matmul(a: list, b: list) -> list:
-    """Product of two integer matrices given as sparse rows."""
+def _integer_matmul(a: list, b) -> list:
+    """Product of two integer matrices given as sparse rows; b may be any
+    mapping from the column keys of a's rows to rows.  A row of a with one
+    entry v at k gives v * b[k], and b[k] itself when v is 1 (rows are
+    never modified, so they may be shared)."""
     out = []
     for row in a:
+        if len(row) == 1:
+            (k, v), = row.items()
+            out.append(b[k] if v == 1 else {j: v * w for j, w in b[k].items()})
+            continue
         acc = {}
         for k, v in row.items():
             for j, w in b[k].items():
@@ -331,6 +348,11 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     (real Jordan form), and the pair uses twice its partition's weight.  So
     the whole structure is read off rational rank filtrations.
 
+    The hints are chained, as the module docstring explains: each is
+    ranked on the row space W that the hints found before it leave, where
+    its rank drops are those on the whole space, and a hint already found
+    (or absent) drops nothing.
+
     Returns {r or (a, b) with b > 0: Partition of block sizes}, omitting
     eigenvalues of multiplicity zero.  Raises SpectrumMismatch when the
     supplied eigenvalues fail to account for the full dimension, e.g. when
@@ -340,12 +362,14 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
         raise ValueError("jordan_structure needs a square matrix")
     n = m.rows
     result = {}
-    total = 0
+    basis, dim = None, n  # W, the whole space at first
     for lam in map(_eigenvalue, eigenvalues):
-        if total == n:
+        if not dim:
             break  # every hint left has multiplicity zero or repeats one found
-        ranks = _power_ranks(n, _shifted_rows(m, lam))
-        if ranks[-1] == n:
+        shifted = _shifted_rows(m, lam)
+        start = shifted if basis is None else _integer_matmul(basis, shifted)
+        ranks, stable = _power_ranks(dim, start, shifted)
+        if ranks[-1] == dim:
             continue
         degree = 2 if isinstance(lam, tuple) else 1
         at_least = [(ranks[k - 1] - ranks[k]) // degree for k in range(1, len(ranks))]
@@ -353,13 +377,11 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
         parts = []
         for size in range(len(at_least) - 1, 0, -1):
             parts.extend([size] * (at_least[size - 1] - at_least[size]))
-        partition = Partition(parts)
-        # a hint is hashed only here; a repeat of one already found is dropped
-        if result.setdefault(lam, partition) is partition:
-            total += n - ranks[-1]
-    if total != n:
+        result[lam] = Partition(parts)
+        basis, dim = stable, ranks[-1]
+    if dim:
         raise SpectrumMismatch(
-            "eigenvalues account for dimension %d of %d" % (total, n)
+            "eigenvalues account for dimension %d of %d" % (n - dim, n)
         )
     return result
 
@@ -369,11 +391,14 @@ def _shifted_rows(m: ExactMatrix, lam) -> list:
     of q = (m - a)^2 + b^2 at a pair (a, b); a multiple has the same ranks.
 
     With a = p/q and m = rows/d the rows are those of q*d*m - p*d*I, built
-    on copies of the stored rows.
+    on copies of the stored rows; at a = 0 they are the stored rows.
     """
     a, b = lam if isinstance(lam, tuple) else (lam, 0)
     q, shift = a.denominator, a.numerator * m.denominator
-    rows = [_combination(q, row, -shift, {i: 1}) for i, row in enumerate(m.numerators)]
+    if a:
+        rows = [_combination(q, row, -shift, {i: 1}) for i, row in enumerate(m.numerators)]
+    else:
+        rows = m.numerators
     if not b:
         return rows
     # s = q*d*(m - a) and (q*d*b)^2 = u/v give v*(q*d)^2*q = v*s^2 + u*I
@@ -381,18 +406,18 @@ def _shifted_rows(m: ExactMatrix, lam) -> list:
     return [_combination(v, row, u, {i: 1}) for i, row in enumerate(_integer_matmul(rows, rows))]
 
 
-def _power_ranks(n: int, shifted: list) -> list:
-    """[n, rank s, rank s^2, ...] for the integer rows s = shifted, up to the
-    first repeated rank.
+def _power_ranks(dim: int, rows: list, shifted: list) -> tuple:
+    """([dim, rank W*s, rank W*s^2, ...], stable rows) for a subspace W of
+    dimension dim, s = shifted and rows spanning W*s, up to the first
+    repeated rank; the stable rows are echelon rows of the last power.
 
-    The row space of s^k is the row space of s^(k-1) times s, so each power
-    is ranked from the echelon rows of the one before it times s.
+    The row space of W*s^k is the row space of W*s^(k-1) times s, so each
+    power is ranked from the echelon rows of the one before it times s.
     """
-    ranks = [n]
-    basis = shifted
+    ranks = [dim]
     while True:
-        basis = list(_echelon(basis).values())
-        ranks.append(len(basis))
+        rows = list(_echelon(rows).values())
+        ranks.append(len(rows))
         if ranks[-1] == ranks[-2]:
-            return ranks
-        basis = _integer_matmul(basis, shifted)
+            return ranks, rows
+        rows = _integer_matmul(rows, shifted)

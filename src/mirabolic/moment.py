@@ -11,7 +11,10 @@ independent computations of its normal form are provided:
 * oracle_image conjugates the orbit representative by the selection's group
   element g in one closed-form classify step (no inverse is formed),
   projects to the mirabolic dual and classifies.  It shares no formulas
-  with the symbolic path.
+  with the symbolic path.  The projected point is the head of that step:
+  the last column t of g x g^-1, which the projection drops, is never
+  formed.  check_geometry forms the whole moved point g x g^-1 only at the
+  dense selection, where point_stabilizer_dim ranks its bracket map.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from typing import List, Optional
 
 from .classify import (
     _conjugate_step,
+    _step_column,
     classify,
     gl_centralizer_dim,
     point_stabilizer_dim,
@@ -35,7 +39,6 @@ from .orbit_model import (
     EigenvalueClass,
     MirabolicOrbitDatum,
     OrbitDatum,
-    project_to_p_star,
     realize_orbit,
 )
 from .partitions import Partition
@@ -88,7 +91,7 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Conjugate, project, classify: the independent check of symbolic_image."""
-    return _classify_point(orbit, project_to_p_star(_moved(orbit, selection)))
+    return _classify_point(orbit, _projected(orbit, selection))
 
 
 def _classify_point(orbit: OrbitDatum, point: ExactMatrix) -> MirabolicOrbitDatum:
@@ -96,17 +99,36 @@ def _classify_point(orbit: OrbitDatum, point: ExactMatrix) -> MirabolicOrbitDatu
     return classify(point, orbit.field, orbit.spectrum())
 
 
-def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
-    """g x g^-1 for the orbit representative x and the selection's conjugator
-    g = _completion(1, v, n, k - 1): the classify step at pivot k - 1 on x
-    bordered below by v, as its head with the column t last, over e."""
+def _bordered(orbit: OrbitDatum, selection: IndexSelection) -> tuple:
+    """(d, rows, v, k - 1): the orbit representative x = rows / d bordered
+    below by the selection vector v / d, with rows keyed by their labels
+    0..n-1 and k the largest position, ready for one _conjugate_step."""
     x = realize_orbit(orbit)
-    n, d = x.rows, x.denominator
+    d = x.denominator
     positions = selection_positions(orbit, selection)
-    bordered = x.numerators + [{p - 1: d for p in positions}]
-    e, head, t = _conjugate_step(d, bordered, positions[-1] - 1)
-    rows = [{**row, n - 1: v} if v else row for row, v in zip(head, t)]
-    return ExactMatrix.from_integer(e, rows, n)
+    return d, dict(enumerate(x.numerators)), {q - 1: d for q in positions}, positions[-1] - 1
+
+
+def _projected(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
+    """pr'(g x g^-1) for the selection's conjugator g = _completion(1, v, n,
+    k - 1): the head of the classify step at pivot k - 1 on x bordered by v,
+    its columns shifted down past k - 1.  The column t that g x g^-1 has
+    last is never formed, since the projection drops it."""
+    d, rows, beta, p = _bordered(orbit, selection)
+    e, head, top = _conjugate_step(d, rows, beta, p)
+    shifted = [row if not row or max(row) < p else {j - (j > p): v for j, v in row.items()}
+               for row in (*head.values(), top)]
+    return ExactMatrix.from_integer(e, shifted, len(rows))
+
+
+def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
+    """g x g^-1 in full: the projected point with the step's column t / e
+    last.  check_geometry forms it only at the dense selection."""
+    d, rows, beta, p = _bordered(orbit, selection)
+    e, t = _step_column(d, rows, beta, p)
+    n = len(rows)
+    column = ExactMatrix.from_integer(e, [{n - 1: v} if v else {} for v in t], n)
+    return _projected(orbit, selection) + column
 
 
 class GeometryReport:
@@ -148,10 +170,9 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     the same dimension as the stabilizer of the moved point itself, which
     is the singleton-fiber statement in computable form.
 
-    Each selection's moved point is formed once and feeds the oracle and,
-    at the dense selection, both of its stabilizers (stabilizer_dim on the
-    projected point, point_stabilizer_dim on the whole bracket matrix of
-    the moved point).  The image stabilizers are read off each symbolic
+    Each selection's projected point is formed once and feeds the oracle
+    and, at the dense selection, stabilizer_dim; only there is the whole
+    moved point formed too, for point_stabilizer_dim on its bracket matrix.  The image stabilizers are read off each symbolic
     normal form by the depth law of classify: gl_centralizer_dim of the
     head plus the head's size.  At the dense selection the law is checked
     against the rank of stabilizer_dim, and that against the rank of
@@ -167,8 +188,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     other_stabs: List[int] = []
     for sel in selections:
         sym = symbolic_image(orbit, sel)
-        moved = _moved(orbit, sel)
-        point = project_to_p_star(moved)
+        point = _projected(orbit, sel)
         orc = _classify_point(orbit, point)
         agree = sym == orc
         if not agree:
@@ -183,7 +203,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
         }
         if sel == dense:
             dense_stab = stabilizer_dim(point)
-            dense_point_stab = point_stabilizer_dim(moved)
+            dense_point_stab = point_stabilizer_dim(_moved(orbit, sel))
             record["stab_dims"]["point"] = dense_point_stab
             record["dense"] = True
             if dense_stab != stab:

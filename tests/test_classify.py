@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from mirabolic import (
     certificate_holds,
     classify,
     classify_certified,
+    enumerate_selections,
     gl_centralizer_dim,
     inverse,
     jordan_block,
@@ -23,10 +26,11 @@ from mirabolic import (
     rank,
     realize_normal_form,
     realize_orbit,
+    selection_conjugator,
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
-from mirabolic.classify import _completion, _conjugate_step
+from mirabolic.classify import _completion, _conjugate_step, _step_column
 
 from conftest import eliminate, example_27_matrix, orbit
 from test_acceptance import normal_form_corpus
@@ -148,8 +152,10 @@ class TestClassify:
 
 class TestClosedFormStep:
     def test_matches_dense_conjugation_through_the_recursion(self):
-        """Each classify step equals M * H * inverse(M), M = _completion(d, beta, s - 1, p),
-        at every pivot p with beta_p != 0; the recursion goes on from p = min(beta)."""
+        """Each classify step, on rows keyed by the labels the loop keeps,
+        equals M * H * inverse(M), M = _completion(d, beta, s - 1, p), at
+        every pivot p with beta_p != 0, in lowest terms; the recursion goes
+        on from p = min(beta)."""
         rng = random.Random(808)
         orbits = list(complex_corpus(4)) + list(real_corpus(4, require_pair=False))
         steps = pivots = 0
@@ -157,20 +163,31 @@ class TestClosedFormStep:
             for _ in range(3):
                 p = random_mirabolic(o.size, rng)
                 cur = project_to_p_star(p * realize_orbit(o) * inverse(p))
-                while cur.rows > 1:
-                    s, d = cur.rows, cur.denominator
-                    beta = cur.numerators[s - 1]
-                    if not beta:
-                        break
-                    h = cur.submatrix(0, s - 1, 0, s - 1)
+                d, rows = cur.denominator, dict(enumerate(cur.numerators))
+                beta = rows.pop(cur.rows - 1)
+                while beta:
+                    s = len(rows) + 1
+                    position = {q: i for i, q in enumerate(rows)}
+                    h = ExactMatrix.from_integer(
+                        d, [{position[j]: v for j, v in row.items()} for row in rows.values()],
+                        s - 1)
+                    beta_at = {position[j]: v for j, v in beta.items()}
                     for pivot in sorted(beta, reverse=True):  # classify's min(beta) last
-                        m = _completion(d, beta, s - 1, pivot)
+                        m = _completion(d, beta_at, s - 1, position[pivot])
                         expected = m * h * inverse(m)
-                        e, head, t = _conjugate_step(d, cur.numerators, pivot)
-                        rows = [{**row, s - 2: v} if v else row for row, v in zip(head, t)]
-                        assert ExactMatrix.from_integer(e, rows, s - 1) == expected, (o, pivot)
+                        e, head, top = _conjugate_step(d, rows, beta, pivot)
+                        f, t = _step_column(d, rows, beta, pivot)
+                        at = {q: i for i, q in enumerate(head)}
+                        point = ExactMatrix.from_integer(
+                            e, [{at[j]: v for j, v in row.items()} for row in (*head.values(), top)],
+                            s - 1)
+                        column = ExactMatrix.from_integer(
+                            f, [{s - 2: v} if v else {} for v in t], s - 1)
+                        assert point.denominator == e, (o, pivot)
+                        assert point == project_to_p_star(expected), (o, pivot)
+                        assert point + column == expected, (o, pivot)
                         pivots += 1
-                    cur = project_to_p_star(expected)
+                    d, rows, beta = e, head, top
                     steps += 1
         assert steps > 500 and pivots > steps
 
@@ -206,6 +223,33 @@ class TestCertificate:
         assert certificate_holds(x, singular, datum, COMPLEX, [0]) is False
         singular = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
         assert certificate_holds(x, singular, datum, COMPLEX, [0]) is False
+
+    def test_certificates_are_pinned(self):
+        # every projected moved point of the size-5 corpora, taken through
+        # g x g^-1 by elimination, and four seeded conjugates of each size-4
+        # orbit; the digest covers each datum and every entry of its
+        # conjugator, and every fourth certificate is re-checked
+        points = []
+        for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=True)):
+            x = realize_orbit(o)
+            for sel in enumerate_selections(o):
+                g = selection_conjugator(o, sel)
+                points.append((o, project_to_p_star(g * x * inverse(g))))
+        rng = random.Random(1812)
+        for o in list(complex_corpus(4)) + list(real_corpus(4, require_pair=True)):
+            x = realize_orbit(o)
+            for _ in range(4):
+                g = random_mirabolic(o.size, rng)
+                points.append((o, project_to_p_star(g * x * inverse(g))))
+        assert len(points) == 3988 + 4 * 238
+        payload = []
+        for i, (o, x) in enumerate(points):
+            datum, g = classify_certified(x, o.field, o.spectrum())
+            if i % 4 == 0:
+                assert certificate_holds(x, g, datum, o.field, o.spectrum()), (o, x)
+            payload.append([datum.to_json(), [[str(v) for v in row] for row in g.data]])
+        assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == (
+            "12a44cb90cb8576de26540a885c3f8ab1b0ac16db2bc96b9baecc48f08d2d278")
 
     def test_empty_matrices_are_no_certificate(self):
         # a 0x0 conjugator has no last row e_n to check

@@ -395,12 +395,11 @@ class TestDeterminismAndErrors:
         ("classify", "-", "--field", "Q"),
     ])
     def test_unknown_field_flag_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "invalid choice: 'Q'" in captured.err
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: argument --field: invalid choice: 'Q'")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("matrix, message", [
         (5, "expected a list of rows"),
@@ -483,15 +482,9 @@ class TestDeterminismAndErrors:
             "subcommand": [token],
             "extra_argument": ["enumerate", spec, token],
         }[site]
-        if site in ("pairs_flag", "json_list", "json_pairs_entry", "signs_flag"):
-            code, _, err = run(capsys, *argv)
-        else:
-            # argparse prints its usage, then the one error line
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            code, err = exc.value.code, capsys.readouterr().err.splitlines()[-1] + "\n"
-        assert code == 2
-        assert err.count("\n") == 1 and len(err) < 200
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         if site in ("seed_flag", "field_flag", "subcommand", "extra_argument"):
             # argparse's own message, cut and followed by its length
             assert err.endswith(" characters)\n")
@@ -522,18 +515,25 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert out == "" and err == "error: matrix row 1: decimal exponent beyond 1000 in '1e-1001'\n"
 
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: mirabolic") and captured.err == ""
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--corpus", "-3"),
         ("verify", "SPEC", "--conjugations", "-5"),
     ])
     def test_negative_count_rejected(self, tmp_path, capsys, argv):
         spec = write_json(tmp_path, "spec.json", UNIPOTENT_21)
-        with pytest.raises(SystemExit) as exc:
-            main([spec if a == "SPEC" else a for a in argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "expected a nonnegative integer" in captured.err
+        code, out, err = run(capsys, *[spec if a == "SPEC" else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: argument --") and err.count("\n") == 1
+        assert "expected a nonnegative integer" in err
 
 
 # ---------------------------------------------------------------- fuzzing
@@ -621,20 +621,12 @@ def _conjugation_counts(draw):
 def _run_in_process(path, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main([argv[0], str(path)] + list(argv[1:]))
-            message = err.getvalue()
-        except SystemExit as exc:
-            # argparse refuses an option's value: it prints its usage, then
-            # the one error line after the command's name
-            code = exc.code
-            usage, _, message = err.getvalue().rstrip("\n").rpartition("\n")
-            prog = "mirabolic %s: " % argv[0]
-            assert usage.startswith("usage: ") and message.startswith(prog), err.getvalue()
-            message = message[len(prog):] + "\n"
+        code = main([argv[0], str(path)] + list(argv[1:]))
+    message = err.getvalue()
     assert code in (0, 1, 2), (code, message)
     if code == 2:
         assert message.startswith("error: ") and message.count("\n") == 1
+        assert out.getvalue() == ""
     return code
 
 

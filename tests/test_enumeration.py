@@ -13,12 +13,13 @@ from mirabolic import (
     enumerate_selections,
     inverse,
     partitions_of_weight,
+    project_to_p_star,
     realize_orbit,
     selection_conjugator,
     selection_positions,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
-from mirabolic.moment import _moved, dense_selection
+from mirabolic.moment import _moved, _projected, dense_selection
 
 from conftest import orbit
 
@@ -215,14 +216,16 @@ class TestConjugator:
         assert inverse(g) == ExactMatrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
 
     def test_moved_is_the_conjugate_on_the_size_6_corpora(self):
-        # _moved conjugates by one closed-form classify step; the reference
-        # inverts g by elimination
+        # _moved and _projected conjugate by one closed-form classify step;
+        # the reference inverts g by elimination
         count = 0
         for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
             x = realize_orbit(o)
             for sel in enumerate_selections(o):
                 g = selection_conjugator(o, sel)
-                assert _moved(o, sel) == g * x * inverse(g), (o, sel)
+                moved = g * x * inverse(g)
+                assert _moved(o, sel) == moved, (o, sel)
+                assert _projected(o, sel) == project_to_p_star(moved), (o, sel)
                 count += 1
         assert count == 14656
 

@@ -498,3 +498,97 @@ class TestJordanStructure:
                 for a in (Fraction(0), Fraction(-1), Fraction(1, 2)):
                     m = block_diag(*[jordan_block(k, a) for k in p])
                     assert jordan_structure(m, [a]) == {a: p}
+
+
+def _key(hint):
+    """The eigenvalue a hint names: a Fraction r, or (a, |b|) for b != 0."""
+    if isinstance(hint, tuple):
+        a, b = Fraction(hint[0]), abs(Fraction(hint[1]))
+        return (a, b) if b else a
+    return Fraction(hint)
+
+
+def _full_space_partition(m, key):
+    """The Jordan partition of m at key from the ranks of the powers of m - r,
+    or of (m - a)^2 + b^2, on the whole space, by conftest.eliminate."""
+    n = m.rows
+    eye = ExactMatrix.identity(n)
+    if isinstance(key, tuple):
+        a, b = key
+        shifted = (m - eye * a) * (m - eye * a) + eye * (b * b)
+        degree = 2
+    else:
+        shifted = m - eye * key
+        degree = 1
+    ranks, power = [n], eye
+    while len(ranks) < 2 or ranks[-1] != ranks[-2]:
+        power = power * shifted
+        ranks.append(len(eliminate([list(row) for row in power.data], n)))
+    at_least = [(ranks[k - 1] - ranks[k]) // degree for k in range(1, len(ranks))] + [0]
+    return Partition([size for size in range(1, len(at_least))
+                      for _ in range(at_least[size - 1] - at_least[size])])
+
+
+class TestChainedHints:
+    """Each hint is ranked on the row space the hints before it leave; its
+    answer must be that of the whole space, whatever the hints around it."""
+
+    CANDIDATES = (Fraction(2), Fraction(1), Fraction(0), Fraction(-1), Fraction(3),
+                  Fraction(-1, 2), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1, 2)),
+                  (Fraction(1), Fraction(2)), (Fraction(-1), Fraction(1)))
+
+    def _cases(self):
+        """(orbit, seeded conjugate, {key: full-space partition}) for a
+        sample of the size-6 corpora of both fields."""
+        rng = random.Random(2718)
+        orbits = list(complex_corpus(6))[::9] + list(real_corpus(6, require_pair=True))[::5]
+        for o in orbits:
+            g = random_unimodular(o.size, rng)
+            m = g * realize_orbit(o) * inverse(g)
+            full = {_key(h): _full_space_partition(m, _key(h)) for h in o.spectrum()}
+            assert full == {_key(c.eigenvalue()): c.partition for c in o.classes}
+            yield o, m, full, rng
+
+    def _hints(self, o, rng):
+        """The spectrum shuffled, each hint renamed ((a, -b) for a pair,
+        (r, 0) for a rational) or repeated at random, between absent hints."""
+        keys = {_key(h) for h in o.spectrum()}
+        absent = [h for h in self.CANDIDATES if _key(h) not in keys]
+        hints = []
+        for h in o.spectrum():
+            if isinstance(h, tuple):
+                hints.append(rng.choice([h, (h[0], -h[1])]))
+            else:
+                hints.append(rng.choice([h, (h, 0)]))
+            if rng.random() < 0.5:
+                hints.append(h)
+        rng.shuffle(hints)
+        return rng.sample(absent, 2) + hints + rng.sample(absent, 2), hints
+
+    def test_shuffled_renamed_and_repeated_hints(self):
+        matrices = 0
+        for o, m, full, rng in self._cases():
+            for _ in range(3):
+                hints, present = self._hints(o, rng)
+                order = list(dict.fromkeys(map(_key, present)))
+                assert list(jordan_structure(m, hints).items()) == [
+                    (k, full[k]) for k in order], (o, hints)
+                # an absent hint between present ones drops nothing
+                mixed = present[:1] + hints[:2] + present[1:] + hints[-2:]
+                assert list(jordan_structure(m, mixed).items()) == [
+                    (k, full[k]) for k in order], (o, mixed)
+            matrices += 1
+        assert matrices > 150
+
+    def test_a_dropped_class_names_the_dimension_found(self):
+        for o, m, full, rng in self._cases():
+            hints, _ = self._hints(o, rng)
+            n = m.rows
+            for dropped in full:
+                kept = [h for h in hints if _key(h) != dropped]
+                found = sum(full[k].weight * (2 if isinstance(k, tuple) else 1)
+                            for k in full if k != dropped)
+                with pytest.raises(SpectrumMismatch) as info:
+                    jordan_structure(m, kept)
+                assert str(info.value) == (
+                    "eigenvalues account for dimension %d of %d" % (found, n)), (o, kept)

@@ -48,6 +48,7 @@ CASES = {
     "verify_corpus_complex": ["verify", "--corpus", "4", "--field", "C", "--conjugations", "5"],
     "moment_geometry_north_star": ["moment", "@north_star.json", "--geometry"],
     "moment_geometry_repeated_parts": ["moment", "@repeated_parts.json", "--geometry"],
+    "classify_north_star_dense": ["classify", "@north_star_dense.json", "--certificate"],
 }
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -12,17 +13,22 @@ from mirabolic import (
     IndexSelection,
     MirabolicOrbitDatum,
     OrbitDatum,
+    SpectrumMismatch,
     check_geometry,
+    classify_certified,
     dense_selection,
     enumerate_selections,
+    jordan_structure,
     moment,
     oracle_image,
     point_stabilizer_dim,
     realize_normal_form,
+    realize_orbit,
     stabilizer_dim,
     symbolic_image,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
+from mirabolic.moment import _projected
 from mirabolic.partitions import partitions_of_weight
 
 from conftest import orbit, without_largest_part
@@ -312,3 +318,28 @@ class TestFiberStabilizers:
                     for i in range(n):
                         lift[i][n - 1] = Fraction(rng.randint(-3, 3))
                     assert point_stabilizer_dim(ExactMatrix(lift)) >= 1
+
+
+class TestSharedRows:
+    def test_no_row_is_changed_on_the_size_five_corpora(self):
+        # the representative's rows are shared with the projected points, the
+        # classify step keeps a row it leaves alone, a one-entry product row
+        # is a row of its factor, and jordan_structure ranks the stored rows
+        # at a hint 0 and at a pair hint (0, b): no path may write to them
+        for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
+            x = realize_orbit(o)
+            kept = copy.deepcopy(x.numerators)
+            check_geometry(o)
+            for sel in enumerate_selections(o):
+                oracle_image(o, sel)
+                point = _projected(o, sel)
+                rows = copy.deepcopy(point.numerators)
+                classify_certified(point, o.field, o.spectrum())
+                for m in (x, point):
+                    for hints in ([0], [(0, 1)]):
+                        try:
+                            jordan_structure(m, hints)
+                        except SpectrumMismatch:
+                            pass
+                assert point.numerators == rows, (o, sel)
+            assert x.numerators == kept, o
