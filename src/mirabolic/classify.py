@@ -19,14 +19,20 @@ scaled, by d * |beta_p|, and is kept as the same object when that scale,
 after the gcd, is 1.  The loop keeps each live row and column under the
 label it started with, in position order, so min(beta) is the least
 position and no step reindexes a column or builds an ExactMatrix; the
-labels are turned into positions once, at the head, and for a certificate
-each step's positional conjugator is derived from them.  Rows are combined
-only by exact_linalg's kernels (_combination, _integer_matmul, block_diag,
-ExactMatrix + and *); point_stabilizer_dim and stabilizer_dim alone build
-their rows inline, because they are the inner loops of the stabilizer ranks.
-The head block is identified from eigenvalue hints, a rational r for a real
-eigenvalue and a pair (a, b) for a +- ib (exact_linalg.jordan_structure
-reads the pair off the real quadratic (x - a)^2 + b^2).
+labels are turned into positions once, at the head, when they are not
+already 0..h-1, and for a certificate each step's positional conjugator is
+derived from them.  One loop, _normal_form, runs the recursion from such a
+label-keyed state and a first pivot: classify and classify_certified start
+it from the rows of x with the pivot min(beta), and moment.oracle_image
+from the orbit representative bordered below by a selection vector, whose
+first step, at the selection's largest position, is the conjugation by the
+selection's group element.  Rows are combined only by exact_linalg's
+kernels (_combination, _integer_matmul, block_diag, ExactMatrix + and *);
+point_stabilizer_dim and stabilizer_dim alone build their rows inline,
+because they are the inner loops of the stabilizer ranks.  The head block
+is identified from eigenvalue hints, a rational r for a real eigenvalue
+and a pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the
+pair off the real quadratic (x - a)^2 + b^2).
 
 point_stabilizer_dim ranks the whole matrix of the bracket map
 Y -> [x, Y].  stabilizer_dim ranks a smaller system instead: the last row
@@ -206,23 +212,37 @@ def _step_column(d: int, rows: dict, beta: dict, p) -> tuple:
 def _classify(x, field, eigenvalues, want_certificate):
     _validate_representative(x)
     n = x.rows
-    cert = ExactMatrix.identity(n) if want_certificate else None
-    d = x.denominator
     rows = dict(enumerate(x.numerators))
     beta = rows.pop(n - 1)
+    cert = ExactMatrix.identity(n) if want_certificate else None
+    return _normal_form(x.denominator, rows, beta, min(beta, default=None), n, field,
+                        eigenvalues, cert)
+
+
+def _normal_form(d, rows, beta, p, n, field, eigenvalues, cert=None):
+    """(datum, cert): the depth recursion from the label-keyed state.
+
+    The state is as for _conjugate_step: head rows / d keyed by labels in
+    position order, restriction row beta / d and a pivot label p with
+    beta_p != 0 for the first step; every later step pivots at min(beta).
+    n is the size of the representative the state stands for, so the depth
+    is n less the size of the head.  cert, when given, is the product of
+    the steps so far at ambient size n and is returned with each step put
+    in front of it.
+    """
     while beta:
-        p = min(beta)  # labels keep position order, so this is the least position
-        if want_certificate:
+        if cert is not None:
             cert = _step_conjugator(d, rows, beta, p, n) * cert
         # absorb the column t the unipotent radical can reach, then recurse
         d, rows, beta = _conjugate_step(d, rows, beta, p)
+        p = min(beta, default=None)  # labels keep position order: the least position
     heads = rows.values()
-    if len(rows) < n - 1:  # relabel the columns to positions once, at the head
+    h = len(rows)
+    if h and next(reversed(rows)) != h - 1:  # relabel the columns to positions once
         position = {q: i for i, q in enumerate(rows)}
         heads = [{position[j]: v for j, v in row.items()} for row in heads]
-    head = ExactMatrix.from_integer(d, list(heads), len(rows))
-    a_part = orbit_from_matrix(head, field, eigenvalues)
-    return MirabolicOrbitDatum(n - len(rows), a_part), cert
+    head = ExactMatrix.from_integer(d, list(heads), h)
+    return MirabolicOrbitDatum(n - h, orbit_from_matrix(head, field, eigenvalues)), cert
 
 
 def certificate_holds(

@@ -100,24 +100,26 @@ def _class_chains(sizes, prefix=(), start=0, x_prev=0, gap_prev=-1):
             yield from _class_chains(sizes, chain, i + 1, x, k - x)
 
 
+def _class_tuples(count, chosen=(), start=0):
+    """The ascending tuples of class indices below count that extend chosen,
+    lexicographic order."""
+    for c in range(start, count):
+        classes = chosen + (c,)
+        yield classes
+        yield from _class_tuples(count, classes, c + 1)
+
+
 def enumerate_selections(orbit: OrbitDatum) -> List[IndexSelection]:
     """The complete duplicate-free list of selections, lexicographic order."""
     chains = [
         list(_class_chains([k for k, _ in cls.partition.runs_ascending()]))
         for cls in orbit.classes
     ]
-    selections = []
-
-    def walk(chosen, start):
-        # the ascending tuples of class indices, lexicographic order
-        for c in range(start, len(chains)):
-            classes = chosen + (c,)
-            for combo in product(*(chains[i] for i in classes)):
-                selections.append(IndexSelection._canonical(tuple(zip(classes, combo))))
-            walk(classes, c + 1)
-
-    walk((), 0)
-    return selections
+    return [
+        IndexSelection._canonical(tuple(zip(classes, combo)))
+        for classes in _class_tuples(len(chains))
+        for combo in product(*(chains[i] for i in classes))
+    ]
 
 
 def _class_offsets(orbit: OrbitDatum) -> List[int]:

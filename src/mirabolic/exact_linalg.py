@@ -332,7 +332,9 @@ def _eigenvalue(hint):
     (a, b) as (a, |b|) for a +- ib, and (a, 0) as the rational a."""
     if isinstance(hint, tuple):
         a, b = hint
-        a, b = _fraction(a), abs(_fraction(b))
+        a, b = _fraction(a), _fraction(b)
+        if b.numerator < 0:
+            b = -b
         return (a, b) if b else a
     return _fraction(hint)
 
@@ -377,7 +379,7 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
         parts = []
         for size in range(len(at_least) - 1, 0, -1):
             parts.extend([size] * (at_least[size - 1] - at_least[size]))
-        result[lam] = Partition(parts)
+        result[lam] = Partition._canonical(tuple(parts))  # positive, descending
         basis, dim = stable, ranks[-1]
     if dim:
         raise SpectrumMismatch(
@@ -401,8 +403,9 @@ def _shifted_rows(m: ExactMatrix, lam) -> list:
         rows = m.numerators
     if not b:
         return rows
-    # s = q*d*(m - a) and (q*d*b)^2 = u/v give v*(q*d)^2*q = v*s^2 + u*I
-    u, v = ((q * m.denominator * b) ** 2).as_integer_ratio()
+    # s = q*d*(m - a) and (q*d*b)^2 = u/v give v*(q*d)^2*q = v*s^2 + u*I, with
+    # u/v not in lowest terms: that scales q by a positive constant only
+    u, v = (q * m.denominator * b.numerator) ** 2, b.denominator ** 2
     return [_combination(v, row, u, {i: 1}) for i, row in enumerate(_integer_matmul(rows, rows))]
 
 

@@ -9,12 +9,15 @@ independent computations of its normal form are provided:
   k - x_h + x_{h-1}, and zero-size leftovers vanish.
 
 * oracle_image conjugates the orbit representative by the selection's group
-  element g in one closed-form classify step (no inverse is formed),
-  projects to the mirabolic dual and classifies.  It shares no formulas
-  with the symbolic path.  The projected point is the head of that step:
-  the last column t of g x g^-1, which the projection drops, is never
-  formed.  check_geometry forms the whole moved point g x g^-1 only at the
-  dense selection, where point_stabilizer_dim ranks its bracket map.
+  element g, projects to the mirabolic dual and classifies, in one classify
+  recursion started from the representative bordered below by the
+  selection vector.  Its first step, at pivot k - 1, is the conjugation by
+  g (no inverse is formed); its head is the projected point, and the last
+  column t of g x g^-1, which the projection drops, is never formed.  No
+  intermediate matrix is built.  It shares no formulas with the symbolic
+  path.  check_geometry forms the projected point and the whole moved
+  point g x g^-1 only at the dense selection, where stabilizer_dim ranks
+  the one and point_stabilizer_dim the bracket map of the other.
 """
 from __future__ import annotations
 
@@ -22,12 +25,13 @@ from typing import List, Optional
 
 from .classify import (
     _conjugate_step,
+    _normal_form,
     _step_column,
-    classify,
     gl_centralizer_dim,
     point_stabilizer_dim,
     stabilizer_dim,
 )
+from .classify import classify  # noqa: F401  unused here; perfbench/tests checks this import site
 from .enumeration import (
     IndexSelection,
     _fitted_choices,
@@ -90,13 +94,12 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
 
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
-    """Conjugate, project, classify: the independent check of symbolic_image."""
-    return _classify_point(orbit, _projected(orbit, selection))
+    """Conjugate, project, classify: the independent check of symbolic_image.
 
-
-def _classify_point(orbit: OrbitDatum, point: ExactMatrix) -> MirabolicOrbitDatum:
-    """The normal form of a projected point of the orbit's moment-map image."""
-    return classify(point, orbit.field, orbit.spectrum())
+    One classify recursion run from the bordered representative, whose
+    first step, at pivot k - 1, is the conjugation by the selection's g."""
+    d, rows, v, p = _bordered(orbit, selection)
+    return _normal_form(d, rows, v, p, len(rows), orbit.field, orbit.spectrum())[0]
 
 
 def _bordered(orbit: OrbitDatum, selection: IndexSelection) -> tuple:
@@ -113,7 +116,8 @@ def _projected(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
     """pr'(g x g^-1) for the selection's conjugator g = _completion(1, v, n,
     k - 1): the head of the classify step at pivot k - 1 on x bordered by v,
     its columns shifted down past k - 1.  The column t that g x g^-1 has
-    last is never formed, since the projection drops it."""
+    last is never formed, since the projection drops it.  check_geometry
+    forms it only at the dense selection, for stabilizer_dim."""
     d, rows, beta, p = _bordered(orbit, selection)
     e, head, top = _conjugate_step(d, rows, beta, p)
     shifted = [row if not row or max(row) < p else {j - (j > p): v for j, v in row.items()}
@@ -170,9 +174,10 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     the same dimension as the stabilizer of the moved point itself, which
     is the singleton-fiber statement in computable form.
 
-    Each selection's projected point is formed once and feeds the oracle
-    and, at the dense selection, stabilizer_dim; only there is the whole
-    moved point formed too, for point_stabilizer_dim on its bracket matrix.  The image stabilizers are read off each symbolic
+    The oracle classifies each selection from the bordered representative
+    and forms no point.  Only at the dense selection are the projected
+    point and the whole moved point formed, for stabilizer_dim and
+    point_stabilizer_dim.  The image stabilizers are read off each symbolic
     normal form by the depth law of classify: gl_centralizer_dim of the
     head plus the head's size.  At the dense selection the law is checked
     against the rank of stabilizer_dim, and that against the rank of
@@ -188,8 +193,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     other_stabs: List[int] = []
     for sel in selections:
         sym = symbolic_image(orbit, sel)
-        point = _projected(orbit, sel)
-        orc = _classify_point(orbit, point)
+        orc = oracle_image(orbit, sel)
         agree = sym == orc
         if not agree:
             failures.append("symbolic/oracle disagree at %r" % (sel.to_json(),))
@@ -202,7 +206,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
             "stab_dims": {"image": stab},
         }
         if sel == dense:
-            dense_stab = stabilizer_dim(point)
+            dense_stab = stabilizer_dim(_projected(orbit, sel))
             dense_point_stab = point_stabilizer_dim(_moved(orbit, sel))
             record["stab_dims"]["point"] = dense_point_stab
             record["dense"] = True

@@ -1,3 +1,4 @@
+import gc
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -112,6 +113,23 @@ class TestAgainstReferences:
         count = len(enumerate_selections(one_class(range(12, 0, -1))))
         assert count == 2 ** 12 - 1
         assert time.perf_counter() - start < 1.0
+
+
+class TestNoCycles:
+    def test_dropped_selections_leave_no_cyclic_garbage(self):
+        # a self-referencing helper closure would keep every selection alive
+        # until the cyclic collector runs
+        o = orbit(REAL, (1, [3, 2, 1]), (0, 1, [2, 1]))  # the north-star orbit
+        enumerate_selections(o)  # fill the orbit's caches first
+        gc.collect()
+        gc.disable()
+        try:
+            selections = enumerate_selections(o)
+            assert len(selections) == 31
+            del selections
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCounts:
