@@ -16,8 +16,9 @@ independent computations of its normal form are provided:
   column t of g x g^-1, which the projection drops, is never formed.  No
   intermediate matrix is built.  It shares no formulas with the symbolic
   path.  check_geometry forms the projected point and the whole moved
-  point g x g^-1 only at the dense selection, where stabilizer_dim ranks
-  the one and point_stabilizer_dim the bracket map of the other.
+  point g x g^-1 only at the dense selection, from one bordered state and
+  one step, where stabilizer_dim ranks the one and point_stabilizer_dim the
+  bracket map of the other.
 """
 from __future__ import annotations
 
@@ -82,13 +83,17 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
         for i, x in pairs:
             k = runs[i][0]
             parts.remove(k)
-            parts.append(k - x + x_prev)  # a zero part is dropped by Partition
+            parts.append(k - x + x_prev)
             x_prev = x
         depth += (2 if cls.is_pair else 1) * x_prev
-        partition = Partition(parts)
+        # _fitted_choices bounds every x by its block size k, so each new
+        # part k - x + x_prev is a nonnegative int: the nonzero parts, sorted
+        # descending, are already the partition's canonical parts
+        partition = Partition._canonical(tuple(sorted((p for p in parts if p), reverse=True)))
         classes[idx] = EigenvalueClass(cls.re, partition, im=cls.im) if partition else None
     # the order of classes depends on their eigenvalues only, which the
-    # surgery keeps, so the head is already in canonical form
+    # surgery keeps, and each partition above is built canonical, so the
+    # head is already in canonical form
     return MirabolicOrbitDatum(
         depth, OrbitDatum._canonical(orbit.field, tuple(c for c in classes if c is not None)))
 
@@ -116,9 +121,12 @@ def _projected(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
     """pr'(g x g^-1) for the selection's conjugator g = _completion(1, v, n,
     k - 1): the head of the classify step at pivot k - 1 on x bordered by v,
     its columns shifted down past k - 1.  The column t that g x g^-1 has
-    last is never formed, since the projection drops it.  check_geometry
-    forms it only at the dense selection, for stabilizer_dim."""
-    d, rows, beta, p = _bordered(orbit, selection)
+    last is never formed, since the projection drops it."""
+    return _projection(*_bordered(orbit, selection))
+
+
+def _projection(d: int, rows: dict, beta: dict, p) -> ExactMatrix:
+    """_projected from the bordered state (d, rows, beta, p)."""
     e, head, top = _conjugate_step(d, rows, beta, p)
     shifted = [row if not row or max(row) < p else {j - (j > p): v for j, v in row.items()}
                for row in (*head.values(), top)]
@@ -127,12 +135,16 @@ def _projected(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
 
 def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
     """g x g^-1 in full: the projected point with the step's column t / e
-    last.  check_geometry forms it only at the dense selection."""
-    d, rows, beta, p = _bordered(orbit, selection)
+    last."""
+    state = _bordered(orbit, selection)
+    return _with_column(_projection(*state), *state)
+
+
+def _with_column(projected: ExactMatrix, d: int, rows: dict, beta: dict, p) -> ExactMatrix:
+    """g x g^-1 from its projection and the bordered state it came from."""
     e, t = _step_column(d, rows, beta, p)
     n = len(rows)
-    column = ExactMatrix.from_integer(e, [{n - 1: v} if v else {} for v in t], n)
-    return _projected(orbit, selection) + column
+    return projected + ExactMatrix.from_integer(e, [{n - 1: v} if v else {} for v in t], n)
 
 
 class GeometryReport:
@@ -206,8 +218,11 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
             "stab_dims": {"image": stab},
         }
         if sel == dense:
-            dense_stab = stabilizer_dim(_projected(orbit, sel))
-            dense_point_stab = point_stabilizer_dim(_moved(orbit, sel))
+            # one bordered state and one step give both points
+            state = _bordered(orbit, sel)
+            projected = _projection(*state)
+            dense_stab = stabilizer_dim(projected)
+            dense_point_stab = point_stabilizer_dim(_with_column(projected, *state))
             record["stab_dims"]["point"] = dense_point_stab
             record["dense"] = True
             if dense_stab != stab:

@@ -17,13 +17,19 @@ into factors, for an orbit and for the head of its dense image alike.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
+A factor computes that key once, in __init__ or shrink, and keeps it.
 Restriction shrinks every factor by one, which keeps that order, so the
-restricted label is built without sorting or validating again.
+restricted label is built without sorting or validating again.  _attach
+builds its factors through the trusted Factor._canonical as well: the
+classes come from a validated OrbitDatum, the signs from _check_signs and
+the pair parameter from _attach's own half-integer check, so every field
+already passes the constructor's checks.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .exact_linalg import _fraction, _integer
@@ -67,6 +73,14 @@ _KIND_ORDER = {CHARACTER: 0, SPEH: 1, STEIN: 2, SPEH_CS: 3}
 _HALF = Fraction(1, 2)
 
 
+def _key(kind, t, twist, w, m, s) -> tuple:
+    """Factor.sort_key of a factor with these fields."""
+    return (twist, -_KIND_ORDER[kind], t, m or 0, s or 0, -w)
+
+
+_SORT_KEY = attrgetter("_key")
+
+
 class UnsupportedOrbitShape(Exception):
     """No attachment formula covers this orbit shape."""
 
@@ -74,7 +88,7 @@ class UnsupportedOrbitShape(Exception):
 class Factor:
     """One building block of a unitary label."""
 
-    __slots__ = ("kind", "t", "twist", "w", "m", "s")
+    __slots__ = ("kind", "t", "twist", "w", "m", "s", "_key")
 
     def __init__(self, kind, t, twist=0, w=0, m=None, s=None):
         if kind not in _UNIT:
@@ -108,6 +122,17 @@ class Factor:
             if s is not None:
                 raise ValueError("s only applies to Stein-type factors")
             self.s = None
+        self._key = _key(kind, t, self.twist, self.w, self.m, self.s)
+
+    @classmethod
+    def _canonical(cls, kind, t, twist, w=0, m=None, s=None) -> "Factor":
+        """Takes over fields that already pass every check of the
+        constructor: an int t >= 1, a Fraction twist, an int w in (0, 1)
+        and m, s as the kind requires."""
+        f = object.__new__(cls)
+        f.kind, f.t, f.twist, f.w, f.m, f.s = kind, t, twist, w, m, s
+        f._key = _key(kind, t, twist, w, m, s)
+        return f
 
     @property
     def span(self) -> int:
@@ -126,19 +151,14 @@ class Factor:
         left = object.__new__(Factor)
         left.kind, left.t, left.twist = self.kind, self.t - 1, self.twist
         left.w, left.m, left.s = self.w, self.m, self.s
+        key = self._key
+        left._key = (key[0], key[1], left.t, key[3], key[4], key[5])
         return left
 
     def sort_key(self):
         # labels sort by this key descending; it covers every field, so it
         # is also the factor's identity for == and hash
-        return (
-            self.twist,
-            -_KIND_ORDER[self.kind],
-            self.t,
-            self.m or 0,
-            self.s or 0,
-            -self.w,
-        )
+        return self._key
 
     def to_json(self) -> dict:
         obj = {"kind": self.kind, "t": self.t, "twist": str(self.twist)}
@@ -152,11 +172,11 @@ class Factor:
 
     def __eq__(self, other):
         if isinstance(other, Factor):
-            return self.sort_key() == other.sort_key()
+            return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.sort_key())
+        return hash(self._key)
 
     def __repr__(self):
         extra = ""
@@ -193,7 +213,7 @@ class RepLabel:
     def __init__(self, field: str, factors: Iterable[Factor] = ()):
         if field not in (REAL, COMPLEX):
             raise ValueError("field must be R or C")
-        factors = tuple(sorted(factors, key=Factor.sort_key, reverse=True))
+        factors = tuple(sorted(factors, key=_SORT_KEY, reverse=True))
         for f in factors:
             if field == COMPLEX and f.kind in (SPEH, SPEH_CS):
                 raise ValueError("Speh factors only exist over the real field")
@@ -279,9 +299,10 @@ def sign_shape(orbit: OrbitDatum) -> List[int]:
 def _check_signs(orbit: OrbitDatum, signs) -> dict:
     """The caller's sign assignment as {eigenvalue: sign tuple} over the real
     classes of a real-field orbit, {} when the orbit takes none; raises on
-    any other shape and TypeError on a sign that is not an int."""
-    shape = sign_shape(orbit)
-    if not shape:
+    any other shape and TypeError on a sign that is not an int.  Each sign
+    comes out an int 0 or 1, ready for Factor._canonical."""
+    classes = orbit.real_classes() if orbit.field == REAL else ()
+    if not classes:
         if signs:
             raise ValueError("sign assignment given but no real classes need one")
         return {}
@@ -291,11 +312,13 @@ def _check_signs(orbit: OrbitDatum, signs) -> dict:
             "(one 0/1 tuple per real class, one entry per dual-partition part)"
         )
     signs = [tuple(_integer(w, "sign exponent") for w in ws) for ws in signs]
-    if len(signs) != len(shape):
+    if len(signs) != len(classes):
         raise ValueError(
-            "expected %d sign tuples, got %d" % (len(shape), len(signs))
+            "expected %d sign tuples, got %d" % (len(classes), len(signs))
         )
-    for cls, expected, ws in zip(orbit.real_classes(), shape, signs):
+    checked = {}
+    for cls, ws in zip(classes, signs):
+        expected = len(cls.partition.dual())
         if len(ws) != expected:
             raise ValueError(
                 "class at eigenvalue %s needs %d signs, got %d"
@@ -303,28 +326,38 @@ def _check_signs(orbit: OrbitDatum, signs) -> dict:
             )
         if any(w not in (0, 1) for w in ws):
             raise ValueError("signs must be 0 or 1")
-    return {cls.re: ws for cls, ws in zip(orbit.real_classes(), signs)}
+        checked[cls.re] = ws
+    return checked
 
 
 def _attach(orbit: OrbitDatum, signs: dict) -> RepLabel:
     """The label attached to orbit, with signs keyed by eigenvalue.  A part
     of a real class beyond its entry (every part over C) takes sign 0, so no
-    part is dropped; a pair class reads no sign."""
+    part is dropped; a pair class reads no sign.
+
+    Every field is already checked, so the factors are built trusted: the
+    classes come from a validated OrbitDatum (a Fraction eigenvalue, dual
+    parts that are positive ints, pair classes over R only), the signs from
+    _check_signs, and the pair parameter from the half-integer check here."""
     factors = []
     for cls in orbit.classes:
         dual_parts = cls.partition.dual()
+        re = cls.re
         if cls.is_pair:
             m2 = 2 * cls.im
             if m2.denominator != 1 or m2 <= 0:
                 raise UnsupportedOrbitShape(
                     "pair class at %s+-%si: imaginary part must be a positive "
-                    "half-integer" % (cls.re, cls.im)
+                    "half-integer" % (re, cls.im)
                 )
-            factors += [speh(p, int(m2), twist=cls.re) for p in dual_parts]
+            m = m2.numerator
+            factors += [Factor._canonical(SPEH, p, re, 0, m) for p in dual_parts]
         else:
-            ws = signs.get(cls.re, ()) + (0,) * len(dual_parts)
-            factors += [character(p, cls.re, w) for p, w in zip(dual_parts, ws)]
-    return RepLabel(orbit.field, factors)
+            ws = signs.get(re, ()) + (0,) * len(dual_parts)
+            factors += [Factor._canonical(CHARACTER, p, re, w)
+                        for p, w in zip(dual_parts, ws)]
+    factors.sort(key=_SORT_KEY, reverse=True)
+    return RepLabel._canonical(orbit.field, tuple(factors))
 
 
 def attach_gl_rep(orbit: OrbitDatum, signs=None) -> RepLabel:
@@ -416,8 +449,10 @@ def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
     signs = None if signs is None else [tuple(ws) for ws in signs]
     restricted = restrict_to_mirabolic(attach_gl_rep(orbit, signs))
     omega = symbolic_image(orbit, dense_selection(orbit))
+    # attach_gl_rep has checked the signs, so each is an int 0 or 1 or a
+    # subclass of int (a bool) that int makes one
     image_signs = {
-        cls.re: tuple(w for w, p in zip(ws, cls.partition.dual()) if p >= 2)
+        cls.re: tuple(int(w) for w, p in zip(ws, cls.partition.dual()) if p >= 2)
         for cls, ws in zip(orbit.real_classes(), signs or ())
     }
     attached = MirabolicRepLabel(omega.depth, _attach(omega.a_part, image_signs))

@@ -29,7 +29,7 @@ from mirabolic import (
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
 from mirabolic.moment import _projected
-from mirabolic.partitions import partitions_of_weight
+from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import orbit, without_largest_part
 
@@ -92,6 +92,20 @@ class TestSymbolicImage:
             for sel in enumerate_selections(o):
                 img = symbolic_image(o, sel)
                 assert img.depth + img.a_part.size == o.size
+
+
+    def test_head_partitions_are_canonical(self):
+        # symbolic_image builds each head partition without the
+        # constructor's sort and checks
+        count = 0
+        for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
+            for sel in enumerate_selections(o):
+                for cls in symbolic_image(o, sel).a_part.classes:
+                    p = cls.partition
+                    assert p == Partition(list(p)), (o, sel)
+                    assert type(p.parts) is tuple and all(type(x) is int for x in p), (o, sel)
+                count += 1
+        assert count == 4330
 
 
 class TestSelectionFit:

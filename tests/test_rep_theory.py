@@ -380,6 +380,30 @@ class TestVerifyRestriction:
         assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
             "d490d536ac6835a12b74502688240a2d97a52a189cc092ec41850702c776a767")
 
+    def test_size_seven_reports_are_pinned(self):
+        # the orbits of size exactly 7, every sign vector: the rest of the
+        # size-7 restriction corpus, which the size-6 pin does not reach
+        reports = [verify_restriction(o).to_json() for o in complex_corpus(7) if o.size == 7]
+        reports += [
+            verify_restriction(o, signs).to_json()
+            for o in real_corpus(7, require_pair=False) if o.size == 7
+            for signs in all_sign_choices(o)
+        ]
+        assert len(reports) == 8952
+        assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+            "a7bdc033b93183dad5ffe9c94a9d219ba3b2437bf6567b40d1c90f0ff059f81a")
+
+    def test_int_subclass_signs_give_int_sign_exponents(self):
+        # bools pass the sign check; every label carries the int they stand for
+        o = orbit(REAL, (1, [1]), (0, [2, 1]))
+        report = verify_restriction(o, [(True,), (True, False)])
+        assert report.ok
+        as_ints = verify_restriction(o, [(1,), (1, 0)])
+        assert report.restricted.to_json() == as_ints.restricted.to_json()
+        assert report.attached.to_json() == as_ints.attached.to_json()
+        for label in (report.restricted.adduced, report.attached.adduced):
+            assert all(type(f.w) is int for f in label.factors)
+
     def test_unsupported_shape_propagates(self):
         with pytest.raises(UnsupportedOrbitShape):
             verify_restriction(orbit(REAL, (0, "1/3", [1])))
@@ -395,3 +419,31 @@ class TestVerifyRestriction:
                 assert sizes == expected
                 omega = symbolic_image(o, dense_selection(o))
                 assert restricted == attach_mirabolic_rep(omega)
+
+
+class TestTrustedFactors:
+    """attach_gl_rep, Factor.shrink and the head's attachment build their
+    factors without the constructor's checks; each must be what the
+    validating constructor builds from the same fields, key included."""
+
+    @staticmethod
+    def assert_validated(label):
+        for f in label.factors:
+            rebuilt = Factor(f.kind, f.t, f.twist, f.w, f.m, f.s)
+            assert f == rebuilt, f
+            assert f.sort_key() == rebuilt.sort_key(), f
+            assert hash(f) == hash(rebuilt), f
+            assert f.to_json() == rebuilt.to_json(), f
+            assert type(f.t) is int and type(f.w) is int and type(f.twist) is Fraction, f
+        assert label == RepLabel(label.field, label.factors)
+
+    def test_labels_of_the_size_six_corpora(self):
+        checked = 0
+        for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
+            for signs in all_sign_choices(o):
+                attached = attach_gl_rep(o, signs)
+                self.assert_validated(attached)
+                self.assert_validated(restrict_to_mirabolic(attached).adduced)
+                self.assert_validated(verify_restriction(o, signs).attached.adduced)
+                checked += 1
+        assert checked == 4968
