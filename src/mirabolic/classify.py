@@ -23,10 +23,8 @@ labels are turned into positions once, at the head, when they are not
 already 0..h-1, and for a certificate each step's positional conjugator is
 derived from them.  One loop, _normal_form, runs the recursion from such a
 label-keyed state and a first pivot: classify and classify_certified start
-it from the rows of x with the pivot min(beta), and moment.oracle_image
-from the orbit representative bordered below by a selection vector, whose
-first step, at the selection's largest position, is the conjugation by the
-selection's group element.  Rows are combined only by exact_linalg's
+it from the rows of x with the pivot min(beta), and the moment map's oracle
+from a bordered state.  Rows are combined only by exact_linalg's
 kernels (_combination, _integer_matmul, block_diag, ExactMatrix + and *);
 point_stabilizer_dim and stabilizer_dim alone build their rows inline,
 because they are the inner loops of the stabilizer ranks.  The head block
@@ -47,6 +45,17 @@ whole unipotent radical, of dimension n - 1.  A nonzero radical part
 reduces a P_n-orbit to a P_(n-1)-orbit with a stabilizer of the same
 dimension (Bernstein, LNM 1041, 1984), which is one step of the recursion
 above.  check_geometry reads its image stabilizers off this law.
+
+The bordered state of an n x n representative x and a selection's 1-based
+positions q_1 < ... < q_k is (d, rows, beta, p): the rows of d*x keyed by
+their labels 0..n-1, beta = {q - 1: d} (x bordered below by the selection
+vector v) and the first pivot p = q_k - 1.  The selection's group element g
+is _completion(1, v, n, p), so the first step from this state is the
+conjugation by g and forms no inverse.  _bordered_normal_form runs the
+recursion from it: the normal form of pr'(g x g^-1), with no intermediate
+matrix built.  _bordered_point forms g x g^-1 itself from that one step:
+its head with the columns shifted down past p, then the step column t,
+which the projection pr' drops, last.
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
@@ -243,6 +252,36 @@ def _normal_form(d, rows, beta, p, n, field, eigenvalues, cert=None):
         heads = [{position[j]: v for j, v in row.items()} for row in heads]
     head = ExactMatrix.from_integer(d, list(heads), h)
     return MirabolicOrbitDatum(n - h, orbit_from_matrix(head, field, eigenvalues)), cert
+
+
+def _bordered(x: ExactMatrix, positions: Sequence[int]) -> tuple:
+    """The bordered state (d, rows, beta, p) of x and the 1-based positions."""
+    d = x.denominator
+    return d, dict(enumerate(x.numerators)), {q - 1: d for q in positions}, positions[-1] - 1
+
+
+def _bordered_normal_form(
+    x: ExactMatrix, positions: Sequence[int], field: str, eigenvalues: Sequence
+) -> MirabolicOrbitDatum:
+    """Normal form of pr'(g x g^-1), by the recursion from the bordered state."""
+    d, rows, beta, p = _bordered(x, positions)
+    return _normal_form(d, rows, beta, p, len(rows), field, eigenvalues)[0]
+
+
+def _bordered_point(x: ExactMatrix, positions: Sequence[int]) -> ExactMatrix:
+    """g x g^-1 in full: the head of the first step of the bordered state, its
+    columns shifted down past the pivot, with the step column t last."""
+    d, rows, beta, p = _bordered(x, positions)
+    e, head, top = _conjugate_step(d, rows, beta, p)
+    f, t = _step_column(d, rows, beta, p)
+    g, n = f // e, len(rows)  # g: the gcd _conjugate_step divided out
+    moved = []
+    for row, v in zip((*head.values(), top), t):
+        row = {j - (j > p): g * w for j, w in row.items()}
+        if v:
+            row[n - 1] = v
+        moved.append(row)
+    return ExactMatrix.from_integer(f, moved, n)
 
 
 def certificate_holds(

@@ -58,12 +58,12 @@ class InputError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
@@ -206,8 +206,11 @@ def _signs(orbit: OrbitDatum, raw: Optional[str]):
 def _emit(payload: dict, out: Optional[str]) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (out, exc)) from exc
     else:
         sys.stdout.write(text)
 
@@ -437,14 +440,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         payload = args.func(args)
+        exit_code = payload.pop("_exit", 0)
+        _emit(payload, getattr(args, "out", None))
     except (InputError, OrbitSpecError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (SpectrumMismatch, MalformedRepresentative, UnsupportedOrbitShape, ValueError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
-    exit_code = payload.pop("_exit", 0)
-    _emit(payload, getattr(args, "out", None))
     return exit_code
 
 

@@ -10,24 +10,18 @@ independent computations of its normal form are provided:
 
 * oracle_image conjugates the orbit representative by the selection's group
   element g, projects to the mirabolic dual and classifies, in one classify
-  recursion started from the representative bordered below by the
-  selection vector.  Its first step, at pivot k - 1, is the conjugation by
-  g (no inverse is formed); its head is the projected point, and the last
-  column t of g x g^-1, which the projection drops, is never formed.  No
-  intermediate matrix is built.  It shares no formulas with the symbolic
-  path.  check_geometry forms the projected point and the whole moved
-  point g x g^-1 only at the dense selection, from one bordered state and
-  one step, where stabilizer_dim ranks the one and point_stabilizer_dim the
-  bracket map of the other.
+  recursion from the representative bordered below by the selection vector
+  (classify's bordered state).  It shares no formulas with the symbolic
+  path.  check_geometry forms the moved point g x g^-1 only at the dense
+  selection.
 """
 from __future__ import annotations
 
 from typing import List, Optional
 
 from .classify import (
-    _conjugate_step,
-    _normal_form,
-    _step_column,
+    _bordered_normal_form,
+    _bordered_point,
     gl_centralizer_dim,
     point_stabilizer_dim,
     stabilizer_dim,
@@ -44,6 +38,7 @@ from .orbit_model import (
     EigenvalueClass,
     MirabolicOrbitDatum,
     OrbitDatum,
+    project_to_p_star,
     realize_orbit,
 )
 from .partitions import Partition
@@ -99,52 +94,14 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
 
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
-    """Conjugate, project, classify: the independent check of symbolic_image.
-
-    One classify recursion run from the bordered representative, whose
-    first step, at pivot k - 1, is the conjugation by the selection's g."""
-    d, rows, v, p = _bordered(orbit, selection)
-    return _normal_form(d, rows, v, p, len(rows), orbit.field, orbit.spectrum())[0]
-
-
-def _bordered(orbit: OrbitDatum, selection: IndexSelection) -> tuple:
-    """(d, rows, v, k - 1): the orbit representative x = rows / d bordered
-    below by the selection vector v / d, with rows keyed by their labels
-    0..n-1 and k the largest position, ready for one _conjugate_step."""
-    x = realize_orbit(orbit)
-    d = x.denominator
-    positions = selection_positions(orbit, selection)
-    return d, dict(enumerate(x.numerators)), {q - 1: d for q in positions}, positions[-1] - 1
-
-
-def _projected(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
-    """pr'(g x g^-1) for the selection's conjugator g = _completion(1, v, n,
-    k - 1): the head of the classify step at pivot k - 1 on x bordered by v,
-    its columns shifted down past k - 1.  The column t that g x g^-1 has
-    last is never formed, since the projection drops it."""
-    return _projection(*_bordered(orbit, selection))
-
-
-def _projection(d: int, rows: dict, beta: dict, p) -> ExactMatrix:
-    """_projected from the bordered state (d, rows, beta, p)."""
-    e, head, top = _conjugate_step(d, rows, beta, p)
-    shifted = [row if not row or max(row) < p else {j - (j > p): v for j, v in row.items()}
-               for row in (*head.values(), top)]
-    return ExactMatrix.from_integer(e, shifted, len(rows))
+    """Conjugate, project, classify: the independent check of symbolic_image."""
+    return _bordered_normal_form(realize_orbit(orbit), selection_positions(orbit, selection),
+                                 orbit.field, orbit.spectrum())
 
 
 def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
-    """g x g^-1 in full: the projected point with the step's column t / e
-    last."""
-    state = _bordered(orbit, selection)
-    return _with_column(_projection(*state), *state)
-
-
-def _with_column(projected: ExactMatrix, d: int, rows: dict, beta: dict, p) -> ExactMatrix:
-    """g x g^-1 from its projection and the bordered state it came from."""
-    e, t = _step_column(d, rows, beta, p)
-    n = len(rows)
-    return projected + ExactMatrix.from_integer(e, [{n - 1: v} if v else {} for v in t], n)
+    """g x g^-1 in full, for the selection's group element g."""
+    return _bordered_point(realize_orbit(orbit), selection_positions(orbit, selection))
 
 
 class GeometryReport:
@@ -187,9 +144,9 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     is the singleton-fiber statement in computable form.
 
     The oracle classifies each selection from the bordered representative
-    and forms no point.  Only at the dense selection are the projected
-    point and the whole moved point formed, for stabilizer_dim and
-    point_stabilizer_dim.  The image stabilizers are read off each symbolic
+    and forms no point.  Only at the dense selection is the moved point
+    formed, for point_stabilizer_dim, and its projection for
+    stabilizer_dim.  The image stabilizers are read off each symbolic
     normal form by the depth law of classify: gl_centralizer_dim of the
     head plus the head's size.  At the dense selection the law is checked
     against the rank of stabilizer_dim, and that against the rank of
@@ -218,11 +175,9 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
             "stab_dims": {"image": stab},
         }
         if sel == dense:
-            # one bordered state and one step give both points
-            state = _bordered(orbit, sel)
-            projected = _projection(*state)
-            dense_stab = stabilizer_dim(projected)
-            dense_point_stab = point_stabilizer_dim(_with_column(projected, *state))
+            moved = _moved(orbit, sel)
+            dense_stab = stabilizer_dim(project_to_p_star(moved))
+            dense_point_stab = point_stabilizer_dim(moved)
             record["stab_dims"]["point"] = dense_point_stab
             record["dense"] = True
             if dense_stab != stab:

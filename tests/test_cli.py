@@ -349,6 +349,29 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert json.loads(out_path.read_text(encoding="utf-8"))["count"] == 3
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."])
+    def test_unwritable_out_is_an_input_error(self, tmp_path, capsys, target):
+        # a path under a missing directory, and a directory
+        path = write_json(tmp_path, "u.json", UNIPOTENT_21)
+        out_path = str(tmp_path / target)
+        code, out, err = run(capsys, "enumerate", path, "--out", out_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write %s: " % out_path)
+        assert err.count("\n") == 1
+
+    def test_input_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read %s: " % path)
+        assert err.count("\n") == 1
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"),
+                                                          encoding="utf-8"))
+        code, out, err = run(capsys, "enumerate", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read -: ")
+
     def test_bad_json_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

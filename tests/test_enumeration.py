@@ -14,13 +14,12 @@ from mirabolic import (
     enumerate_selections,
     inverse,
     partitions_of_weight,
-    project_to_p_star,
     realize_orbit,
     selection_conjugator,
     selection_positions,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
-from mirabolic.moment import _moved, _projected, dense_selection
+from mirabolic.moment import _moved, dense_selection, oracle_image, symbolic_image
 
 from conftest import orbit
 
@@ -234,8 +233,8 @@ class TestConjugator:
         assert inverse(g) == ExactMatrix([[1, 0, 0], [0, 1, 0], [-1, 0, 1]])
 
     def test_moved_is_the_conjugate_on_the_size_6_corpora(self):
-        # _moved and _projected conjugate by one closed-form classify step;
-        # the reference inverts g by elimination
+        # _moved conjugates by one closed-form classify step; the reference
+        # inverts g by elimination
         count = 0
         for o in list(complex_corpus(6)) + list(real_corpus(6, require_pair=False)):
             x = realize_orbit(o)
@@ -243,9 +242,31 @@ class TestConjugator:
                 g = selection_conjugator(o, sel)
                 moved = g * x * inverse(g)
                 assert _moved(o, sel) == moved, (o, sel)
-                assert _projected(o, sel) == project_to_p_star(moved), (o, sel)
                 count += 1
         assert count == 14656
+
+    def test_moved_is_the_conjugate_at_fractional_eigenvalues(self):
+        # every corpus eigenvalue is an integer, so the representative's
+        # denominator d is 1 there; these fixed orbits have d > 1, which the
+        # bordered state scales the selection vector by
+        huge = Fraction(10**6) + Fraction(1, 7)
+        orbits = [
+            orbit(COMPLEX, ("1/3", [2, 1]), ("-7/2", [2]), (huge, [1])),
+            orbit(COMPLEX, ("1/3", [3]), ("-7/2", [1, 1, 1])),
+            orbit(REAL, ("1/3", "1/2", [1, 1]), ("-7/2", [2])),
+            orbit(REAL, ("-7/2", "5/3", [2]), (huge, [1, 1])),
+            orbit(REAL, (huge, "2/7", [1]), ("1/3", [2, 1, 1])),
+        ]
+        count = 0
+        for o in orbits:
+            x = realize_orbit(o)
+            assert x.denominator > 1, o
+            for sel in enumerate_selections(o):
+                g = selection_conjugator(o, sel)
+                assert _moved(o, sel) == g * x * inverse(g), (o, sel)
+                assert oracle_image(o, sel) == symbolic_image(o, sel), (o, sel)
+                count += 1
+        assert count == 47
 
 
 class TestCanonicalConstruction:

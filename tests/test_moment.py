@@ -22,13 +22,14 @@ from mirabolic import (
     moment,
     oracle_image,
     point_stabilizer_dim,
+    project_to_p_star,
     realize_normal_form,
     realize_orbit,
     stabilizer_dim,
     symbolic_image,
 )
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
-from mirabolic.moment import _projected
+from mirabolic.moment import _moved
 from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import orbit, without_largest_part
@@ -336,8 +337,8 @@ class TestFiberStabilizers:
 
 class TestSharedRows:
     def test_no_row_is_changed_on_the_size_five_corpora(self):
-        # the representative's rows are shared with the projected points, the
-        # classify step keeps a row it leaves alone, a one-entry product row
+        # the projection shares the moved point's rows, the classify step
+        # keeps a row it leaves alone, a one-entry product row
         # is a row of its factor, and jordan_structure ranks the stored rows
         # at a hint 0 and at a pair hint (0, b): no path may write to them
         for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
@@ -346,7 +347,7 @@ class TestSharedRows:
             check_geometry(o)
             for sel in enumerate_selections(o):
                 oracle_image(o, sel)
-                point = _projected(o, sel)
+                point = project_to_p_star(_moved(o, sel))
                 rows = copy.deepcopy(point.numerators)
                 classify_certified(point, o.field, o.spectrum())
                 for m in (x, point):
