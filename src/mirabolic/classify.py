@@ -23,11 +23,12 @@ labels are turned into positions once, at the head, when they are not
 already 0..h-1, and for a certificate each step's positional conjugator is
 derived from them.  One loop, _normal_form, runs the recursion from such a
 label-keyed state and a first pivot: classify and classify_certified start
-it from the rows of x with the pivot min(beta), and the moment map's oracle
-from a bordered state.  Rows are combined only by exact_linalg's
-kernels (_combination, _integer_matmul, block_diag, ExactMatrix + and *);
-point_stabilizer_dim and stabilizer_dim alone build their rows inline,
-because they are the inner loops of the stabilizer ranks.  The head block
+it from _state(x), the validated rows of x with the pivot min(beta), and
+the moment map's oracle from its sibling _bordered, a bordered state.  Rows
+are combined only by exact_linalg's kernels (_combination, _integer_matmul,
+block_diag, ExactMatrix + and *); point_stabilizer_dim and stabilizer_dim
+alone build their rows inline, because they are the inner loops of the
+stabilizer ranks.  The head block
 is identified from eigenvalue hints, a rational r for a real eigenvalue
 and a pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the
 pair off the real quadratic (x - a)^2 + b^2).
@@ -44,7 +45,8 @@ Levi block and is stabilized by the centralizer of its head and by the
 whole unipotent radical, of dimension n - 1.  A nonzero radical part
 reduces a P_n-orbit to a P_(n-1)-orbit with a stabilizer of the same
 dimension (Bernstein, LNM 1041, 1984), which is one step of the recursion
-above.  check_geometry reads its image stabilizers off this law.
+above.  check_geometry reads its image stabilizers off this law.  Both
+stabilizer dimensions refuse a non-square matrix with ValueError.
 
 The bordered state of an n x n representative x and a selection's 1-based
 positions q_1 < ... < q_k is (d, rows, beta, p): the rows of d*x keyed by
@@ -138,8 +140,7 @@ def classify(
     block; SpectrumMismatch propagates from the Jordan identification when
     they do not (for instance when an eigenvalue is irrational).
     """
-    datum, _ = _classify(x, field, eigenvalues, want_certificate=False)
-    return datum
+    return _normal_form(*_state(x), x.rows, field, eigenvalues)[0]
 
 
 def classify_certified(
@@ -153,8 +154,7 @@ def classify_certified(
     re-checks exactly that g x g^-1 is in staircase normal form with the
     recorded depth and head structure.
     """
-    datum, cert = _classify(x, field, eigenvalues, want_certificate=True)
-    return datum, cert
+    return _normal_form(*_state(x), x.rows, field, eigenvalues, ExactMatrix.identity(x.rows))
 
 
 def _conjugate_step(d: int, rows: dict, beta: dict, p) -> tuple:
@@ -218,14 +218,14 @@ def _step_column(d: int, rows: dict, beta: dict, p) -> tuple:
     return d * d * abs(bp), t
 
 
-def _classify(x, field, eigenvalues, want_certificate):
+def _state(x: ExactMatrix) -> tuple:
+    """The start state (d, rows, beta, p) of the representative x, which it
+    validates: the head rows of d*x keyed by labels 0..n-2, the last row
+    beta and the pivot min(beta) (None when beta vanishes)."""
     _validate_representative(x)
-    n = x.rows
     rows = dict(enumerate(x.numerators))
-    beta = rows.pop(n - 1)
-    cert = ExactMatrix.identity(n) if want_certificate else None
-    return _normal_form(x.denominator, rows, beta, min(beta, default=None), n, field,
-                        eigenvalues, cert)
+    beta = rows.pop(x.rows - 1)
+    return x.denominator, rows, beta, min(beta, default=None)
 
 
 def _normal_form(d, rows, beta, p, n, field, eigenvalues, cert=None):
@@ -235,7 +235,8 @@ def _normal_form(d, rows, beta, p, n, field, eigenvalues, cert=None):
     position order, restriction row beta / d and a pivot label p with
     beta_p != 0 for the first step; every later step pivots at min(beta).
     n is the size of the representative the state stands for, so the depth
-    is n less the size of the head.  cert, when given, is the product of
+    is n less the size of the head; a 0 x 0 head, at depth n, goes through
+    orbit_from_matrix like any other.  cert, when given, is the product of
     the steps so far at ambient size n and is returned with each step put
     in front of it.
     """
@@ -423,17 +424,10 @@ def point_stabilizer_dim(z: ExactMatrix) -> int:
 def gl_centralizer_dim(orbit: OrbitDatum) -> int:
     """Dimension of the GL centralizer of the orbit representative.
 
-    Per class the commutant of a nilpotent-plus-eigenvalue block family has
-    dimension sum over block size pairs of min(k, k') * l * l'; a conjugate
-    pair class doubles this (its commutant is a complex-linear space counted
-    in real dimensions).
+    Per class with partition lambda the commutant of its Jordan blocks has
+    dimension sum_{i,j} min(lambda_i, lambda_j) = sum_k (lambda'_k)^2 for the
+    dual partition lambda': min(lambda_i, lambda_j) counts the columns of
+    the Young diagram holding rows i and j.  A pair class counts it degree
+    = 2 times (its commutant is complex-linear, counted in real dimensions).
     """
-    total = 0
-    for cls in orbit.classes:
-        runs = cls.partition.runs_ascending()
-        acc = 0
-        for (k1, l1) in runs:
-            for (k2, l2) in runs:
-                acc += min(k1, k2) * l1 * l2
-        total += (2 if cls.is_pair else 1) * acc
-    return total
+    return sum(cls.degree * sum(c * c for c in cls.partition.dual()) for cls in orbit.classes)

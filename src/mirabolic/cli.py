@@ -125,7 +125,8 @@ def _load_classify_input(args):
     """Returns (matrix representative, field, eigenvalue hints).
 
     An orbit spec names its own field and eigenvalues, and a matrix object
-    may name its field; a flag that would be ignored is an input error.
+    may name its field; a flag that would be ignored is an input error.  A
+    matrix, text or JSON, given no eigenvalue hint is read with the hint 0.
     """
     text = _read_text(args.input)
     stripped = text.strip()
@@ -154,15 +155,13 @@ def _load_classify_input(args):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InputError("pairs: each entry must be [re, im], got %s" % _echo(pair))
             hints.append((parse_rational(pair[0], "pairs"), parse_rational(pair[1], "pairs")))
-        hints.extend(_parse_eigenvalue_flags(args))
-        return project_to_p_star(matrix), field, hints
-    rows = [line.split() for line in stripped.splitlines() if line.strip()]
-    matrix = _parse_matrix_rows(rows, "matrix")
-    field = args.field or COMPLEX
-    hints = _parse_eigenvalue_flags(args)
-    if not hints:
-        hints = [Fraction(0)]
-    return project_to_p_star(matrix), field, hints
+    else:
+        rows = [line.split() for line in stripped.splitlines() if line.strip()]
+        matrix = _parse_matrix_rows(rows, "matrix")
+        field = args.field or COMPLEX
+        hints = []
+    hints.extend(_parse_eigenvalue_flags(args))
+    return project_to_p_star(matrix), field, hints or [Fraction(0)]
 
 
 def _orbit_spec(obj) -> OrbitDatum:

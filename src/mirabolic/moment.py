@@ -14,6 +14,10 @@ independent computations of its normal form are provided:
   (classify's bordered state).  It shares no formulas with the symbolic
   path.  check_geometry forms the moved point g x g^-1 only at the dense
   selection.
+
+Both images check the selection by one rule, enumeration._fitted_choices,
+and raise ValueError naming the first class, block or coordinate it names
+that the orbit does not have.
 """
 from __future__ import annotations
 
@@ -80,7 +84,7 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
             parts.remove(k)
             parts.append(k - x + x_prev)
             x_prev = x
-        depth += (2 if cls.is_pair else 1) * x_prev
+        depth += cls.degree * x_prev
         # _fitted_choices bounds every x by its block size k, so each new
         # part k - x + x_prev is a nonnegative int: the nonzero parts, sorted
         # descending, are already the partition's canonical parts

@@ -8,9 +8,9 @@ representation dictionary ever produces.  As an eigenvalue hint (see
 exact_linalg.jordan_structure) a real class is its rational eigenvalue and a
 pair class the tuple (a, b).
 
-A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 together
-with the GL_(n-j) orbit datum of the block that precedes the regular
-nilpotent tail.
+A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 (an int;
+anything else raises TypeError) together with the GL_(n-j) orbit datum of
+the block that precedes the regular nilpotent tail.
 
 Functionals on the mirabolic Lie algebra are always carried as matrices with
 last column zero (the complement of the pairing kernel), so structural
@@ -131,10 +131,15 @@ class EigenvalueClass:
         return self.im is not None
 
     @property
+    def degree(self) -> int:
+        """1, or 2 for a conjugate pair, whose blocks are real blocks of twice
+        their size: how often the class counts in sizes, depths and centralizers."""
+        return 2 if self.im is not None else 1
+
+    @property
     def contribution(self) -> int:
         """Ambient size used up by this class."""
-        mult = 2 if self.is_pair else 1
-        return mult * self.partition.weight
+        return self.degree * self.partition.weight
 
     def sort_key(self) -> tuple:
         # orbits sort classes by this key descending (real classes first,
@@ -267,7 +272,8 @@ def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
 
 
 def pair_block(size: int, re, im) -> ExactMatrix:
-    """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]]."""
+    """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]], built as
+    block_diag(J, J) + T*b for the integer matrix T = [[0, I], [-I, 0]]."""
     j = jordan_block(size, re)
     rotation = ExactMatrix.from_integer(
         1, [{size + i: 1} for i in range(size)] + [{i: -1} for i in range(size)], 2 * size)

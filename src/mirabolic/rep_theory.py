@@ -17,13 +17,15 @@ into factors, for an orbit and for the head of its dense image alike.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
-A factor computes that key once, in __init__ or shrink, and keeps it.
-Restriction shrinks every factor by one, which keeps that order, so the
-restricted label is built without sorting or validating again.  _attach
-builds its factors through the trusted Factor._canonical as well: the
+A factor computes that key once, in __init__ or _canonical, by _key alone,
+and keeps it.  Restriction shrinks every factor by one, which keeps that
+order, so the restricted label is built without sorting or validating
+again; shrink builds the smaller factor through the trusted
+Factor._canonical.  _attach builds its factors that way as well: the
 classes come from a validated OrbitDatum, the signs from _check_signs and
 the pair parameter from _attach's own half-integer check, so every field
-already passes the constructor's checks.
+already passes the constructor's checks.  The public constructors keep
+every check on caller input.
 """
 from __future__ import annotations
 
@@ -86,7 +88,9 @@ class UnsupportedOrbitShape(Exception):
 
 
 class Factor:
-    """One building block of a unitary label."""
+    """One building block of a unitary label.  A t, m or w that is not an
+    int, or a twist or s that is neither an int nor a Fraction, raises
+    TypeError: nothing is rounded."""
 
     __slots__ = ("kind", "t", "twist", "w", "m", "s", "_key")
 
@@ -148,12 +152,7 @@ class Factor:
         if self.t == 1:
             return None
         # t - 1 >= 1 keeps every check of the constructor satisfied
-        left = object.__new__(Factor)
-        left.kind, left.t, left.twist = self.kind, self.t - 1, self.twist
-        left.w, left.m, left.s = self.w, self.m, self.s
-        key = self._key
-        left._key = (key[0], key[1], left.t, key[3], key[4], key[5])
-        return left
+        return Factor._canonical(self.kind, self.t - 1, self.twist, self.w, self.m, self.s)
 
     def sort_key(self):
         # labels sort by this key descending; it covers every field, so it
@@ -262,7 +261,7 @@ class RepLabel:
 
 
 class MirabolicRepLabel:
-    """A mirabolic unitary label: I^(depth-1) E(adduced)."""
+    """A mirabolic unitary label I^(depth-1) E(adduced), of int depth."""
 
     __slots__ = ("depth", "adduced")
 
@@ -443,7 +442,8 @@ def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
     subgroup, computes the dense moment-map image, attaches a mirabolic
     label to that image (with the induced signs), and compares.  A dual part
     of size one vanishes under restriction and its sign with it; the other
-    parts keep theirs, so a head class takes the signs of its eigenvalue.
+    parts keep theirs, so a head class takes the signs of its eigenvalue,
+    and a head class the orbit cannot account for fails the check.
     """
     # the signs are read twice, so a one-shot iterator is read into a list
     signs = None if signs is None else [tuple(ws) for ws in signs]

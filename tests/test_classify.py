@@ -8,6 +8,7 @@ import pytest
 from mirabolic import (
     COMPLEX,
     REAL,
+    EigenvalueClass,
     ExactMatrix,
     MalformedRepresentative,
     MirabolicOrbitDatum,
@@ -21,6 +22,7 @@ from mirabolic import (
     gl_centralizer_dim,
     inverse,
     jordan_block,
+    partitions_of_weight,
     point_stabilizer_dim,
     project_to_p_star,
     rank,
@@ -282,6 +284,19 @@ class TestStabilizer:
         # realized head, computed as the kernel of Y -> [A, Y]
         for o in complex_corpus_4 + real_corpus_4:
             assert _commutant_dim(realize_orbit(o)) == gl_centralizer_dim(o)
+
+    def test_centralizer_against_the_run_double_loop_to_weight_twelve(self):
+        # sum_k (lambda'_k)^2 over the dual parts against the sum over pairs
+        # of runs (k, l), (k', l') of min(k, k') * l * l', for a real class
+        # and a pair class of every partition of weight <= 12
+        for weight in range(1, 13):
+            for partition in partitions_of_weight(weight):
+                runs = partition.runs_ascending()
+                expected = sum(min(k1, k2) * l1 * l2 for k1, l1 in runs for k2, l2 in runs)
+                real = OrbitDatum(REAL, [EigenvalueClass(1, partition)])
+                pair = OrbitDatum(REAL, [EigenvalueClass(0, partition, im=1)])
+                assert gl_centralizer_dim(real) == expected, partition
+                assert gl_centralizer_dim(pair) == 2 * expected, partition
 
     def test_three_way_stabilizer_law_to_size_six(self):
         # normal-form stabilizer, the closed-form centralizer count, and the

@@ -136,6 +136,20 @@ class TestClassify:
                 assert code == 0
                 assert json.loads(out)["field"] == field
 
+    @pytest.mark.parametrize("flags", [(), ("--certificate",), ("--eigenvalues", "0")])
+    def test_json_and_text_matrices_classify_alike(self, tmp_path, capsys, flags):
+        # a matrix with no hint is read with the hint 0, whatever its format
+        rows = [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]
+        text = tmp_path / "m.txt"
+        text.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+        matrix = write_json(tmp_path, "m.json", {"matrix": rows})
+        results = [run(capsys, "classify", path, *flags) for path in (str(text), matrix)]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["depth"], json.loads(out)["a_part"]) == (
+            2, [{"re": "0", "partition": [1]}])
+
     def test_orbit_spec_without_classes_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path, "empty.json", {"field": "C", "classes": []})
         code, out, err = run(capsys, "classify", path)
