@@ -70,6 +70,7 @@ from .rep_theory import (
     attach_mirabolic_rep,
     character,
     restrict_to_mirabolic,
+    restriction_reports,
     sign_shape,
     speh,
     speh_complementary,

@@ -43,11 +43,10 @@ from .orbit_model import (
 )
 from .rep_theory import (
     UnsupportedOrbitShape,
-    all_sign_choices,
     attach_gl_rep,
     restrict_to_mirabolic,
+    restriction_reports,
     sign_shape,
-    verify_restriction,
 )
 
 __all__ = ["main"]
@@ -185,7 +184,7 @@ def _signs(orbit: OrbitDatum, raw: Optional[str]):
     """
     sizes = sign_shape(orbit)
     if raw is None:
-        return None if orbit.field == COMPLEX else [(0,) * k for k in sizes]
+        return [(0,) * k for k in sizes] or None
     raw = raw.strip()
     out = []
     for group in raw.split(";") if raw else ():
@@ -294,30 +293,20 @@ def _cmd_restrict(args) -> dict:
 def _verify_one(orbit: OrbitDatum, conjugations: int, rng) -> dict:
     entry = {"orbit": orbit.to_json()}
     try:
-        ok = True
-        for signs in all_sign_choices(orbit):
-            report = verify_restriction(orbit, signs)
-            if not report.ok:
-                ok = False
-                entry["counterexample"] = report.to_json()
-                break
-        entry["status"] = "pass" if ok else "fail"
+        failed = next((r for r in restriction_reports(orbit) if not r.ok), None)
     except UnsupportedOrbitShape as exc:
-        entry["status"] = "skipped:UnsupportedOrbitShape"
-        entry["reason"] = str(exc)
-        return entry
-    if conjugations and entry["status"] == "pass":
-        x = realize_orbit(orbit)
-        base = classify(project_to_p_star(x), orbit.field, orbit.spectrum())
-        n = orbit.size
+        return dict(entry, status="skipped:UnsupportedOrbitShape", reason=str(exc))
+    if failed is not None:
+        return dict(entry, counterexample=failed.to_json(), status="fail")
+    if conjugations:
+        x, spectrum = realize_orbit(orbit), orbit.spectrum()
+        base = classify(project_to_p_star(x), orbit.field, spectrum)
         for _ in range(conjugations):
-            p = random_mirabolic(n, rng)
-            moved = project_to_p_star(p * x * inverse(p))
-            if classify(moved, orbit.field, orbit.spectrum()) != base:
-                entry["status"] = "fail"
-                entry["reason"] = "classification changed under conjugation"
-                break
-    return entry
+            p = random_mirabolic(orbit.size, rng)
+            if classify(project_to_p_star(p * x * inverse(p)), orbit.field, spectrum) != base:
+                return dict(entry, status="fail",
+                            reason="classification changed under conjugation")
+    return dict(entry, status="pass")
 
 
 def _cmd_verify(args) -> dict:
@@ -325,10 +314,8 @@ def _cmd_verify(args) -> dict:
     if args.corpus is not None:
         if args.input is not None:
             raise InputError("verify takes an orbit spec or --corpus N, not both")
-        if args.field == REAL:
-            orbits = list(real_corpus(args.corpus, require_pair=False))
-        else:
-            orbits = list(complex_corpus(args.corpus))
+        orbits = list(real_corpus(args.corpus, require_pair=False) if args.field == REAL
+                      else complex_corpus(args.corpus))
     else:
         if args.input is None:
             raise InputError("verify needs an orbit spec or --corpus N")
@@ -338,12 +325,7 @@ def _cmd_verify(args) -> dict:
     results = [_verify_one(orbit, args.conjugations, rng) for orbit in orbits]
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for entry in results:
-        if entry["status"] == "pass":
-            counts["pass"] += 1
-        elif entry["status"] == "fail":
-            counts["fail"] += 1
-        else:
-            counts["skipped"] += 1
+        counts[entry["status"].split(":")[0]] += 1
     return {
         "total": len(results),
         "summary": counts,

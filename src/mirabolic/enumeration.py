@@ -28,7 +28,7 @@ from itertools import product
 from typing import List
 
 from .classify import _completion
-from .exact_linalg import ExactMatrix
+from .exact_linalg import ExactMatrix, _integer
 from .orbit_model import OrbitDatum
 
 __all__ = [
@@ -39,14 +39,20 @@ __all__ = [
 ]
 
 
+def _index(value) -> int:
+    """_integer(value), or the int a string such as '2' spells."""
+    return int(value) if isinstance(value, str) else _integer(value, "selection index")
+
+
 class IndexSelection:
     """Choice of (class -> block -> coordinate) defining one orbit representative.
 
     choices maps the class index (canonical class order, 0-based) to pairs
     (block index in the ascending-size view, x with 1 <= x <= block size).
     Indices may be given as ints or as the strings to_json writes, so
-    IndexSelection(sel.to_json()) == sel; a class given twice, or a block
-    given twice within one class, raises ValueError.
+    IndexSelection(sel.to_json()) == sel; any other index (a float, a
+    Fraction) raises TypeError, and a class given twice, or a block given
+    twice within one class, raises ValueError.
     """
 
     __slots__ = ("choices",)
@@ -54,10 +60,10 @@ class IndexSelection:
     def __init__(self, choices):
         normalized = {}
         for cls_idx, blocks in choices.items() if isinstance(choices, dict) else choices:
-            cls_idx = int(cls_idx)
+            cls_idx = _index(cls_idx)
             if cls_idx in normalized:
                 raise ValueError("class %d is selected more than once" % cls_idx)
-            pairs = tuple(sorted((int(i), int(x)) for i, x in
+            pairs = tuple(sorted((_index(i), _index(x)) for i, x in
                                  (blocks.items() if isinstance(blocks, dict) else blocks)))
             if not pairs:
                 raise ValueError("selected class %d has no blocks" % cls_idx)

@@ -30,6 +30,8 @@ data and repr):
 Exact inputs are read by one rule, here and in the other modules: _fraction
 takes an int or a Fraction, _integer takes an int, and anything else (a
 float, a string) raises TypeError instead of being rounded or converted.
+EigenvalueClass also reads a rational string such as '1/3', IndexSelection
+the strings its to_json writes, and Partition applies the int rule itself.
 
 Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads

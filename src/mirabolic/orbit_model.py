@@ -25,6 +25,7 @@ from typing import Iterable, List, Sequence
 from .exact_linalg import (
     ExactMatrix,
     SpectrumMismatch,
+    _fraction,
     _integer,
     block_diag,
     jordan_structure,
@@ -106,15 +107,16 @@ class EigenvalueClass:
     """One eigenvalue class of an orbit: eigenvalue data plus a partition.
 
     im is None for a real eigenvalue; a positive rational im means the
-    conjugate pair re +- i*im (real field only).
+    conjugate pair re +- i*im (real field only).  re and im are ints,
+    Fractions or rational strings such as '1/3'; a float raises TypeError.
     """
 
     __slots__ = ("re", "im", "partition")
 
     def __init__(self, re, partition: Partition, im=None):
-        self.re = re if type(re) is Fraction else Fraction(re)
+        self.re = Fraction(re) if isinstance(re, str) else _fraction(re)
         if im is not None:
-            im = im if type(im) is Fraction else Fraction(im)
+            im = Fraction(im) if isinstance(im, str) else _fraction(im)
             if im == 0:
                 im = None
             elif im < 0:

@@ -20,7 +20,11 @@ class Partition:
     __slots__ = ("_parts", "_ascending", "_dual")
 
     def __init__(self, parts: Iterable[int] = ()):
-        cleaned = sorted((int(p) for p in parts), reverse=True)
+        parts = list(parts)
+        if not all(isinstance(p, int) for p in parts):
+            # the rule of exact_linalg._integer, which this module cannot import
+            raise TypeError("partition parts must be ints, got %r" % (parts,))
+        cleaned = sorted(map(int, parts), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative")
         self._parts = tuple(p for p in cleaned if p > 0)

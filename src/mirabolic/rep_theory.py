@@ -12,8 +12,12 @@ complementary blocks at cost 4, and costs add over products.  The orbit
 dictionaries attach labels through dual partitions: a class with partition
 P contributes one factor per part of the dual of P.  Signs are keyed by
 eigenvalue: _check_signs reads the caller's assignment once into
-{eigenvalue: sign tuple}, and _attach is the one loop that turns classes
-into factors, for an orbit and for the head of its dense image alike.
+{eigenvalue: sign tuple}, checked against sign_shape, the one place that
+shape is worked out, and _attach is the one loop that turns classes into
+factors, for an orbit and for the head of its dense image alike.
+restriction_reports checks every assignment of all_sign_choices lazily and
+forms the dense image once per orbit, since it does not depend on the signs;
+verify_restriction checks one assignment, and both build a report by _report.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
@@ -58,6 +62,7 @@ __all__ = [
     "sign_shape",
     "all_sign_choices",
     "verify_restriction",
+    "restriction_reports",
     "RestrictionReport",
 ]
 
@@ -297,11 +302,12 @@ def sign_shape(orbit: OrbitDatum) -> List[int]:
 
 def _check_signs(orbit: OrbitDatum, signs) -> dict:
     """The caller's sign assignment as {eigenvalue: sign tuple} over the real
-    classes of a real-field orbit, {} when the orbit takes none; raises on
-    any other shape and TypeError on a sign that is not an int.  Each sign
-    comes out an int 0 or 1, ready for Factor._canonical."""
-    classes = orbit.real_classes() if orbit.field == REAL else ()
-    if not classes:
+    classes of a real-field orbit, {} when the orbit takes none.  Raises
+    TypeError on a sign that is not an int and ValueError on one that is not
+    0 or 1 or on any shape but sign_shape(orbit), so each sign comes out an
+    int 0 or 1, ready for Factor._canonical."""
+    shape = sign_shape(orbit)
+    if not shape:
         if signs:
             raise ValueError("sign assignment given but no real classes need one")
         return {}
@@ -311,22 +317,11 @@ def _check_signs(orbit: OrbitDatum, signs) -> dict:
             "(one 0/1 tuple per real class, one entry per dual-partition part)"
         )
     signs = [tuple(_integer(w, "sign exponent") for w in ws) for ws in signs]
-    if len(signs) != len(classes):
-        raise ValueError(
-            "expected %d sign tuples, got %d" % (len(classes), len(signs))
-        )
-    checked = {}
-    for cls, ws in zip(classes, signs):
-        expected = len(cls.partition.dual())
-        if len(ws) != expected:
-            raise ValueError(
-                "class at eigenvalue %s needs %d signs, got %d"
-                % (cls.re, expected, len(ws))
-            )
-        if any(w not in (0, 1) for w in ws):
-            raise ValueError("signs must be 0 or 1")
-        checked[cls.re] = ws
-    return checked
+    if [len(ws) for ws in signs] != shape:
+        raise ValueError("expected sign tuples of sizes %s" % (shape,))
+    if any(w not in (0, 1) for ws in signs for w in ws):
+        raise ValueError("signs must be 0 or 1")
+    return {cls.re: ws for cls, ws in zip(orbit.real_classes(), signs)}
 
 
 def _attach(orbit: OrbitDatum, signs: dict) -> RepLabel:
@@ -405,24 +400,17 @@ def attach_mirabolic_rep(datum: MirabolicOrbitDatum, signs=None) -> MirabolicRep
 
 def all_sign_choices(orbit: OrbitDatum):
     """Every admissible sign assignment for the orbit's real classes."""
-    shape = sign_shape(orbit)
-    if not shape:
-        yield None
-        return
-    for combo in product(*(product((0, 1), repeat=k) for k in shape)):
-        yield list(combo)
+    # an orbit that takes no signs has the one assignment None
+    for combo in product(*(product((0, 1), repeat=k) for k in sign_shape(orbit))):
+        yield list(combo) or None
 
 
 class RestrictionReport:
     """Outcome of comparing a restriction with the dense-orbit attachment."""
 
     def __init__(self, orbit, signs, ok, restricted, attached, omega):
-        self.orbit = orbit
-        self.signs = signs
-        self.ok = ok
-        self.restricted = restricted
-        self.attached = attached
-        self.omega = omega
+        self.orbit, self.signs, self.ok = orbit, signs, ok
+        self.restricted, self.attached, self.omega = restricted, attached, omega
 
     def to_json(self) -> dict:
         return {
@@ -433,6 +421,31 @@ class RestrictionReport:
             "attached": self.attached.to_json(),
             "ok": self.ok,
         }
+
+
+def _report(orbit: OrbitDatum, signs, omega=None) -> RestrictionReport:
+    """The RestrictionReport of one sign assignment.  It is attached before
+    the dense image omega is formed (when not given), so a bad one raises first."""
+    restricted = restrict_to_mirabolic(attach_gl_rep(orbit, signs))
+    if omega is None:
+        omega = symbolic_image(orbit, dense_selection(orbit))
+    # attach_gl_rep has checked the signs, so int makes a bool an int 0 or 1
+    image_signs = {
+        cls.re: tuple(int(w) for w, p in zip(ws, cls.partition.dual()) if p >= 2)
+        for cls, ws in zip(orbit.real_classes(), signs or ())
+    }
+    attached = MirabolicRepLabel(omega.depth, _attach(omega.a_part, image_signs))
+    return RestrictionReport(orbit, signs, restricted == attached, restricted, attached, omega)
+
+
+def restriction_reports(orbit: OrbitDatum):
+    """verify_restriction's report for every assignment of all_sign_choices,
+    in that order and lazily, with the dense image formed once per orbit."""
+    omega = None
+    for signs in all_sign_choices(orbit):
+        report = _report(orbit, signs, omega)
+        omega = report.omega
+        yield report
 
 
 def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
@@ -447,15 +460,4 @@ def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
     """
     # the signs are read twice, so a one-shot iterator is read into a list
     signs = None if signs is None else [tuple(ws) for ws in signs]
-    restricted = restrict_to_mirabolic(attach_gl_rep(orbit, signs))
-    omega = symbolic_image(orbit, dense_selection(orbit))
-    # attach_gl_rep has checked the signs, so each is an int 0 or 1 or a
-    # subclass of int (a bool) that int makes one
-    image_signs = {
-        cls.re: tuple(int(w) for w, p in zip(ws, cls.partition.dual()) if p >= 2)
-        for cls, ws in zip(orbit.real_classes(), signs or ())
-    }
-    attached = MirabolicRepLabel(omega.depth, _attach(omega.a_part, image_signs))
-    return RestrictionReport(
-        orbit, signs, restricted == attached, restricted, attached, omega
-    )
+    return _report(orbit, signs)

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirabolic import MirabolicOrbitDatum, moment, orbit_model
+from mirabolic import MirabolicOrbitDatum, MirabolicRepLabel, cli, moment, orbit_model, rep_theory
 
 from conftest import orbit
 from mirabolic.cli import main
@@ -338,6 +338,54 @@ class TestVerify:
     def test_corpus_field_defaults_to_complex(self, capsys):
         assert run(capsys, "verify", "--corpus", "3") == run(
             capsys, "verify", "--corpus", "3", "--field", "C")
+
+    def test_first_failing_sign_vector_is_the_counterexample(self, tmp_path, capsys, monkeypatch):
+        # a restriction that goes wrong when the dual part 1 of [2, 1] has
+        # sign 1: of (0, 0), (0, 1), (1, 0), (1, 1) the second and fourth fail
+        path = write_json(tmp_path, "r.json", REAL_21)
+        real = rep_theory.restrict_to_mirabolic
+
+        def restrict(label):
+            out = real(label)
+            if any(f.t == 1 and f.w for f in label.factors):
+                return MirabolicRepLabel(out.depth + 1, out.adduced)
+            return out
+
+        monkeypatch.setattr(rep_theory, "restrict_to_mirabolic", restrict)
+        code, out, _ = run(capsys, "verify", path)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["summary"] == {"pass": 0, "fail": 1, "skipped": 0}
+        entry = payload["orbits"][0]
+        assert list(entry) == ["orbit", "counterexample", "status"]
+        assert entry["status"] == "fail"
+        expected = rep_theory.verify_restriction(orbit("R", (0, [2, 1])), [(0, 1)])
+        assert not expected.ok
+        assert entry["counterexample"] == expected.to_json()
+        assert entry["counterexample"]["signs"] == [[0, 1]]
+
+    def test_a_changed_conjugate_fails(self, tmp_path, capsys, monkeypatch):
+        # the first classification is the base; every later one differs
+        path = write_json(tmp_path, "r.json", REAL_21)
+        real = cli.classify
+        calls = []
+
+        def classify(x, field, hints):
+            calls.append(x)
+            out = real(x, field, hints)
+            return out if len(calls) == 1 else MirabolicOrbitDatum(out.depth + 1, out.a_part)
+
+        monkeypatch.setattr(cli, "classify", classify)
+        code, out, _ = run(capsys, "verify", path, "--conjugations", "3")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["summary"] == {"pass": 0, "fail": 1, "skipped": 0}
+        assert payload["orbits"][0] == {
+            "orbit": REAL_21,
+            "status": "fail",
+            "reason": "classification changed under conjugation",
+        }
+        assert len(calls) == 2
 
     def test_spec_and_corpus_together_are_an_input_error(self, tmp_path, capsys):
         # a spec, even one that cannot be read, is not silently ignored

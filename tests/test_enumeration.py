@@ -310,6 +310,16 @@ class TestSelectionJson:
         o = orbit(COMPLEX, (0, [1]), (1, [1]))
         assert IndexSelection({0: {0: 1}, 1: {0: 1}}) in enumerate_selections(o)
 
+    @pytest.mark.parametrize("choices", [
+        [(0, [(0, 1.5)])],  # int() would select x = 1
+        [(0, [(0.0, 1)])],
+        [(0.0, [(0, 1)])],
+        [(0, [(0, Fraction(3, 2))])],
+    ])
+    def test_rejects_an_index_that_is_not_an_int(self, choices):
+        with pytest.raises(TypeError):
+            IndexSelection(choices)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             IndexSelection({})

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -225,6 +226,12 @@ class TestDatumValidation:
         c = EigenvalueClass(re, Partition([1]), im=im)
         assert c.re is re and c.im is im
         assert EigenvalueClass("1/3", Partition([1]), im=2) == c
+
+    @pytest.mark.parametrize("re, im", [(0.1, None), (0, 0.5), (Decimal("0.1"), None)])
+    def test_inexact_values_are_refused(self, re, im):
+        # 0.1 would otherwise become 3602879701896397/36028797018963968
+        with pytest.raises(TypeError):
+            EigenvalueClass(re, Partition([1]), im=im)
 
     def test_pair_needs_real_field(self):
         with pytest.raises(OrbitSpecError):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,13 @@ def test_canonical_storage():
     assert Partition([2, 0, 1]).parts == (2, 1)
     with pytest.raises(ValueError):
         Partition([2, -1])
+
+
+@pytest.mark.parametrize("parts", [[2.7, 1], [Fraction(5, 2)], ["2"]])
+def test_parts_that_are_not_ints_are_refused(parts):
+    # int() would truncate 2.7 to 2 and so make this Partition([2, 1])
+    with pytest.raises(TypeError):
+        Partition(parts)
 
 
 def test_dual_examples():

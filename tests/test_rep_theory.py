@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mirabolic import (
     COMPLEX,
     REAL,
+    EigenvalueClass,
     MirabolicOrbitDatum,
     MirabolicRepLabel,
     OrbitDatum,
@@ -20,6 +22,7 @@ from mirabolic import (
     character,
     dense_selection,
     restrict_to_mirabolic,
+    restriction_reports,
     sign_shape,
     speh,
     speh_complementary,
@@ -31,7 +34,7 @@ from mirabolic.cli import _signs
 from mirabolic import rep_theory
 from mirabolic.rep_theory import _KIND_ORDER, SPEH, STEIN, Factor
 from mirabolic.corpus import complex_corpus, real_corpus
-from mirabolic.partitions import partitions_of_weight
+from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import orbit
 
@@ -419,6 +422,80 @@ class TestVerifyRestriction:
                 assert sizes == expected
                 omega = symbolic_image(o, dense_selection(o))
                 assert restricted == attach_mirabolic_rep(omega)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _orbits_of_size_8_to_10(draw):
+    """An orbit of size 8 to 10 over either field whose sign assignments
+    have at most 6 signs, with eigenvalues p/q, |p|, q <= 10**6.  A pair's
+    imaginary part is k/2, and now and then k/3, which no attachment
+    formula covers."""
+    field = draw(st.sampled_from([COMPLEX, REAL]))
+    left, signs_left = draw(st.integers(8, 10)), 6
+    classes = {}  # (re, im) -> parts
+    while left:
+        pair = field == REAL and left >= 2 and draw(st.booleans())
+        if field == REAL and not pair and not signs_left:
+            # no sign is left for a new real class: parts of size 1 join a
+            # real class already drawn, whose signs they do not change
+            next(p for (_, im), p in classes.items() if im is None).extend([1] * left)
+            break
+        degree = 2 if pair else 1
+        weight = draw(st.integers(1, left // degree))
+        signed = field == REAL and not pair
+        largest = draw(st.integers(1, min(weight, signs_left) if signed else weight))
+        parts = [largest]
+        while sum(parts) < weight:
+            parts.append(draw(st.integers(1, min(largest, weight - sum(parts)))))
+        im = None
+        if pair:
+            im = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([2, 2, 2, 3])))
+        re = draw(_RATIONALS.filter(lambda r: (r, im) not in classes))
+        classes[re, im] = parts
+        left -= degree * weight
+        signs_left -= largest if signed else 0
+    return OrbitDatum(field, [EigenvalueClass(re, Partition(parts), im=im)
+                              for (re, im), parts in classes.items()])
+
+
+class TestRestrictionReports:
+    def test_equal_verify_restriction_over_every_sign_vector_of_the_size_seven_corpora(self):
+        # the order is all_sign_choices', and no assignment is left out
+        checked = 0
+        for o in list(complex_corpus(7)) + list(real_corpus(7, require_pair=False)):
+            reports = [r.to_json() for r in restriction_reports(o)]
+            assert reports == [verify_restriction(o, s).to_json()
+                               for s in all_sign_choices(o)], o
+            checked += len(reports)
+        assert checked == 13920
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_orbits_of_size_8_to_10())
+    def test_equal_verify_restriction_beyond_the_corpora(self, o):
+        assert 8 <= o.size <= 10 and sum(sign_shape(o)) <= 6
+        try:
+            expected = [verify_restriction(o, s).to_json() for s in all_sign_choices(o)]
+        except UnsupportedOrbitShape:
+            with pytest.raises(UnsupportedOrbitShape):
+                list(restriction_reports(o))
+            return
+        assert [r.to_json() for r in restriction_reports(o)] == expected
+
+    def test_the_dense_image_is_formed_once_per_orbit(self, monkeypatch):
+        calls = []
+        real = rep_theory.symbolic_image
+        monkeypatch.setattr(rep_theory, "symbolic_image",
+                            lambda o, sel: calls.append(o) or real(o, sel))
+        o = orbit(REAL, (1, [1]), (0, [2, 1]))
+        assert len([r for r in restriction_reports(o) if r.ok]) == 8
+        assert calls == [o]
+
+    def test_the_empty_orbit_raises_before_the_dense_image(self):
+        with pytest.raises(ValueError, match="cannot restrict the empty label"):
+            next(restriction_reports(OrbitDatum(COMPLEX)))
 
 
 class TestTrustedFactors:
