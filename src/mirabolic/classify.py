@@ -27,8 +27,8 @@ it from _state(x), the validated rows of x with the pivot min(beta), and
 the moment map's oracle from its sibling _bordered, a bordered state.  Rows
 are combined only by exact_linalg's kernels (_combination, _integer_matmul,
 block_diag, ExactMatrix + and *); point_stabilizer_dim and stabilizer_dim
-alone build their rows inline, because they are the inner loops of the
-stabilizer ranks.  The head block
+both build their bracket rows through _brackets, the inner loop of the
+stabilizer ranks, and transpose through _transpose.  The head block
 is identified from eigenvalue hints, a rational r for a real eigenvalue
 and a pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the
 pair off the real quadratic (x - a)^2 + b^2).
@@ -328,6 +328,38 @@ def certificate_holds(
     return recognized == datum.a_part
 
 
+def _transpose(rows: Sequence[dict], cols: int) -> list:
+    """The cols sparse columns of the sparse rows, or the rows of columns."""
+    out = [{} for _ in range(cols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][r] = v
+    return out
+
+
+def _brackets(pcols, qrows, rcols, srows, width: int) -> list:
+    """The integer rows of V -> P*V*Q - R*V*S, one per entry (a, b) of V in
+    row-major order: P[:, a] (x) Q[b, :] minus R[:, a] (x) S[b, :], read at
+    (r, s) as r*width + s, for P and R given by columns, Q and S by rows."""
+    brackets = []
+    for a in range(len(pcols)):
+        for b in range(len(qrows)):
+            entries = {}
+            for r, u in pcols[a].items():
+                for s, v in qrows[b].items():
+                    entries[r * width + s] = u * v
+            for r, u in rcols[a].items():
+                for s, v in srows[b].items():
+                    key = r * width + s
+                    w = entries.get(key, 0) - u * v
+                    if w:
+                        entries[key] = w
+                    else:
+                        del entries[key]
+            brackets.append(entries)
+    return brackets
+
+
 def stabilizer_dim(x: ExactMatrix) -> int:
     """Dimension of the mirabolic stabilizer of the functional pr'(x).
 
@@ -359,33 +391,10 @@ def stabilizer_dim(x: ExactMatrix) -> int:
     else:
         kcols = [{q: 1} for q in range(m)]
     k = len(kcols)
-    krows = [{} for _ in range(m)]
-    for a, col in enumerate(kcols):
-        for r, u in col.items():
-            krows[r][a] = u
+    krows = _transpose(kcols, m)
     akrows = _integer_matmul(rows, krows)
-    akcols = [{} for _ in range(k)]
-    for r, row in enumerate(akrows):
-        for a, u in row.items():
-            akcols[a][r] = u
-    # row (a, b) of V -> A*K*V*K - K*V*A*K is (AK)[:, a] (x) K[b, :] minus
-    # K[:, a] (x) (AK)[b, :], read at (r, s) as r*k + s
-    brackets = []
-    for a in range(k):
-        for b in range(m):
-            entries = {}
-            for r, u in akcols[a].items():
-                for s, v in krows[b].items():
-                    entries[r * k + s] = u * v
-            for r, u in kcols[a].items():
-                for s, v in akrows[b].items():
-                    key = r * k + s
-                    w = entries.get(key, 0) - u * v
-                    if w:
-                        entries[key] = w
-                    else:
-                        del entries[key]
-            brackets.append(entries)
+    # V -> A*K*V*K - K*V*A*K
+    brackets = _brackets(_transpose(akrows, k), krows, kcols, akrows, k)
     return k * m - integer_rank(brackets) + (0 if c else m)
 
 
@@ -400,24 +409,9 @@ def point_stabilizer_dim(z: ExactMatrix) -> int:
     if not z.is_square():
         raise ValueError("a stabilizer dimension needs a square matrix")
     n, rows = z.rows, z.numerators
-    cols = [{} for _ in range(n)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            cols[c][r] = v
-    # [d*z, E_ij] puts column i of d*z into column j and minus row j of d*z
-    # into row i, read at (r, c) as r*n + c
-    brackets = []
-    for i in range(n - 1):
-        for j in range(n):
-            entries = {r * n + j: v for r, v in cols[i].items()}
-            for c, v in rows[j].items():
-                key = i * n + c
-                w = entries.get(key, 0) - v
-                if w:
-                    entries[key] = w
-                else:
-                    del entries[key]
-            brackets.append(entries)
+    unit = [{j: 1} for j in range(n)]
+    # [d*z, E_ij] = d*z*E_ij - E_ij*d*z over the mirabolic rows i < n - 1
+    brackets = _brackets(_transpose(rows, n)[:-1], unit, unit[:-1], rows, n)
     return n * (n - 1) - integer_rank(brackets)
 
 

@@ -2,7 +2,9 @@
 
 Inputs are JSON orbit specs ({"field": "C"|"R", "classes": [...]}), JSON
 matrix objects ({"matrix": [[...rational strings...]], ...}), or plain text
-matrices (one row per line, whitespace-separated rational entries).  Every
+matrices (one row per line, whitespace-separated rational entries), which
+are read as the matrix object {"matrix": rows}.  moment --oracle records
+each selection as check_geometry does, through moment._image_record.  Every
 rational literal is read by orbit_model.parse_rational, which refuses a
 decimal exponent of magnitude above 1000.  All output is JSON with
 deterministic key order, to stdout or --out.
@@ -29,7 +31,7 @@ from .classify import (
 from .corpus import complex_corpus, random_mirabolic, real_corpus
 from .enumeration import enumerate_selections
 from .exact_linalg import ExactMatrix, SpectrumMismatch, inverse
-from .moment import check_geometry, dense_selection, oracle_image, symbolic_image
+from .moment import _image_record, check_geometry, dense_selection, symbolic_image
 from .orbit_model import (
     COMPLEX,
     REAL,
@@ -125,14 +127,16 @@ def _load_classify_input(args):
 
     An orbit spec names its own field and eigenvalues, and a matrix object
     may name its field; a flag that would be ignored is an input error.  A
-    matrix, text or JSON, given no eigenvalue hint is read with the hint 0.
+    text matrix is read as the matrix object of its rows, so text and JSON
+    take one path; a matrix given no eigenvalue hint is read with the hint 0.
     """
     text = _read_text(args.input)
     stripped = text.strip()
-    obj = None
     if stripped.startswith("{"):
         obj = _parse_json(text)
-    if obj is not None and "classes" in obj:
+    else:  # a text matrix is the matrix object of its rows
+        obj = {"matrix": [line.split() for line in stripped.splitlines() if line.strip()]}
+    if "classes" in obj:
         for flag in ("field", "eigenvalues", "pairs"):
             if getattr(args, flag) is not None:
                 raise InputError("--%s: an orbit spec names its own field and eigenvalues"
@@ -140,25 +144,19 @@ def _load_classify_input(args):
         orbit = _orbit_spec(obj)
         x = project_to_p_star(realize_orbit(orbit))
         return x, orbit.field, orbit.spectrum()
-    if obj is not None:
-        if "matrix" not in obj:
-            raise InputError('matrix object needs a "matrix" key')
-        matrix = _parse_matrix_rows(obj["matrix"], "matrix")
-        if "field" in obj and args.field is not None:
-            raise InputError("--field: the matrix object names its own field")
-        field = obj.get("field", args.field or COMPLEX)
-        if field not in (REAL, COMPLEX):
-            raise InputError('field must be "R" or "C"')
-        hints = [parse_rational(v, "eigenvalues") for v in _json_list(obj, "eigenvalues")]
-        for pair in _json_list(obj, "pairs"):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise InputError("pairs: each entry must be [re, im], got %s" % _echo(pair))
-            hints.append((parse_rational(pair[0], "pairs"), parse_rational(pair[1], "pairs")))
-    else:
-        rows = [line.split() for line in stripped.splitlines() if line.strip()]
-        matrix = _parse_matrix_rows(rows, "matrix")
-        field = args.field or COMPLEX
-        hints = []
+    if "matrix" not in obj:
+        raise InputError('matrix object needs a "matrix" key')
+    matrix = _parse_matrix_rows(obj["matrix"], "matrix")
+    if "field" in obj and args.field is not None:
+        raise InputError("--field: the matrix object names its own field")
+    field = obj.get("field", args.field or COMPLEX)
+    if field not in (REAL, COMPLEX):
+        raise InputError('field must be "R" or "C"')
+    hints = [parse_rational(v, "eigenvalues") for v in _json_list(obj, "eigenvalues")]
+    for pair in _json_list(obj, "pairs"):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputError("pairs: each entry must be [re, im], got %s" % _echo(pair))
+        hints.append((parse_rational(pair[0], "pairs"), parse_rational(pair[1], "pairs")))
     hints.extend(_parse_eigenvalue_flags(args))
     return project_to_p_star(matrix), field, hints or [Fraction(0)]
 
@@ -259,23 +257,15 @@ def _cmd_moment(args) -> dict:
         return payload
     orbit = _load_orbit(args.input)
     selections = enumerate_selections(orbit) if args.all else [dense_selection(orbit)]
-    records = []
-    disagreements = 0
-    for sel in selections:
-        sym = symbolic_image(orbit, sel)
-        record = {"selection": sel.to_json(), "symbolic": sym.to_json()}
-        if args.oracle:
-            orc = oracle_image(orbit, sel)
-            record["oracle"] = orc.to_json()
-            record["agree"] = sym == orc
-            if sym != orc:
-                disagreements += 1
-        records.append(record)
-    payload = {"orbit": orbit.to_json(), "records": records}
-    if args.oracle:
-        payload["disagreements"] = disagreements
-        payload["_exit"] = 0 if disagreements == 0 else 1
-    return payload
+    if not args.oracle:
+        return {"orbit": orbit.to_json(),
+                "records": [{"selection": sel.to_json(),
+                             "symbolic": symbolic_image(orbit, sel).to_json()}
+                            for sel in selections]}
+    records = [_image_record(orbit, sel)[1] for sel in selections]
+    disagreements = sum(not r["agree"] for r in records)
+    return {"orbit": orbit.to_json(), "records": records, "disagreements": disagreements,
+            "_exit": 0 if disagreements == 0 else 1}
 
 
 def _cmd_attach(args) -> dict:

@@ -15,6 +15,9 @@ independent computations of its normal form are provided:
   path.  check_geometry forms the moved point g x g^-1 only at the dense
   selection.
 
+check_geometry and the CLI's moment --oracle record each selection by one
+rule, _image_record; check_geometry adds the stabilizer dimensions.
+
 Both images check the selection by one rule, enumeration._fitted_choices,
 and raise ValueError naming the first class, block or coordinate it names
 that the orbit does not have.
@@ -103,6 +106,15 @@ def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbit
                                  orbit.field, orbit.spectrum())
 
 
+def _image_record(orbit: OrbitDatum, selection: IndexSelection) -> tuple:
+    """(symbolic image, record): the selection, its symbolic and oracle
+    images and whether they agree, keyed in that order."""
+    sym = symbolic_image(orbit, selection)
+    orc = oracle_image(orbit, selection)
+    return sym, {"selection": selection.to_json(), "symbolic": sym.to_json(),
+                 "oracle": orc.to_json(), "agree": sym == orc}
+
+
 def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
     """g x g^-1 in full, for the selection's group element g."""
     return _bordered_point(realize_orbit(orbit), selection_positions(orbit, selection))
@@ -165,19 +177,11 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
     dense_point_stab: Optional[int] = None
     other_stabs: List[int] = []
     for sel in selections:
-        sym = symbolic_image(orbit, sel)
-        orc = oracle_image(orbit, sel)
-        agree = sym == orc
-        if not agree:
+        sym, record = _image_record(orbit, sel)
+        if not record["agree"]:
             failures.append("symbolic/oracle disagree at %r" % (sel.to_json(),))
         stab = gl_centralizer_dim(sym.a_part) + sym.a_part.size
-        record = {
-            "selection": sel.to_json(),
-            "symbolic": sym.to_json(),
-            "oracle": orc.to_json(),
-            "agree": agree,
-            "stab_dims": {"image": stab},
-        }
+        record["stab_dims"] = {"image": stab}
         if sel == dense:
             moved = _moved(orbit, sel)
             dense_stab = stabilizer_dim(project_to_p_star(moved))

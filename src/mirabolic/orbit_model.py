@@ -108,15 +108,16 @@ class EigenvalueClass:
 
     im is None for a real eigenvalue; a positive rational im means the
     conjugate pair re +- i*im (real field only).  re and im are ints,
-    Fractions or rational strings such as '1/3'; a float raises TypeError.
+    Fractions or rational strings such as '1/3', read by parse_rational; a
+    float raises TypeError.
     """
 
     __slots__ = ("re", "im", "partition")
 
     def __init__(self, re, partition: Partition, im=None):
-        self.re = Fraction(re) if isinstance(re, str) else _fraction(re)
+        self.re = parse_rational(re, "re") if isinstance(re, str) else _fraction(re)
         if im is not None:
-            im = Fraction(im) if isinstance(im, str) else _fraction(im)
+            im = parse_rational(im, "im") if isinstance(im, str) else _fraction(im)
             if im == 0:
                 im = None
             elif im < 0:

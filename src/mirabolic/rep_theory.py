@@ -294,10 +294,11 @@ class MirabolicRepLabel:
 
 def sign_shape(orbit: OrbitDatum) -> List[int]:
     """The group sizes of a sign assignment: over R one group per real class
-    with one sign per part of its dual partition, none over C."""
+    with one sign per part of its dual partition (its largest part), none
+    over C."""
     if orbit.field == COMPLEX:
         return []
-    return [len(cls.partition.dual()) for cls in orbit.real_classes()]
+    return [cls.partition.largest() for cls in orbit.real_classes()]
 
 
 def _check_signs(orbit: OrbitDatum, signs) -> dict:

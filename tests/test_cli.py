@@ -136,9 +136,12 @@ class TestClassify:
                 assert code == 0
                 assert json.loads(out)["field"] == field
 
-    @pytest.mark.parametrize("flags", [(), ("--certificate",), ("--eigenvalues", "0")])
+    @pytest.mark.parametrize("flags", [(), ("--certificate",), ("--eigenvalues", "0"),
+                                       ("--eigenvalues", "0,1/2"), ("--field", "R"),
+                                       ("--field", "R", "--pairs", "0:1")])
     def test_json_and_text_matrices_classify_alike(self, tmp_path, capsys, flags):
-        # a matrix with no hint is read with the hint 0, whatever its format
+        # a text matrix is read as the matrix object of its rows: with no
+        # hint it is read with the hint 0, and every flag acts on both alike
         rows = [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"]]
         text = tmp_path / "m.txt"
         text.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
@@ -146,9 +149,19 @@ class TestClassify:
         results = [run(capsys, "classify", path, *flags) for path in (str(text), matrix)]
         assert results[0] == results[1]
         code, out, err = results[0]
+        if "--pairs" in flags:  # the hint 0 +- i leaves the head's eigenvalue 0 out
+            assert (code, out, err) == (
+                1, "", "error: SpectrumMismatch: eigenvalues account for dimension 0 of 1\n")
+            return
         assert (code, err) == (0, "")
         assert (json.loads(out)["depth"], json.loads(out)["a_part"]) == (
             2, [{"re": "0", "partition": [1]}])
+        if "--field" in flags:
+            # a "field" key does what --field does, and the two together are refused
+            keyed = write_json(tmp_path, "r.json", {"matrix": rows, "field": "R"})
+            assert run(capsys, "classify", keyed) == results[0]
+            assert run(capsys, "classify", keyed, *flags) == (
+                2, "", "error: --field: the matrix object names its own field\n")
 
     def test_orbit_spec_without_classes_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path, "empty.json", {"field": "C", "classes": []})
@@ -196,6 +209,24 @@ class TestEnumerateAndMoment:
         assert code == 0
         assert payload["disagreements"] == 0
         assert all(r["agree"] for r in payload["records"])
+
+    def test_moment_oracle_counts_a_disagreement(self, tmp_path, capsys, monkeypatch):
+        # a wrong symbolic image at one selection, patched where each path reads it
+        path = write_json(tmp_path, "rs.json", RS2)
+        real = moment.symbolic_image
+        wrong = MirabolicOrbitDatum(1, orbit("C", (3, [1])))
+
+        def symbolic_image(o, s):
+            return wrong if s.to_json() == {"1": {"0": 1}} else real(o, s)
+
+        monkeypatch.setattr(moment, "symbolic_image", symbolic_image)
+        monkeypatch.setattr(cli, "symbolic_image", symbolic_image)
+        code, out, _ = run(capsys, "moment", path, "--all", "--oracle")
+        payload = json.loads(out)
+        assert (code, payload["disagreements"]) == (1, 1)
+        (record,) = [r for r in payload["records"] if not r["agree"]]
+        assert list(record) == ["selection", "symbolic", "oracle", "agree"]
+        assert (record["selection"], record["symbolic"]) == ({"1": {"0": 1}}, wrong.to_json())
 
     def test_moment_geometry(self, tmp_path, capsys):
         path = write_json(tmp_path, "u.json", UNIPOTENT_21)

@@ -227,6 +227,13 @@ class TestDatumValidation:
         assert c.re is re and c.im is im
         assert EigenvalueClass("1/3", Partition([1]), im=2) == c
 
+    @pytest.mark.parametrize("re, im", [("1e1001", None), ("1e-1001", None), (0, "1e1001")])
+    def test_strings_are_read_by_parse_rational(self, re, im):
+        # Fraction alone would build 10**1001 exactly; a class reads its
+        # strings by the one rule every other rational literal goes through
+        with pytest.raises(OrbitSpecError, match="decimal exponent beyond 1000"):
+            EigenvalueClass(re, Partition([1]), im=im)
+
     @pytest.mark.parametrize("re, im", [(0.1, None), (0, 0.5), (Decimal("0.1"), None)])
     def test_inexact_values_are_refused(self, re, im):
         # 0.1 would otherwise become 3602879701896397/36028797018963968
