@@ -92,11 +92,12 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
         # part k - x + x_prev is a nonnegative int: the nonzero parts, sorted
         # descending, are already the partition's canonical parts
         partition = Partition._canonical(tuple(sorted((p for p in parts if p), reverse=True)))
-        classes[idx] = EigenvalueClass(cls.re, partition, im=cls.im) if partition else None
+        classes[idx] = EigenvalueClass._canonical(cls.re, partition, cls.im) if partition else None
     # the order of classes depends on their eigenvalues only, which the
     # surgery keeps, and each partition above is built canonical, so the
-    # head is already in canonical form
-    return MirabolicOrbitDatum(
+    # head is already in canonical form; every selection has a class with
+    # a block at x >= 1, so the depth is an int >= 1
+    return MirabolicOrbitDatum._canonical(
         depth, OrbitDatum._canonical(orbit.field, tuple(c for c in classes if c is not None)))
 
 

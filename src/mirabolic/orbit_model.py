@@ -129,6 +129,14 @@ class EigenvalueClass:
             raise OrbitSpecError("eigenvalue class needs a nonempty partition")
         self.partition = partition
 
+    @classmethod
+    def _canonical(cls, re: Fraction, partition: Partition, im=None) -> "EigenvalueClass":
+        """Takes over a Fraction re, a nonempty Partition and an im that is
+        None or a positive Fraction, as the constructor leaves them."""
+        c = object.__new__(cls)
+        c.re, c.partition, c.im = re, partition, im
+        return c
+
     @property
     def is_pair(self) -> bool:
         return self.im is not None
@@ -241,6 +249,13 @@ class MirabolicOrbitDatum:
             raise OrbitSpecError("depth must be >= 1")
         self.depth = depth
         self.a_part = a_part
+
+    @classmethod
+    def _canonical(cls, depth: int, a_part: OrbitDatum) -> "MirabolicOrbitDatum":
+        """Takes over an int depth >= 1."""
+        datum = object.__new__(cls)
+        datum.depth, datum.a_part = depth, a_part
+        return datum
 
     @property
     def size(self) -> int:

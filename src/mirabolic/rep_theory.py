@@ -11,13 +11,20 @@ one from its size at depth cost 1, Speh and Stein blocks at cost 2, Speh
 complementary blocks at cost 4, and costs add over products.  The orbit
 dictionaries attach labels through dual partitions: a class with partition
 P contributes one factor per part of the dual of P.  Signs are keyed by
-eigenvalue: _check_signs reads the caller's assignment once into
-{eigenvalue: sign tuple}, checked against sign_shape, the one place that
-shape is worked out, and _attach is the one loop that turns classes into
-factors, for an orbit and for the head of its dense image alike.
+class position: the real classes lead an orbit's classes, so _check_signs
+reads the caller's assignment once into a list whose entry i is the sign
+tuple of class i, checked in one walk of the classes against the shape
+sign_shape reports, and _attach is the one loop that turns classes into
+factors, for an orbit and for the head of its dense image alike.  The
+head's sign list comes from one merge walk of the head's and the orbit's
+real classes, both by descending eigenvalue (_head_signs).
 restriction_reports checks every assignment of all_sign_choices lazily and
-forms the dense image once per orbit, since it does not depend on the signs;
-verify_restriction checks one assignment, and both build a report by _report.
+forms the dense image once per orbit, since it does not depend on the
+signs; verify_restriction checks one assignment, and both build a report by
+_report.  That path hashes and multiplies no Fraction: _attach sorts by an
+int copy of the sort key, and the merge walk compares eigenvalues only where
+the head lost or gained a class, since symbolic_image passes the others
+through unchanged.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
@@ -35,7 +42,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from operator import attrgetter
+from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .exact_linalg import _fraction, _integer
@@ -85,7 +93,16 @@ def _key(kind, t, twist, w, m, s) -> tuple:
     return (twist, -_KIND_ORDER[kind], t, m or 0, s or 0, -w)
 
 
+def _scaled_key(kind, t, scaled_twist, w, m) -> tuple:
+    """_key of a factor with no s and its twist multiplied by a positive int
+    that makes it an int, so that sorting compares no Fraction.  It must
+    order factors as _key does: one label's twists are all scaled by the
+    same number, which keeps their order and their ties."""
+    return (scaled_twist, -_KIND_ORDER[kind], t, m or 0, 0, -w)
+
+
 _SORT_KEY = attrgetter("_key")
+_FIRST = itemgetter(0)
 
 
 class UnsupportedOrbitShape(Exception):
@@ -301,58 +318,75 @@ def sign_shape(orbit: OrbitDatum) -> List[int]:
     return [cls.partition.largest() for cls in orbit.real_classes()]
 
 
-def _check_signs(orbit: OrbitDatum, signs) -> dict:
-    """The caller's sign assignment as {eigenvalue: sign tuple} over the real
-    classes of a real-field orbit, {} when the orbit takes none.  Raises
+def _check_signs(orbit: OrbitDatum, signs) -> list:
+    """The caller's sign assignment as a list of sign tuples, entry i for
+    orbit.classes[i]: the real classes lead the classes, so the list covers
+    exactly them over R, and it is [] when the orbit takes no signs.  Raises
     TypeError on a sign that is not an int and ValueError on one that is not
     0 or 1 or on any shape but sign_shape(orbit), so each sign comes out an
     int 0 or 1, ready for Factor._canonical."""
-    shape = sign_shape(orbit)
-    if not shape:
+    classes = orbit.classes
+    if orbit.field == COMPLEX or not classes or classes[0].is_pair:
         if signs:
             raise ValueError("sign assignment given but no real classes need one")
-        return {}
+        return []
     if signs is None:
         raise ValueError(
             "real-field orbit with real classes needs a sign assignment "
             "(one 0/1 tuple per real class, one entry per dual-partition part)"
         )
     signs = [tuple(_integer(w, "sign exponent") for w in ws) for ws in signs]
-    if [len(ws) for ws in signs] != shape:
-        raise ValueError("expected sign tuples of sizes %s" % (shape,))
+    count = len(signs)
+    # one walk: every entry has a real class of its size, and the class
+    # after the last entry, if any, is a pair
+    if (count > len(classes) or count < len(classes) and not classes[count].is_pair
+            or any(cls.is_pair or len(ws) != cls.partition.largest()
+                   for cls, ws in zip(classes, signs))):
+        raise ValueError("expected sign tuples of sizes %s" % (sign_shape(orbit),))
     if any(w not in (0, 1) for ws in signs for w in ws):
         raise ValueError("signs must be 0 or 1")
-    return {cls.re: ws for cls, ws in zip(orbit.real_classes(), signs)}
+    return signs
 
 
-def _attach(orbit: OrbitDatum, signs: dict) -> RepLabel:
-    """The label attached to orbit, with signs keyed by eigenvalue.  A part
-    of a real class beyond its entry (every part over C) takes sign 0, so no
-    part is dropped; a pair class reads no sign.
+def _attach(orbit: OrbitDatum, signs: list) -> RepLabel:
+    """The label attached to orbit, with signs[i] the signs of class i and
+    () past the end of the list.  A part of a real class beyond its entry
+    (every part over C) takes sign 0, so no part is dropped; a pair class
+    reads no sign.
 
     Every field is already checked, so the factors are built trusted: the
     classes come from a validated OrbitDatum (a Fraction eigenvalue, dual
     parts that are positive ints, pair classes over R only), the signs from
-    _check_signs, and the pair parameter from the half-integer check here."""
-    factors = []
-    for cls in orbit.classes:
+    _check_signs, and the pair parameter from the half-integer check here.
+    The factors are sorted by _scaled_key, with every twist scaled by the
+    lcm of the eigenvalue denominators."""
+    classes = orbit.classes
+    scale = lcm(*(cls.re.denominator for cls in classes))
+    keyed = []
+    for i, cls in enumerate(classes):
         dual_parts = cls.partition.dual()
         re = cls.re
+        twist = re.numerator * (scale // re.denominator)
         if cls.is_pair:
-            m2 = 2 * cls.im
-            if m2.denominator != 1 or m2 <= 0:
+            # im > 0, so 2 im is a positive int exactly when im's
+            # denominator is 1 or 2
+            im = cls.im
+            if im.denominator > 2:
                 raise UnsupportedOrbitShape(
                     "pair class at %s+-%si: imaginary part must be a positive "
-                    "half-integer" % (re, cls.im)
+                    "half-integer" % (re, im)
                 )
-            m = m2.numerator
-            factors += [Factor._canonical(SPEH, p, re, 0, m) for p in dual_parts]
+            m = im.numerator * (2 // im.denominator)
+            keyed += [(_scaled_key(SPEH, p, twist, 0, m), Factor._canonical(SPEH, p, re, 0, m))
+                      for p in dual_parts]
         else:
-            ws = signs.get(re, ()) + (0,) * len(dual_parts)
-            factors += [Factor._canonical(CHARACTER, p, re, w)
-                        for p, w in zip(dual_parts, ws)]
-    factors.sort(key=_SORT_KEY, reverse=True)
-    return RepLabel._canonical(orbit.field, tuple(factors))
+            ws = (signs[i] if i < len(signs) else ()) + (0,) * len(dual_parts)
+            keyed += [(_scaled_key(CHARACTER, p, twist, w, None),
+                       Factor._canonical(CHARACTER, p, re, w))
+                      for p, w in zip(dual_parts, ws)]
+    # equal keys happen and Factor has no <, so the sort reads the key alone
+    keyed.sort(key=_FIRST, reverse=True)
+    return RepLabel._canonical(orbit.field, tuple([f for _, f in keyed]))
 
 
 def attach_gl_rep(orbit: OrbitDatum, signs=None) -> RepLabel:
@@ -424,18 +458,42 @@ class RestrictionReport:
         }
 
 
+def _head_signs(orbit: OrbitDatum, signs: list, head: OrbitDatum) -> list:
+    """The signs of head's classes, for _attach, given the checked signs of
+    orbit's.  A head class at the eigenvalue of a real orbit class keeps the
+    signs of that class's dual parts of size >= 2 (a part of size one
+    vanishes under restriction, and its sign with it); any other head class
+    takes (), that is sign 0.  Both real classes run by descending
+    eigenvalue, so one merge walk pairs them up; symbolic_image passes the
+    eigenvalues through, so `is` settles a match before any comparison."""
+    classes = orbit.classes
+    out, j, count = [], 0, len(signs)
+    for cls in head.classes:
+        if cls.is_pair:
+            break
+        re, ws = cls.re, ()
+        while j < count:
+            source = classes[j]
+            if source.re is not re and source.re > re:
+                j += 1  # an orbit class that left the head
+                continue
+            if source.re is re or source.re == re:
+                ws = tuple(w for w, p in zip(signs[j], source.partition.dual()) if p >= 2)
+                j += 1
+            break
+        out.append(ws)
+    return out
+
+
 def _report(orbit: OrbitDatum, signs, omega=None) -> RestrictionReport:
     """The RestrictionReport of one sign assignment.  It is attached before
     the dense image omega is formed (when not given), so a bad one raises first."""
-    restricted = restrict_to_mirabolic(attach_gl_rep(orbit, signs))
+    checked = _check_signs(orbit, signs)
+    restricted = restrict_to_mirabolic(_attach(orbit, checked))
     if omega is None:
         omega = symbolic_image(orbit, dense_selection(orbit))
-    # attach_gl_rep has checked the signs, so int makes a bool an int 0 or 1
-    image_signs = {
-        cls.re: tuple(int(w) for w, p in zip(ws, cls.partition.dual()) if p >= 2)
-        for cls, ws in zip(orbit.real_classes(), signs or ())
-    }
-    attached = MirabolicRepLabel(omega.depth, _attach(omega.a_part, image_signs))
+    head = omega.a_part
+    attached = MirabolicRepLabel(omega.depth, _attach(head, _head_signs(orbit, checked, head)))
     return RestrictionReport(orbit, signs, restricted == attached, restricted, attached, omega)
 
 

@@ -48,6 +48,8 @@ CASES = {
     "moment_geometry_north_star": ["moment", "@north_star.json", "--geometry"],
     "moment_geometry_repeated_parts": ["moment", "@repeated_parts.json", "--geometry"],
     "classify_north_star_dense": ["classify", "@north_star_dense.json", "--certificate"],
+    "attach_fractional": ["attach", "@fractional.json", "--signs", "1,0;0,1;1"],
+    "restrict_fractional": ["restrict", "@fractional.json", "--signs", "1,0;0,1;1"],
 }
 
 

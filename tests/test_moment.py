@@ -9,6 +9,7 @@ import pytest
 from mirabolic import (
     COMPLEX,
     REAL,
+    EigenvalueClass,
     ExactMatrix,
     IndexSelection,
     MirabolicOrbitDatum,
@@ -96,15 +97,22 @@ class TestSymbolicImage:
 
 
     def test_head_partitions_are_canonical(self):
-        # symbolic_image builds each head partition without the
-        # constructor's sort and checks
+        # symbolic_image builds each head partition, head class and the
+        # image itself without the constructors' sorts and checks
         count = 0
         for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
             for sel in enumerate_selections(o):
-                for cls in symbolic_image(o, sel).a_part.classes:
+                img = symbolic_image(o, sel)
+                for cls in img.a_part.classes:
                     p = cls.partition
                     assert p == Partition(list(p)), (o, sel)
                     assert type(p.parts) is tuple and all(type(x) is int for x in p), (o, sel)
+                    assert cls == EigenvalueClass(cls.re, p, im=cls.im), (o, sel)
+                    assert type(cls.re) is Fraction, (o, sel)
+                    assert cls.im is None or type(cls.im) is Fraction and cls.im > 0, (o, sel)
+                rebuilt = MirabolicOrbitDatum(img.depth, OrbitDatum(o.field, img.a_part.classes))
+                assert img == rebuilt, (o, sel)
+                assert type(img.depth) is int and img.depth >= 1, (o, sel)
                 count += 1
         assert count == 4330
 

@@ -224,6 +224,43 @@ def _corpus_labels():
             yield report.attached.adduced
 
 
+_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _orbits_of_size_8_to_10(draw):
+    """An orbit of size 8 to 10 over either field whose sign assignments
+    have at most 6 signs, with eigenvalues p/q, |p|, q <= 10**6.  A pair's
+    imaginary part is k/2, and now and then k/3, which no attachment
+    formula covers."""
+    field = draw(st.sampled_from([COMPLEX, REAL]))
+    left, signs_left = draw(st.integers(8, 10)), 6
+    classes = {}  # (re, im) -> parts
+    while left:
+        pair = field == REAL and left >= 2 and draw(st.booleans())
+        if field == REAL and not pair and not signs_left:
+            # no sign is left for a new real class: parts of size 1 join a
+            # real class already drawn, whose signs they do not change
+            next(p for (_, im), p in classes.items() if im is None).extend([1] * left)
+            break
+        degree = 2 if pair else 1
+        weight = draw(st.integers(1, left // degree))
+        signed = field == REAL and not pair
+        largest = draw(st.integers(1, min(weight, signs_left) if signed else weight))
+        parts = [largest]
+        while sum(parts) < weight:
+            parts.append(draw(st.integers(1, min(largest, weight - sum(parts)))))
+        im = None
+        if pair:
+            im = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([2, 2, 2, 3])))
+        re = draw(_RATIONALS.filter(lambda r: (r, im) not in classes))
+        classes[re, im] = parts
+        left -= degree * weight
+        signs_left -= largest if signed else 0
+    return OrbitDatum(field, [EigenvalueClass(re, Partition(parts), im=im)
+                              for (re, im), parts in classes.items()])
+
+
 class TestFactorOrder:
     def test_order_matches_the_ascending_reference_key(self):
         count = 0
@@ -233,6 +270,21 @@ class TestFactorOrder:
         assert count == 3 * 13920
         for label in _random_labels(random.Random(88), 2000):
             assert label.factors == _old_order(label.factors), label
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_orbits_of_size_8_to_10())
+    def test_order_matches_the_reference_at_fractional_twists(self, o):
+        # eigenvalues p/q with q up to 10**6: _attach sorts by twists scaled
+        # to ints, which must order as the Fraction twists do
+        try:
+            reports = list(restriction_reports(o))
+        except UnsupportedOrbitShape:
+            return
+        for signs, report in zip(all_sign_choices(o), reports):
+            for label in (attach_gl_rep(o, signs), report.restricted.adduced,
+                          report.attached.adduced):
+                assert label.factors == _old_order(label.factors), (o, signs)
+                TestTrustedFactors.assert_validated(label)
 
     def test_adduce_equals_the_sorting_constructor(self):
         labels = list(_random_labels(random.Random(88), 2000))
@@ -246,7 +298,7 @@ class TestFactorOrder:
 
 
 def _random_labels(rng, count):
-    twists = [Fraction(0), Fraction(1), Fraction(-1, 2)]
+    twists = [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(-7, 2)]
     steins = [Fraction(1, 4), Fraction(1, 3)]
     labels = []
     for _ in range(count):
@@ -338,22 +390,49 @@ class TestVerifyRestriction:
         once = verify_restriction(o, iter([iter((1,)), iter((1, 0))]))
         assert once.to_json() == report.to_json()
 
-    @pytest.mark.parametrize("head, attached", [
+    # an orbit with three real classes, whose dense head keeps all three
+    _THREE = [("3/2", [2, 1]), ("1/3", [2, 2]), (-1, [2, 1])]
+    _THREE_SIGNS = [(1, 0), (1, 0), (0, 1)]
+    _THREE_OMEGA = [("3/2", [1]), ("1/3", [2]), (-1, [1])]
+
+    @pytest.mark.parametrize("classes, signs, omega, head, attached", [
         # a class at an eigenvalue the orbit lacks
-        ([(0, [1]), (5, [1])], [character(1, 5), character(1, 0, w=1)]),
+        ([(0, [2, 1])], [(1, 1)], [(0, [1])],
+         [(0, [1]), (5, [1])], [character(1, 5), character(1, 0, w=1)]),
         # a class with a dual part its source cannot account for, which
         # takes sign 0: the sign of the vanished part is not passed on
-        ([(0, [2])], [character(1, 0, w=1), character(1, 0)]),
+        ([(0, [2, 1])], [(1, 1)], [(0, [1])],
+         [(0, [2])], [character(1, 0, w=1), character(1, 0)]),
+        # a class above, between or below the orbit's eigenvalues takes
+        # sign 0, and every other class keeps the signs of its eigenvalue
+        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+         [(2, [2]), ("3/2", [1]), ("1/3", [1, 1]), (-1, [1])],
+         [character(1, 2), character(1, 2), character(1, Fraction(3, 2), w=1),
+          character(2, Fraction(1, 3), w=1), character(1, -1)]),
+        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+         [("3/2", [1]), ("1/2", [2]), ("1/3", [1, 1]), (-1, [1])],
+         [character(1, Fraction(3, 2), w=1), character(1, Fraction(1, 2)),
+          character(1, Fraction(1, 2)), character(2, Fraction(1, 3), w=1), character(1, -1)]),
+        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+         [("3/2", [1]), ("1/3", [1, 1]), (-1, [1]), (-2, [2])],
+         [character(1, Fraction(3, 2), w=1), character(2, Fraction(1, 3), w=1), character(1, -1),
+          character(1, -2), character(1, -2)]),
+        # a head that drops the orbit's middle class: the class below still
+        # takes its own signs, not the middle class's
+        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+         [("3/2", [1]), (-1, [1])],
+         [character(1, Fraction(3, 2), w=1), character(1, -1)]),
     ])
     def test_a_head_the_orbit_cannot_account_for_fails_the_check(
-            self, monkeypatch, head, attached):
-        o = orbit(REAL, (0, [2, 1]))
-        report = verify_restriction(o, [(1, 1)])
+            self, monkeypatch, classes, signs, omega, head, attached):
+        o = orbit(REAL, *classes)
+        report = verify_restriction(o, signs)
         assert report.ok
-        assert report.omega == MirabolicOrbitDatum(2, orbit(REAL, (0, [1])))
+        depth = report.omega.depth
+        assert report.omega == MirabolicOrbitDatum(depth, orbit(REAL, *omega))
         monkeypatch.setattr(rep_theory, "symbolic_image",
-                            lambda o, selection: MirabolicOrbitDatum(2, orbit(REAL, *head)))
-        report = verify_restriction(o, [(1, 1)])
+                            lambda o, sel: MirabolicOrbitDatum(depth, orbit(REAL, *head)))
+        report = verify_restriction(o, signs)
         assert not report.ok
         assert report.attached.adduced == RepLabel(REAL, attached)
 
@@ -422,43 +501,6 @@ class TestVerifyRestriction:
                 assert sizes == expected
                 omega = symbolic_image(o, dense_selection(o))
                 assert restricted == attach_mirabolic_rep(omega)
-
-
-_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
-
-
-@st.composite
-def _orbits_of_size_8_to_10(draw):
-    """An orbit of size 8 to 10 over either field whose sign assignments
-    have at most 6 signs, with eigenvalues p/q, |p|, q <= 10**6.  A pair's
-    imaginary part is k/2, and now and then k/3, which no attachment
-    formula covers."""
-    field = draw(st.sampled_from([COMPLEX, REAL]))
-    left, signs_left = draw(st.integers(8, 10)), 6
-    classes = {}  # (re, im) -> parts
-    while left:
-        pair = field == REAL and left >= 2 and draw(st.booleans())
-        if field == REAL and not pair and not signs_left:
-            # no sign is left for a new real class: parts of size 1 join a
-            # real class already drawn, whose signs they do not change
-            next(p for (_, im), p in classes.items() if im is None).extend([1] * left)
-            break
-        degree = 2 if pair else 1
-        weight = draw(st.integers(1, left // degree))
-        signed = field == REAL and not pair
-        largest = draw(st.integers(1, min(weight, signs_left) if signed else weight))
-        parts = [largest]
-        while sum(parts) < weight:
-            parts.append(draw(st.integers(1, min(largest, weight - sum(parts)))))
-        im = None
-        if pair:
-            im = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([2, 2, 2, 3])))
-        re = draw(_RATIONALS.filter(lambda r: (r, im) not in classes))
-        classes[re, im] = parts
-        left -= degree * weight
-        signs_left -= largest if signed else 0
-    return OrbitDatum(field, [EigenvalueClass(re, Partition(parts), im=im)
-                              for (re, im), parts in classes.items()])
 
 
 class TestRestrictionReports:
