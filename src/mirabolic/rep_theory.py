@@ -13,16 +13,16 @@ dictionaries attach labels through dual partitions: a class with partition
 P contributes one factor per part of the dual of P.  Signs are keyed by
 class position: the real classes lead an orbit's classes, so _check_signs
 reads the caller's assignment once into a list whose entry i is the sign
-tuple of class i, checked in one walk of the classes against the shape
-sign_shape reports, and _attach is the one loop that turns classes into
+tuple of class i, checked against sign_shape, the one place that shape is
+worked out, and _attach is the one loop that turns classes into
 factors, for an orbit and for the head of its dense image alike.  The
 head's sign list comes from one merge walk of the head's and the orbit's
 real classes, both by descending eigenvalue (_head_signs).
 restriction_reports checks every assignment of all_sign_choices lazily and
 forms the dense image once per orbit, since it does not depend on the
 signs; verify_restriction checks one assignment, and both build a report by
-_report.  That path hashes and multiplies no Fraction: _attach sorts by an
-int copy of the sort key, and the merge walk compares eigenvalues only where
+_report.  That path hashes and multiplies no Fraction: _attach sorts by
+_key with each twist scaled to an int, and the merge walk compares eigenvalues only where
 the head lost or gained a class, since symbolic_image passes the others
 through unchanged.
 
@@ -89,16 +89,10 @@ _HALF = Fraction(1, 2)
 
 
 def _key(kind, t, twist, w, m, s) -> tuple:
-    """Factor.sort_key of a factor with these fields."""
+    """Factor.sort_key of a factor with these fields.  _attach passes twists
+    scaled to ints, all by one positive number per label, which orders the
+    label's factors as their Fraction twists do."""
     return (twist, -_KIND_ORDER[kind], t, m or 0, s or 0, -w)
-
-
-def _scaled_key(kind, t, scaled_twist, w, m) -> tuple:
-    """_key of a factor with no s and its twist multiplied by a positive int
-    that makes it an int, so that sorting compares no Fraction.  It must
-    order factors as _key does: one label's twists are all scaled by the
-    same number, which keeps their order and their ties."""
-    return (scaled_twist, -_KIND_ORDER[kind], t, m or 0, 0, -w)
 
 
 _SORT_KEY = attrgetter("_key")
@@ -323,10 +317,11 @@ def _check_signs(orbit: OrbitDatum, signs) -> list:
     orbit.classes[i]: the real classes lead the classes, so the list covers
     exactly them over R, and it is [] when the orbit takes no signs.  Raises
     TypeError on a sign that is not an int and ValueError on one that is not
-    0 or 1 or on any shape but sign_shape(orbit), so each sign comes out an
-    int 0 or 1, ready for Factor._canonical."""
-    classes = orbit.classes
-    if orbit.field == COMPLEX or not classes or classes[0].is_pair:
+    0 or 1 or on any shape but sign_shape(orbit), the one place that shape
+    is worked out, so each sign comes out an int 0 or 1, ready for
+    Factor._canonical."""
+    shape = sign_shape(orbit)
+    if not shape:
         if signs:
             raise ValueError("sign assignment given but no real classes need one")
         return []
@@ -336,13 +331,8 @@ def _check_signs(orbit: OrbitDatum, signs) -> list:
             "(one 0/1 tuple per real class, one entry per dual-partition part)"
         )
     signs = [tuple(_integer(w, "sign exponent") for w in ws) for ws in signs]
-    count = len(signs)
-    # one walk: every entry has a real class of its size, and the class
-    # after the last entry, if any, is a pair
-    if (count > len(classes) or count < len(classes) and not classes[count].is_pair
-            or any(cls.is_pair or len(ws) != cls.partition.largest()
-                   for cls, ws in zip(classes, signs))):
-        raise ValueError("expected sign tuples of sizes %s" % (sign_shape(orbit),))
+    if [len(ws) for ws in signs] != shape:
+        raise ValueError("expected sign tuples of sizes %s" % (shape,))
     if any(w not in (0, 1) for ws in signs for w in ws):
         raise ValueError("signs must be 0 or 1")
     return signs
@@ -358,8 +348,10 @@ def _attach(orbit: OrbitDatum, signs: list) -> RepLabel:
     classes come from a validated OrbitDatum (a Fraction eigenvalue, dual
     parts that are positive ints, pair classes over R only), the signs from
     _check_signs, and the pair parameter from the half-integer check here.
-    The factors are sorted by _scaled_key, with every twist scaled by the
-    lcm of the eigenvalue denominators."""
+    The factors are sorted by _key with every twist scaled to an int by the
+    lcm of the eigenvalue denominators, so the sort compares no Fraction;
+    the twists of one label are all scaled by the same number, which keeps
+    their order and their ties."""
     classes = orbit.classes
     scale = lcm(*(cls.re.denominator for cls in classes))
     keyed = []
@@ -377,11 +369,11 @@ def _attach(orbit: OrbitDatum, signs: list) -> RepLabel:
                     "half-integer" % (re, im)
                 )
             m = im.numerator * (2 // im.denominator)
-            keyed += [(_scaled_key(SPEH, p, twist, 0, m), Factor._canonical(SPEH, p, re, 0, m))
+            keyed += [(_key(SPEH, p, twist, 0, m, None), Factor._canonical(SPEH, p, re, 0, m))
                       for p in dual_parts]
         else:
             ws = (signs[i] if i < len(signs) else ()) + (0,) * len(dual_parts)
-            keyed += [(_scaled_key(CHARACTER, p, twist, w, None),
+            keyed += [(_key(CHARACTER, p, twist, w, None, None),
                        Factor._canonical(CHARACTER, p, re, w))
                       for p, w in zip(dual_parts, ws)]
     # equal keys happen and Factor has no <, so the sort reads the key alone

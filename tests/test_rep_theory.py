@@ -138,6 +138,22 @@ class TestAttach:
         with pytest.raises(ValueError):
             attach_gl_rep(o, [(1,)])
 
+    @pytest.mark.parametrize("classes, signs", [
+        # too few tuples: the class at -1 would take sign 0 unasked
+        ([(1, [2, 1]), (-1, [1]), (0, 1, [1])], [(1, 0)]),
+        # too many tuples: the last would land on the pair class
+        ([(1, [2, 1]), (-1, [1]), (0, 1, [1])], [(1, 0), (1,), (1,)]),
+        ([(0, [1]), (0, 1, [1])], [(1,), (1,)]),
+        # too many tuples: more than the orbit has classes
+        ([(0, [1])], [(1,), (1,)]),
+    ])
+    def test_sign_count_checked(self, classes, signs):
+        o = orbit(REAL, *classes)
+        with pytest.raises(ValueError, match="expected sign tuples"):
+            attach_gl_rep(o, signs)
+        with pytest.raises(ValueError, match="expected sign tuples"):
+            verify_restriction(o, signs)
+
     def test_inexact_signs_are_refused(self):
         o = orbit(REAL, (0, [1]))
         with pytest.raises(TypeError):
@@ -395,40 +411,39 @@ class TestVerifyRestriction:
     _THREE_SIGNS = [(1, 0), (1, 0), (0, 1)]
     _THREE_OMEGA = [("3/2", [1]), ("1/3", [2]), (-1, [1])]
 
-    @pytest.mark.parametrize("classes, signs, omega, head, attached", [
+    @pytest.mark.parametrize("classes, signs, depth, omega, head, attached", [
         # a class at an eigenvalue the orbit lacks
-        ([(0, [2, 1])], [(1, 1)], [(0, [1])],
+        ([(0, [2, 1])], [(1, 1)], 2, [(0, [1])],
          [(0, [1]), (5, [1])], [character(1, 5), character(1, 0, w=1)]),
         # a class with a dual part its source cannot account for, which
         # takes sign 0: the sign of the vanished part is not passed on
-        ([(0, [2, 1])], [(1, 1)], [(0, [1])],
+        ([(0, [2, 1])], [(1, 1)], 2, [(0, [1])],
          [(0, [2])], [character(1, 0, w=1), character(1, 0)]),
         # a class above, between or below the orbit's eigenvalues takes
         # sign 0, and every other class keeps the signs of its eigenvalue
-        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+        (_THREE, _THREE_SIGNS, 6, _THREE_OMEGA,
          [(2, [2]), ("3/2", [1]), ("1/3", [1, 1]), (-1, [1])],
          [character(1, 2), character(1, 2), character(1, Fraction(3, 2), w=1),
           character(2, Fraction(1, 3), w=1), character(1, -1)]),
-        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+        (_THREE, _THREE_SIGNS, 6, _THREE_OMEGA,
          [("3/2", [1]), ("1/2", [2]), ("1/3", [1, 1]), (-1, [1])],
          [character(1, Fraction(3, 2), w=1), character(1, Fraction(1, 2)),
           character(1, Fraction(1, 2)), character(2, Fraction(1, 3), w=1), character(1, -1)]),
-        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+        (_THREE, _THREE_SIGNS, 6, _THREE_OMEGA,
          [("3/2", [1]), ("1/3", [1, 1]), (-1, [1]), (-2, [2])],
          [character(1, Fraction(3, 2), w=1), character(2, Fraction(1, 3), w=1), character(1, -1),
           character(1, -2), character(1, -2)]),
         # a head that drops the orbit's middle class: the class below still
         # takes its own signs, not the middle class's
-        (_THREE, _THREE_SIGNS, _THREE_OMEGA,
+        (_THREE, _THREE_SIGNS, 6, _THREE_OMEGA,
          [("3/2", [1]), (-1, [1])],
          [character(1, Fraction(3, 2), w=1), character(1, -1)]),
     ])
     def test_a_head_the_orbit_cannot_account_for_fails_the_check(
-            self, monkeypatch, classes, signs, omega, head, attached):
+            self, monkeypatch, classes, signs, depth, omega, head, attached):
         o = orbit(REAL, *classes)
         report = verify_restriction(o, signs)
         assert report.ok
-        depth = report.omega.depth
         assert report.omega == MirabolicOrbitDatum(depth, orbit(REAL, *omega))
         monkeypatch.setattr(rep_theory, "symbolic_image",
                             lambda o, sel: MirabolicOrbitDatum(depth, orbit(REAL, *head)))
