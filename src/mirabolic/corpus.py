@@ -65,7 +65,15 @@ def real_corpus(nmax: int, require_pair: bool = True) -> Iterator[OrbitDatum]:
 
 def _corpus(field, nmax, real_pool, pair_pool, require_pair) -> Iterator[OrbitDatum]:
     """Orbit data by size, then class counts, eigenvalues, weights and
-    partitions."""
+    partitions.
+
+    The real classes come first and each pool runs by descending
+    eigenvalue, so the classes are distinct and already in canonical
+    order, and each partition comes from partitions_of_weight: every orbit
+    is built through the trusted constructors, and each weight's partitions
+    are listed once and shared.
+    """
+    by_weight = [tuple(partitions_of_weight(w)) for w in range(nmax + 1)]
     for n in range(1, nmax + 1):
         for rk in range(0, min(len(real_pool), n) + 1):
             for pk in range(1 if require_pair else 0, min(len(pair_pool), n // 2) + 1):
@@ -78,15 +86,15 @@ def _corpus(field, nmax, real_pool, pair_pool, require_pair) -> Iterator[OrbitDa
                             for pair_ws in compositions(pair_total, pk):
                                 for comp in compositions(n - 2 * pair_total, rk):
                                     weights = comp + pair_ws
-                                    for parts in product(*map(partitions_of_weight, weights)):
-                                        classes = [
-                                            EigenvalueClass(a, p)
+                                    for parts in product(*[by_weight[w] for w in weights]):
+                                        classes = tuple(
+                                            EigenvalueClass._canonical(a, p)
                                             for a, p in zip(real_eigs, parts[:rk])
-                                        ] + [
-                                            EigenvalueClass(a, p, im=b)
+                                        ) + tuple(
+                                            EigenvalueClass._canonical(a, p, b)
                                             for (a, b), p in zip(pair_eigs, parts[rk:])
-                                        ]
-                                        yield OrbitDatum(field, classes)
+                                        )
+                                        yield OrbitDatum._canonical(field, classes)
 
 
 def random_unimodular(n: int, rng: random.Random) -> ExactMatrix:

@@ -18,9 +18,14 @@ independent computations of its normal form are provided:
 check_geometry and the CLI's moment --oracle record each selection by one
 rule, _image_record; check_geometry adds the stabilizer dimensions.
 
-Both images check the selection by one rule, enumeration._fitted_choices,
-and raise ValueError naming the first class, block or coordinate it names
-that the orbit does not have.
+Both images check a caller's selection by one rule,
+enumeration._fitted_choices, and raise ValueError naming the first class,
+block or coordinate it names that the orbit does not have.  The dense
+selection comes from one rule too, _dense_choices, which reads each class's
+largest block off the orbit itself: dense_selection builds its
+IndexSelection from it, and _dense_image feeds it straight to the surgery,
+_surgery, that symbolic_image runs, so the dense image checks no selection
+the program made from the same orbit.
 """
 from __future__ import annotations
 
@@ -59,27 +64,48 @@ __all__ = [
 ]
 
 
+def _dense_choices(orbit: OrbitDatum) -> list:
+    """(class index, class, ascending runs, ((top, k),)) for every class, in
+    class order: each class takes its largest block k, at block index top,
+    at its top coordinate.  Fits the orbit by construction."""
+    if not orbit.classes:
+        raise ValueError("the zero-size orbit has no selections")
+    out = []
+    for idx, cls in enumerate(orbit.classes):
+        runs = cls.partition.runs_ascending()
+        top = len(runs) - 1
+        out.append((idx, cls, runs, ((top, runs[top][0]),)))
+    return out
+
+
 def dense_selection(orbit: OrbitDatum) -> IndexSelection:
     """The selection whose image is the unique dense mirabolic orbit.
 
     Every class participates with its largest block at the top coordinate.
     """
-    if not orbit.classes:
-        raise ValueError("the zero-size orbit has no selections")
-    choices = []
-    for idx, cls in enumerate(orbit.classes):
-        runs = cls.partition.runs_ascending()
-        top = len(runs) - 1
-        choices.append((idx, ((top, runs[top][0]),)))
     # class indices ascending, one block each: already the canonical form
-    return IndexSelection._canonical(tuple(choices))
+    return IndexSelection._canonical(tuple((idx, pairs) for idx, _, _, pairs
+                                           in _dense_choices(orbit)))
 
 
 def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Closed-form normal form of the image orbit at one selection."""
+    return _surgery(orbit, _fitted_choices(orbit, selection))
+
+
+def _dense_image(orbit: OrbitDatum) -> MirabolicOrbitDatum:
+    """symbolic_image(orbit, dense_selection(orbit)), from _dense_choices
+    without building or fitting a selection."""
+    return _surgery(orbit, _dense_choices(orbit))
+
+
+def _surgery(orbit: OrbitDatum, choices) -> MirabolicOrbitDatum:
+    """The block surgery over choices, (class index, class, ascending runs,
+    pairs) per chosen class as _fitted_choices gives them, each x within
+    its block."""
     depth = 0
     classes = list(orbit.classes)
-    for idx, cls, runs, pairs in _fitted_choices(orbit, selection):
+    for idx, cls, runs, pairs in choices:
         parts = list(cls.partition)
         x_prev = 0
         for i, x in pairs:
@@ -88,17 +114,18 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
             parts.append(k - x + x_prev)
             x_prev = x
         depth += cls.degree * x_prev
-        # _fitted_choices bounds every x by its block size k, so each new
-        # part k - x + x_prev is a nonnegative int: the nonzero parts, sorted
+        # every x is bounded by its block size k, so each new part
+        # k - x + x_prev is a nonnegative int: the nonzero parts, sorted
         # descending, are already the partition's canonical parts
-        partition = Partition._canonical(tuple(sorted((p for p in parts if p), reverse=True)))
-        classes[idx] = EigenvalueClass._canonical(cls.re, partition, cls.im) if partition else None
+        kept = tuple(sorted(filter(None, parts), reverse=True))
+        classes[idx] = (EigenvalueClass._canonical(cls.re, Partition._canonical(kept), cls.im)
+                        if kept else None)
     # the order of classes depends on their eigenvalues only, which the
     # surgery keeps, and each partition above is built canonical, so the
     # head is already in canonical form; every selection has a class with
     # a block at x >= 1, so the depth is an int >= 1
     return MirabolicOrbitDatum._canonical(
-        depth, OrbitDatum._canonical(orbit.field, tuple(c for c in classes if c is not None)))
+        depth, OrbitDatum._canonical(orbit.field, tuple(filter(None, classes))))
 
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:

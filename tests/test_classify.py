@@ -217,6 +217,17 @@ class TestCertificate:
             x, ExactMatrix.identity(3), datum, COMPLEX, [0]
         )
 
+    def test_a_conjugator_without_last_row_e_n_fails(self):
+        # 2g conjugates x exactly as g does and is invertible, so only the
+        # last-row check can refuse it: 2g is not mirabolic
+        x = example_27_matrix(3)
+        datum, g = classify_certified(x, COMPLEX, [0])
+        assert certificate_holds(x, g, datum, COMPLEX, [0])
+        doubled = ExactMatrix.from_integer(
+            g.denominator, [{j: 2 * v for j, v in row.items()} for row in g.numerators], 3)
+        assert doubled.numerators[2] != {2: doubled.denominator}
+        assert certificate_holds(x, doubled, datum, COMPLEX, [0]) is False
+
     def test_singular_conjugator_fails(self):
         # last row e_n, so only invertibility can refuse it
         x = example_27_matrix(3)

@@ -5,7 +5,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mirabolic import MirabolicOrbitDatum, MirabolicRepLabel, cli, moment, orbit_model, rep_theory
+from mirabolic import (IndexSelection, MirabolicOrbitDatum, MirabolicRepLabel, cli, moment,
+                       orbit_model, rep_theory)
 
 from conftest import orbit
 from mirabolic.cli import main
@@ -270,6 +271,33 @@ class TestEnumerateAndMoment:
             assert (code, out) == (2, "")
             assert err == ("error: %s: --geometry checks all selections with the oracle\n"
                            % flags[0])
+
+
+    # each claim of check_geometry broken alone on RS2, as in
+    # tests/test_moment.py: the moment function patched and how, and the
+    # failure it must report
+    BROKEN_CLAIMS = {
+        # the selection {1: {0: 1}} given the image of {0: {0: 1}}
+        "injective": ("symbolic_image", lambda real: lambda o, s: real(
+            o, IndexSelection({0: {0: 1}}) if s.to_json() == {"1": {"0": 1}} else s),
+            "image normal forms are not pairwise distinct"),
+        # both heads of size one tie with the dense image's empty head
+        "dense_minimal": ("gl_centralizer_dim",
+                          lambda real: lambda head: real(head) - 2 if head.classes else real(head),
+                          "dense image is not the unique stabilizer-dimension minimum"),
+        "fiber_singleton": ("point_stabilizer_dim", lambda real: lambda x: real(x) + 1,
+                            "image stabilizer 0 differs from point stabilizer 1"),
+    }
+
+    @pytest.mark.parametrize("claim", sorted(BROKEN_CLAIMS))
+    def test_moment_geometry_fails_on_each_broken_claim(self, tmp_path, capsys, monkeypatch,
+                                                        claim):
+        name, wrap, failure = self.BROKEN_CLAIMS[claim]
+        monkeypatch.setattr(moment, name, wrap(getattr(moment, name)))
+        code, out, _ = run(capsys, "moment", write_json(tmp_path, "rs.json", RS2), "--geometry")
+        payload = json.loads(out)
+        assert (code, payload["ok"], payload[claim]) == (1, False, False)
+        assert payload["failures"][-1] == failure
 
 
 class TestAttachAndRestrict:

@@ -58,6 +58,31 @@ class TestDenseSelection:
             assert sels.count(dense_selection(o)) == 1
 
 
+class TestDenseImage:
+    def test_equals_the_symbolic_image_of_the_dense_selection_to_size_seven(self):
+        # _dense_image runs the surgery at the dense choices directly, with
+        # no selection built or fitted
+        checked = 0
+        for o in list(complex_corpus(7)) + list(real_corpus(7, require_pair=False)):
+            assert moment._dense_image(o) == symbolic_image(o, dense_selection(o)), o
+            checked += 1
+        assert checked == 3701
+
+    def test_the_empty_orbit_has_no_dense_image(self):
+        for dense in (dense_selection, moment._dense_image):
+            with pytest.raises(ValueError, match="the zero-size orbit has no selections"):
+                dense(OrbitDatum(COMPLEX))
+
+    def test_a_dense_selection_of_another_orbit_is_refused(self):
+        # symbolic_image still fits a caller's selection, also one that is
+        # the dense selection of some other orbit
+        big = orbit(COMPLEX, (1, [2]), (0, [3, 1]))
+        with pytest.raises(ValueError, match="selection names class 1 of an orbit with 1 classes"):
+            symbolic_image(orbit(COMPLEX, (1, [2])), dense_selection(big))
+        with pytest.raises(ValueError, match="coordinate 3 outside block 1 of class 0, of size 2"):
+            symbolic_image(orbit(COMPLEX, (0, [2, 1])), IndexSelection({0: {1: 3}}))
+
+
 class TestSymbolicImage:
     def test_single_block_top_coordinate(self):
         o = orbit(COMPLEX, (1, [2]))
@@ -292,6 +317,47 @@ class TestGeometry:
         assert report.injective and report.dense_minimal and report.fiber_singleton
         assert report.failures == ["stabilizer dimension changed under conjugation: 0 vs 1"]
         assert not report.ok and report.to_json()["ok"] is False
+
+    def test_equal_images_fail_the_report(self, monkeypatch):
+        # the second single-class selection given the first one's image: the
+        # two image stabilizers stay 2 against the dense 0, so only the
+        # agreement and the injectivity fail
+        o = orbit(COMPLEX, (1, [1]), (0, [1]))
+        first, dense, second = enumerate_selections(o)
+        assert dense == dense_selection(o)
+        real = moment.symbolic_image
+        monkeypatch.setattr(moment, "symbolic_image",
+                            lambda o, s: real(o, first if s == second else s))
+        report = check_geometry(o)
+        assert not report.injective and report.dense_minimal and report.fiber_singleton
+        assert report.failures == ["symbolic/oracle disagree at %r" % (second.to_json(),),
+                                   "image normal forms are not pairwise distinct"]
+        assert not report.ok and report.to_json()["injective"] is False
+
+    def test_a_dense_image_that_is_not_the_strict_minimum_fails_the_report(self, monkeypatch):
+        # every head of size one loses two from its law, so the two other
+        # images tie with the dense image at 0; the dense image's empty head
+        # keeps its law, which still matches the ranks at the dense point
+        o = orbit(COMPLEX, (1, [1]), (0, [1]))
+        real = moment.gl_centralizer_dim
+        monkeypatch.setattr(moment, "gl_centralizer_dim",
+                            lambda head: real(head) - 2 if head.classes else real(head))
+        report = check_geometry(o)
+        assert report.injective and not report.dense_minimal and report.fiber_singleton
+        assert report.failures == ["dense image is not the unique stabilizer-dimension minimum"]
+        assert not report.ok and report.to_json()["dense_minimal"] is False
+
+    def test_a_point_stabilizer_other_than_the_image_stabilizer_fails_the_report(
+            self, monkeypatch):
+        # only the moved point's stabilizer one too large: the image and
+        # its law still agree, but the fiber is no longer a singleton
+        o = orbit(COMPLEX, (1, [1]), (0, [1]))
+        real = moment.point_stabilizer_dim
+        monkeypatch.setattr(moment, "point_stabilizer_dim", lambda x: real(x) + 1)
+        report = check_geometry(o)
+        assert report.injective and report.dense_minimal and not report.fiber_singleton
+        assert report.failures == ["image stabilizer 0 differs from point stabilizer 1"]
+        assert not report.ok and report.to_json()["fiber_singleton"] is False
 
     def test_image_stabilizers_match_their_ranks_to_size_five(self):
         # the law that check_geometry reads each image stabilizer off,

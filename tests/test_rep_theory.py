@@ -161,6 +161,19 @@ class TestAttach:
         with pytest.raises(TypeError):
             attach_gl_rep(o, ["1"])
 
+    @pytest.mark.parametrize("classes, signs", [
+        ([(0, [1])], [(2,)]),
+        ([(0, [1])], [(-1,)]),
+        ([(0, [2])], [(1, 2)]),
+        ([(1, [1]), (0, [1])], [(1,), (2,)]),
+    ])
+    def test_signs_other_than_0_or_1_are_refused(self, classes, signs):
+        # the shape fits, so only the 0/1 check can refuse them
+        o = orbit(REAL, *classes)
+        for call in (attach_gl_rep, verify_restriction):
+            with pytest.raises(ValueError, match="signs must be 0 or 1"):
+                call(o, signs)
+
     def test_signs_never_reach_a_pair_class(self):
         o = orbit(REAL, (0, [1]), (0, 1, [1]))
         assert attach_gl_rep(o, [(1,)]) == RepLabel(REAL, [character(1, 0, w=1), speh(1, 2)])
@@ -445,8 +458,8 @@ class TestVerifyRestriction:
         report = verify_restriction(o, signs)
         assert report.ok
         assert report.omega == MirabolicOrbitDatum(depth, orbit(REAL, *omega))
-        monkeypatch.setattr(rep_theory, "symbolic_image",
-                            lambda o, sel: MirabolicOrbitDatum(depth, orbit(REAL, *head)))
+        monkeypatch.setattr(rep_theory, "_dense_image",
+                            lambda o: MirabolicOrbitDatum(depth, orbit(REAL, *head)))
         report = verify_restriction(o, signs)
         assert not report.ok
         assert report.attached.adduced == RepLabel(REAL, attached)
@@ -543,9 +556,8 @@ class TestRestrictionReports:
 
     def test_the_dense_image_is_formed_once_per_orbit(self, monkeypatch):
         calls = []
-        real = rep_theory.symbolic_image
-        monkeypatch.setattr(rep_theory, "symbolic_image",
-                            lambda o, sel: calls.append(o) or real(o, sel))
+        real = rep_theory._dense_image
+        monkeypatch.setattr(rep_theory, "_dense_image", lambda o: calls.append(o) or real(o))
         o = orbit(REAL, (1, [1]), (0, [2, 1]))
         assert len([r for r in restriction_reports(o) if r.ok]) == 8
         assert calls == [o]
