@@ -272,7 +272,6 @@ class TestEnumerateAndMoment:
             assert err == ("error: %s: --geometry checks all selections with the oracle\n"
                            % flags[0])
 
-
     # each claim of check_geometry broken alone on RS2, as in
     # tests/test_moment.py: the moment function patched and how, and the
     # failure it must report
