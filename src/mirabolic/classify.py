@@ -22,16 +22,23 @@ position and no step reindexes a column or builds an ExactMatrix; the
 labels are turned into positions once, at the head, when they are not
 already 0..h-1, and for a certificate each step's positional conjugator is
 derived from them.  One loop, _normal_form, runs the recursion from such a
-label-keyed state and a first pivot: classify and classify_certified start
-it from _state(x), the validated rows of x with the pivot min(beta), and
-the moment map's oracle from its sibling _bordered, a bordered state.  Rows
-are combined only by exact_linalg's kernels (_combination, _integer_matmul,
-block_diag, ExactMatrix + and *); point_stabilizer_dim and stabilizer_dim
-both build their bracket rows through _brackets, the inner loop of the
-stabilizer ranks, and transpose through _transpose.  The head block
-is identified from eigenvalue hints, a rational r for a real eigenvalue
-and a pair (a, b) for a +- ib (exact_linalg.jordan_structure reads the
-pair off the real quadratic (x - a)^2 + b^2).
+label-keyed state and a first pivot and returns the head block as a matrix:
+classify and classify_certified start it from _state(x), the validated rows
+of x with the pivot min(beta), and the moment map's oracle from its sibling
+_bordered, a bordered state.  Rows are combined only by exact_linalg's
+kernels (_combination, _integer_matmul, block_diag, ExactMatrix + and *);
+point_stabilizer_dim and stabilizer_dim both build their bracket rows
+through _brackets, the inner loop of the stabilizer ranks, and transpose
+through _transpose.
+
+The head's Jordan type is read off one rank filtration
+(exact_linalg._jordan_partitions), which reads a pair a +- ib off the real
+quadratic (x - a)^2 + b^2.  classify and classify_certified identify the
+head through orbit_from_matrix, from the caller's eigenvalue hints (a
+rational r for a real eigenvalue and a pair (a, b) for a +- ib), which it
+checks.  The oracle's head has the eigenvalues of the orbit it came from,
+so _bordered_normal_form identifies it among that orbit's own classes
+(orbit_model._orbit_among), which were checked when the orbit was built.
 
 point_stabilizer_dim ranks the whole matrix of the bracket map
 Y -> [x, Y].  stabilizer_dim ranks a smaller system instead: the last row
@@ -55,7 +62,8 @@ vector v) and the first pivot p = q_k - 1.  The selection's group element g
 is _completion(1, v, n, p), so the first step from this state is the
 conjugation by g and forms no inverse.  _bordered_normal_form runs the
 recursion from it: the normal form of pr'(g x g^-1), with no intermediate
-matrix built.  _bordered_point forms g x g^-1 itself from that one step:
+matrix built and the head identified among the classes of the orbit x
+represents.  _bordered_point forms g x g^-1 itself from that one step:
 its head with the columns shifted down past p, then the step column t,
 which the projection pr' drops, last.
 
@@ -77,7 +85,7 @@ from .exact_linalg import (
     inverse,
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
-from .orbit_model import MirabolicOrbitDatum, OrbitDatum, orbit_from_matrix
+from .orbit_model import MirabolicOrbitDatum, OrbitDatum, _orbit_among, orbit_from_matrix
 
 __all__ = [
     "MalformedRepresentative",
@@ -140,7 +148,7 @@ def classify(
     block; SpectrumMismatch propagates from the Jordan identification when
     they do not (for instance when an eigenvalue is irrational).
     """
-    return _normal_form(*_state(x), x.rows, field, eigenvalues)[0]
+    return _classified(x, field, eigenvalues)[0]
 
 
 def classify_certified(
@@ -154,7 +162,14 @@ def classify_certified(
     re-checks exactly that g x g^-1 is in staircase normal form with the
     recorded depth and head structure.
     """
-    return _normal_form(*_state(x), x.rows, field, eigenvalues, ExactMatrix.identity(x.rows))
+    return _classified(x, field, eigenvalues, ExactMatrix.identity(x.rows))
+
+
+def _classified(x: ExactMatrix, field: str, eigenvalues: Sequence, cert=None) -> tuple:
+    """(datum, cert) of the recursion from _state(x), the head identified
+    by orbit_from_matrix from the caller's hints."""
+    head, cert = _normal_form(*_state(x), cert)
+    return MirabolicOrbitDatum(x.rows - head.rows, orbit_from_matrix(head, field, eigenvalues)), cert
 
 
 def _conjugate_step(d: int, rows: dict, beta: dict, p) -> tuple:
@@ -228,21 +243,20 @@ def _state(x: ExactMatrix) -> tuple:
     return x.denominator, rows, beta, min(beta, default=None)
 
 
-def _normal_form(d, rows, beta, p, n, field, eigenvalues, cert=None):
-    """(datum, cert): the depth recursion from the label-keyed state.
+def _normal_form(d, rows, beta, p, cert=None):
+    """(head, cert): the depth recursion from the label-keyed state.
 
     The state is as for _conjugate_step: head rows / d keyed by labels in
     position order, restriction row beta / d and a pivot label p with
     beta_p != 0 for the first step; every later step pivots at min(beta).
-    n is the size of the representative the state stands for, so the depth
-    is n less the size of the head; a 0 x 0 head, at depth n, goes through
-    orbit_from_matrix like any other.  cert, when given, is the product of
-    the steps so far at ambient size n and is returned with each step put
-    in front of it.
+    head is the block left when beta vanishes, as an ExactMatrix (0 x 0 at
+    depth n), so the depth is the size the state stands for less its size.
+    cert, when given, is the product of the steps so far at that size and
+    is returned with each step put in front of it.
     """
     while beta:
         if cert is not None:
-            cert = _step_conjugator(d, rows, beta, p, n) * cert
+            cert = _step_conjugator(d, rows, beta, p, cert.rows) * cert
         # absorb the column t the unipotent radical can reach, then recurse
         d, rows, beta = _conjugate_step(d, rows, beta, p)
         p = min(beta, default=None)  # labels keep position order: the least position
@@ -251,8 +265,7 @@ def _normal_form(d, rows, beta, p, n, field, eigenvalues, cert=None):
     if h and next(reversed(rows)) != h - 1:  # relabel the columns to positions once
         position = {q: i for i, q in enumerate(rows)}
         heads = [{position[j]: v for j, v in row.items()} for row in heads]
-    head = ExactMatrix.from_integer(d, list(heads), h)
-    return MirabolicOrbitDatum(n - h, orbit_from_matrix(head, field, eigenvalues)), cert
+    return ExactMatrix.from_integer(d, list(heads), h), cert
 
 
 def _bordered(x: ExactMatrix, positions: Sequence[int]) -> tuple:
@@ -262,11 +275,15 @@ def _bordered(x: ExactMatrix, positions: Sequence[int]) -> tuple:
 
 
 def _bordered_normal_form(
-    x: ExactMatrix, positions: Sequence[int], field: str, eigenvalues: Sequence
+    x: ExactMatrix, positions: Sequence[int], orbit: OrbitDatum
 ) -> MirabolicOrbitDatum:
-    """Normal form of pr'(g x g^-1), by the recursion from the bordered state."""
-    d, rows, beta, p = _bordered(x, positions)
-    return _normal_form(d, rows, beta, p, len(rows), field, eigenvalues)[0]
+    """Normal form of pr'(g x g^-1) for x = realize_orbit(orbit), by the
+    recursion from the bordered state; the head is identified among the
+    orbit's own classes (orbit_model._orbit_among), whose eigenvalues are
+    the only ones g x g^-1, and so its head, can have."""
+    head, _ = _normal_form(*_bordered(x, positions))
+    # at least one step ran (beta is nonempty), so the depth is an int >= 1
+    return MirabolicOrbitDatum._canonical(x.rows - head.rows, _orbit_among(head, orbit))
 
 
 def _bordered_point(x: ExactMatrix, positions: Sequence[int]) -> ExactMatrix:

@@ -20,12 +20,13 @@ data and repr):
 * a product multiplies the integer rows of both factors over d_a*d_b and
   divides out one gcd;
 * two sparse rows are combined only by _combination (f*row + g*other):
-  sums, the elimination step and the diagonal shifts of jordan_structure
-  all call it, and other modules combine rows only through it,
+  sums, the elimination step and the diagonal shifts of the Jordan rank
+  filtration all call it, and other modules combine rows only through it,
   _integer_matmul, block_diag and the + and * of ExactMatrix;
 * rows are never modified, so they are shared wherever a value repeats:
   a product row with one entry 1 is the row of the other factor it picks,
-  and the shift of jordan_structure at 0 is the stored rows themselves.
+  and the shift of the Jordan rank filtration at 0 is the stored rows
+  themselves.
 
 Exact inputs are read by one rule, here and in the other modules: _fraction
 takes an int or a Fraction, _integer takes an int, and anything else (a
@@ -34,16 +35,21 @@ EigenvalueClass also reads a rational string such as '1/3', IndexSelection
 the strings its to_json writes, and Partition applies the int rule itself.
 
 Eigenvalues of a rational matrix are named by rationals r and by pairs
-(a, b), b > 0, for the conjugate eigenvalues a +- ib.  jordan_structure reads
-a pair off the real quadratic q(x) = (x - a)^2 + b^2, so no arithmetic ever
-leaves Q.  It chains its hints: each hint's rank filtration starts from the
-stable rows that the hints found before it leave, the row space W of the
-last stable power, times its own shifted matrix s.  W is invariant under
-the matrix and holds every generalized eigenspace not yet found; the
+(a, b), b > 0, for the conjugate eigenvalues a +- ib.  The Jordan type is
+read off one rank-filtration loop, _jordan_partitions, which reads a pair
+off the real quadratic q(x) = (x - a)^2 + b^2, so no arithmetic ever leaves
+Q.  It chains its keys: each key's rank filtration starts from the stable
+rows that the keys found before it leave, the row space W of the last
+stable power, times its own shifted matrix s.  W is invariant under the
+matrix and holds every generalized eigenspace not yet found; the
 eigenspaces it lost belong to other eigenvalues, on which s is invertible.
-So the rank drops of a later hint are the same on W as on the whole space,
-a hint found before drops nothing, and the last eigenvalue found leaves
-W = 0; rows left after the last hint are a SpectrumMismatch.
+So the rank drops of a later key are the same on W as on the whole space,
+a key found before drops nothing, and the last eigenvalue found leaves
+W = 0; rows left after the last key are a SpectrumMismatch.  The loop
+takes its keys normalised: jordan_structure normalises a caller's hints
+(_eigenvalue) one at a time as the loop reads them, and
+orbit_model._orbit_among passes the eigenvalues of a validated orbit's
+classes as they are.
 """
 from __future__ import annotations
 
@@ -352,10 +358,11 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     (real Jordan form), and the pair uses twice its partition's weight.  So
     the whole structure is read off rational rank filtrations.
 
-    The hints are chained, as the module docstring explains: each is
-    ranked on the row space W that the hints found before it leave, where
-    its rank drops are those on the whole space, and a hint already found
-    (or absent) drops nothing.
+    The hints are normalised (_eigenvalue) and chained through the one
+    rank-filtration loop, _jordan_partitions, as the module docstring
+    explains: each is ranked on the row space W that the hints found before
+    it leave, where its rank drops are those on the whole space, and a hint
+    already found (or absent) drops nothing.
 
     Returns {r or (a, b) with b > 0: Partition of block sizes}, omitting
     eigenvalues of multiplicity zero.  Raises SpectrumMismatch when the
@@ -364,16 +371,31 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     """
     if not m.is_square():
         raise ValueError("jordan_structure needs a square matrix")
+    return {lam: p for lam, p in _jordan_partitions(m, map(_eigenvalue, eigenvalues)) if p}
+
+
+def _jordan_partitions(m: ExactMatrix, keys: Iterable) -> list:
+    """[(key, Partition of block sizes, or None at multiplicity zero)] for
+    the keys of a square m that the chained rank filtration ranks, in
+    order; the one rank-filtration loop.
+
+    keys are normalised eigenvalues, a Fraction r or a pair (a, b) of
+    Fractions with b > 0, read one at a time: the first key read after the
+    keys before it account for the whole dimension ends the loop, and no
+    later key is read.  Raises SpectrumMismatch when the keys leave part of
+    the dimension unaccounted for.
+    """
     n = m.rows
-    result = {}
+    found = []
     basis, dim = None, n  # W, the whole space at first
-    for lam in map(_eigenvalue, eigenvalues):
+    for lam in keys:
         if not dim:
-            break  # every hint left has multiplicity zero or repeats one found
+            break  # every key left has multiplicity zero or repeats one found
         shifted = _shifted_rows(m, lam)
         start = shifted if basis is None else _integer_matmul(basis, shifted)
         ranks, stable = _power_ranks(dim, start, shifted)
         if ranks[-1] == dim:
+            found.append((lam, None))
             continue
         degree = 2 if isinstance(lam, tuple) else 1
         at_least = [(ranks[k - 1] - ranks[k]) // degree for k in range(1, len(ranks))]
@@ -381,13 +403,13 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
         parts = []
         for size in range(len(at_least) - 1, 0, -1):
             parts.extend([size] * (at_least[size - 1] - at_least[size]))
-        result[lam] = Partition._canonical(tuple(parts))  # positive, descending
+        found.append((lam, Partition._canonical(tuple(parts))))  # positive, descending
         basis, dim = stable, ranks[-1]
     if dim:
         raise SpectrumMismatch(
             "eigenvalues account for dimension %d of %d" % (n - dim, n)
         )
-    return result
+    return found
 
 
 def _shifted_rows(m: ExactMatrix, lam) -> list:

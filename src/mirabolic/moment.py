@@ -11,8 +11,11 @@ independent computations of its normal form are provided:
 * oracle_image conjugates the orbit representative by the selection's group
   element g, projects to the mirabolic dual and classifies, in one classify
   recursion from the representative bordered below by the selection vector
-  (classify's bordered state).  It shares no formulas with the symbolic
-  path.  check_geometry forms the moved point g x g^-1 only at the dense
+  (classify's bordered state).  g x g^-1 has the eigenvalues of the orbit,
+  so the head is identified by rank filtrations at the orbit's own classes,
+  in class order, and the image is built from those classes without being
+  checked or sorted again.  It shares no formulas with the symbolic path.
+  check_geometry forms the moved point g x g^-1 only at the dense
   selection.
 
 check_geometry and the CLI's moment --oracle record each selection by one
@@ -129,9 +132,13 @@ def _surgery(orbit: OrbitDatum, choices) -> MirabolicOrbitDatum:
 
 
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
-    """Conjugate, project, classify: the independent check of symbolic_image."""
+    """Conjugate, project, classify: the independent check of symbolic_image.
+
+    The head of the normal form is identified among the orbit's classes
+    (classify._bordered_normal_form), which the orbit validated; a head the
+    classes leave dimension of unaccounted for raises SpectrumMismatch."""
     return _bordered_normal_form(realize_orbit(orbit), selection_positions(orbit, selection),
-                                 orbit.field, orbit.spectrum())
+                                 orbit)
 
 
 def _image_record(orbit: OrbitDatum, selection: IndexSelection) -> tuple:

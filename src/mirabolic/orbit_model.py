@@ -8,6 +8,14 @@ representation dictionary ever produces.  As an eigenvalue hint (see
 exact_linalg.jordan_structure) a real class is its rational eigenvalue and a
 pair class the tuple (a, b).
 
+A matrix's orbit datum is identified two ways, both through the one rank
+filtration of exact_linalg.  orbit_from_matrix takes a caller's eigenvalue
+hints and builds the classes it finds through the validating constructors.
+_orbit_among takes an orbit whose classes the matrix's eigenvalues lie
+among, such as the orbit a moved point came from, ranks at those classes'
+eigenvalues in class order and keeps the classes found, in that order,
+with no class or orbit checked or sorted again.
+
 A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 (an int;
 anything else raises TypeError) together with the GL_(n-j) orbit datum of
 the block that precedes the regular nilpotent tail.
@@ -27,6 +35,7 @@ from .exact_linalg import (
     SpectrumMismatch,
     _fraction,
     _integer,
+    _jordan_partitions,
     block_diag,
     jordan_structure,
 )
@@ -358,6 +367,22 @@ def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence) -> Orbi
             )
         classes.append(EigenvalueClass(re, partition, im=im))
     return OrbitDatum(field, classes)
+
+
+def _orbit_among(a: ExactMatrix, orbit: OrbitDatum) -> OrbitDatum:
+    """The orbit datum of a square matrix a whose eigenvalues are among
+    orbit's classes, which it takes as valid: the rank filtration of
+    exact_linalg runs at the classes' eigenvalues, in class order, and the
+    classes found are rebuilt on their partitions in that order.  A
+    subsequence of canonical classes is canonical, so nothing is sorted,
+    normalised or checked again.  Raises SpectrumMismatch when the classes
+    leave part of a's dimension unaccounted for.
+    """
+    classes = orbit.classes
+    found = _jordan_partitions(a, [cls.eigenvalue() for cls in classes])
+    return OrbitDatum._canonical(orbit.field, tuple(
+        EigenvalueClass._canonical(cls.re, partition, cls.im)
+        for cls, (_, partition) in zip(classes, found) if partition))
 
 
 def _parse_partition(raw, where: str) -> Partition:

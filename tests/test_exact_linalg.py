@@ -468,6 +468,14 @@ class TestJordanStructure:
             with pytest.raises(SpectrumMismatch):
                 jordan_structure(m, short)
 
+    def test_hints_are_read_up_to_one_past_an_exhausted_spectrum(self):
+        # the hint read after the spectrum is exhausted ends the loop, so it
+        # is checked, and no later hint is read
+        m = block_diag(jordan_block(2), jordan_block(1, 3))
+        with pytest.raises(TypeError):
+            jordan_structure(m, [0, 3, 0.5])
+        assert jordan_structure(m, [0, 3, 5, 0.5]) == {0: Partition([2]), 3: Partition([1])}
+
     @pytest.mark.parametrize("hints, expected", [
         # [1, 1]: a repeat found before the spectrum is exhausted
         ([1, 1, 2], [(1, [2]), (2, [1])]),

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from mirabolic import (
     COMPLEX,
@@ -16,6 +17,7 @@ from mirabolic import (
     OrbitDatum,
     SpectrumMismatch,
     check_geometry,
+    classify,
     classify_certified,
     dense_selection,
     enumerate_selections,
@@ -29,11 +31,14 @@ from mirabolic import (
     stabilizer_dim,
     symbolic_image,
 )
+from mirabolic.classify import _bordered_normal_form
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
+from mirabolic.enumeration import selection_positions
 from mirabolic.moment import _moved
 from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import orbit, without_largest_part
+from strategies import orbits_of_size_8_to_10
 
 
 class TestDenseSelection:
@@ -216,6 +221,63 @@ class TestOracleImage:
         for o in complex_corpus_4 + real_corpus_4:
             images = [symbolic_image(o, sel) for sel in enumerate_selections(o)]
             assert len(set(images)) == len(images)
+
+
+class TestOracleHead:
+    """The oracle identifies its head among the orbit's own classes and
+    builds the image without the constructors' checks; classify identifies
+    the head of the same point from a caller's hints."""
+
+    @staticmethod
+    def caller_hints(o):
+        """The spectrum reversed, its first hint given twice, each pair as (a, -b)."""
+        hints = [(h[0], -h[1]) if isinstance(h, tuple) else h for h in reversed(o.spectrum())]
+        return hints[:1] + hints
+
+    @staticmethod
+    def assert_validated(image):
+        """image is what the validating constructors build from its fields."""
+        head = image.a_part
+        rebuilt = MirabolicOrbitDatum(image.depth, OrbitDatum(head.field, [
+            EigenvalueClass(c.re, Partition(list(c.partition)), im=c.im) for c in head.classes]))
+        assert image == rebuilt
+        assert head.classes == rebuilt.a_part.classes  # the same order
+        assert hash(image) == hash(rebuilt)
+        assert image.to_json() == rebuilt.to_json()
+        assert type(image.depth) is int
+        for c in head.classes:
+            assert type(c.re) is Fraction and (c.im is None or type(c.im) is Fraction), c
+            assert all(type(k) is int for k in c.partition), c
+
+    def test_both_identifiers_agree_over_the_size_five_corpora(self):
+        checked = 0
+        for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
+            hints = self.caller_hints(o)
+            for sel in enumerate_selections(o):
+                image = oracle_image(o, sel)
+                assert image == classify(project_to_p_star(_moved(o, sel)), o.field, hints), (o, sel)
+                self.assert_validated(image)
+                checked += 1
+        assert checked == 4330
+
+    def test_a_head_the_classes_cannot_account_for_is_refused(self):
+        # the head of the moved point has the eigenvalues of the orbit; one
+        # of another orbit leaves dimension over, which is refused, not dropped
+        o = orbit(REAL, (1, [2, 1]), (0, "1/2", [1]))
+        x, positions = realize_orbit(o), selection_positions(o, dense_selection(o))
+        assert _bordered_normal_form(x, positions, o) == MirabolicOrbitDatum(4, orbit(REAL, (1, [1])))
+        with pytest.raises(SpectrumMismatch, match="account for dimension 0 of 1"):
+            _bordered_normal_form(x, positions, orbit(REAL, (0, "1/2", [1])))
+
+
+class TestFractionalGeometry:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(orbits_of_size_8_to_10())
+    def test_geometry_holds_at_fractional_eigenvalues(self, o):
+        # symbolic == oracle at every selection, with eigenvalues p/q up to
+        # 10**6 and pair parts k/2 and k/3, and the stabilizer claims
+        report = check_geometry(o)
+        assert report.ok, (o, report.failures)
 
 
 class TestLargerShapes:

@@ -4,12 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from mirabolic import (
     COMPLEX,
     REAL,
-    EigenvalueClass,
     MirabolicOrbitDatum,
     MirabolicRepLabel,
     OrbitDatum,
@@ -21,6 +20,7 @@ from mirabolic import (
     attach_mirabolic_rep,
     character,
     dense_selection,
+    oracle_image,
     restrict_to_mirabolic,
     restriction_reports,
     sign_shape,
@@ -34,9 +34,10 @@ from mirabolic.cli import _signs
 from mirabolic import rep_theory
 from mirabolic.rep_theory import _KIND_ORDER, SPEH, STEIN, Factor
 from mirabolic.corpus import complex_corpus, real_corpus
-from mirabolic.partitions import Partition, partitions_of_weight
+from mirabolic.partitions import partitions_of_weight
 
 from conftest import orbit
+from strategies import orbits_of_size_8_to_10
 
 
 class TestFactors:
@@ -253,43 +254,6 @@ def _corpus_labels():
             yield report.attached.adduced
 
 
-_RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
-
-
-@st.composite
-def _orbits_of_size_8_to_10(draw):
-    """An orbit of size 8 to 10 over either field whose sign assignments
-    have at most 6 signs, with eigenvalues p/q, |p|, q <= 10**6.  A pair's
-    imaginary part is k/2, and now and then k/3, which no attachment
-    formula covers."""
-    field = draw(st.sampled_from([COMPLEX, REAL]))
-    left, signs_left = draw(st.integers(8, 10)), 6
-    classes = {}  # (re, im) -> parts
-    while left:
-        pair = field == REAL and left >= 2 and draw(st.booleans())
-        if field == REAL and not pair and not signs_left:
-            # no sign is left for a new real class: parts of size 1 join a
-            # real class already drawn, whose signs they do not change
-            next(p for (_, im), p in classes.items() if im is None).extend([1] * left)
-            break
-        degree = 2 if pair else 1
-        weight = draw(st.integers(1, left // degree))
-        signed = field == REAL and not pair
-        largest = draw(st.integers(1, min(weight, signs_left) if signed else weight))
-        parts = [largest]
-        while sum(parts) < weight:
-            parts.append(draw(st.integers(1, min(largest, weight - sum(parts)))))
-        im = None
-        if pair:
-            im = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([2, 2, 2, 3])))
-        re = draw(_RATIONALS.filter(lambda r: (r, im) not in classes))
-        classes[re, im] = parts
-        left -= degree * weight
-        signs_left -= largest if signed else 0
-    return OrbitDatum(field, [EigenvalueClass(re, Partition(parts), im=im)
-                              for (re, im), parts in classes.items()])
-
-
 class TestFactorOrder:
     def test_order_matches_the_ascending_reference_key(self):
         count = 0
@@ -301,7 +265,7 @@ class TestFactorOrder:
             assert label.factors == _old_order(label.factors), label
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(_orbits_of_size_8_to_10())
+    @given(orbits_of_size_8_to_10())
     def test_order_matches_the_reference_at_fractional_twists(self, o):
         # eigenvalues p/q with q up to 10**6: _attach sorts by twists scaled
         # to ints, which must order as the Fraction twists do
@@ -543,7 +507,7 @@ class TestRestrictionReports:
         assert checked == 13920
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(_orbits_of_size_8_to_10())
+    @given(orbits_of_size_8_to_10())
     def test_equal_verify_restriction_beyond_the_corpora(self, o):
         assert 8 <= o.size <= 10 and sum(sign_shape(o)) <= 6
         try:
@@ -565,6 +529,34 @@ class TestRestrictionReports:
     def test_the_empty_orbit_raises_before_the_dense_image(self):
         with pytest.raises(ValueError, match="cannot restrict the empty label"):
             next(restriction_reports(OrbitDatum(COMPLEX)))
+
+
+def _oracle_meets_restriction(smallest, largest):
+    """(orbits, reports): every orbit of the C and R corpora of size smallest
+    to largest has the oracle's dense image as the omega of each of its
+    restriction reports."""
+    orbits = reports = 0
+    for o in list(complex_corpus(largest)) + list(real_corpus(largest, require_pair=False)):
+        if o.size < smallest:
+            continue
+        omega = oracle_image(o, dense_selection(o))
+        for report in restriction_reports(o):
+            assert report.omega == omega, (o, report.signs)
+            reports += 1
+        orbits += 1
+    return orbits, reports
+
+
+class TestRestrictionMeetsTheOracle:
+    """The dense image the restriction check attaches to is the symbolic
+    one; the oracle's image of the dense selection must be the same."""
+
+    def test_to_size_seven(self):
+        assert _oracle_meets_restriction(1, 7) == (3701, 13920)
+
+    @pytest.mark.slow
+    def test_sizes_eight_to_ten(self):
+        assert _oracle_meets_restriction(8, 10) == (31129, 249001)
 
 
 class TestTrustedFactors:
