@@ -28,8 +28,7 @@ of x with the pivot min(beta), and the moment map's oracle from its sibling
 _bordered, a bordered state.  Rows are combined only by exact_linalg's
 kernels (_combination, _integer_matmul, block_diag, ExactMatrix + and *);
 point_stabilizer_dim and stabilizer_dim both build their bracket rows
-through _brackets, the inner loop of the stabilizer ranks, and transpose
-through _transpose.
+[X, E_ab] through _commutators, the inner loop of the stabilizer ranks.
 
 The head's Jordan type is read off one rank filtration
 (exact_linalg._jordan_partitions), which reads a pair a +- ib off the real
@@ -41,19 +40,26 @@ so _bordered_normal_form identifies it among that orbit's own classes
 (orbit_model._orbit_among), which were checked when the orbit was built.
 
 point_stabilizer_dim ranks the whole matrix of the bracket map
-Y -> [x, Y].  stabilizer_dim ranks a smaller system instead: the last row
-of x, short of its corner, confines the upper-left block of a stabilizing
-Y to the kernel of that row and then fixes Y's last column, so only
-(n-1)(n-2) unknowns are eliminated ((n-1)^2 when the row vanishes and the
-last column is free).  A normal form's stabilizer needs no rank: a normal
-form of depth j and head orbit O has a stabilizer of dimension
-gl_centralizer_dim(O) + (n - j).  At depth 1 the functional lives on the
-Levi block and is stabilized by the centralizer of its head and by the
-whole unipotent radical, of dimension n - 1.  A nonzero radical part
-reduces a P_n-orbit to a P_(n-1)-orbit with a stabilizer of the same
-dimension (Bernstein, LNM 1041, 1984), which is one step of the recursion
-above.  check_geometry reads its image stabilizers off this law.  Both
-stabilizer dimensions refuse a non-square matrix with ValueError.
+Y -> [x, Y].  stabilizer_dim ranks at most a centralizer.  While the last
+row c of x, short of its corner, is nonzero, a change of variables (see
+its docstring) turns the stabilizer system of the pair (A, c), A the rest
+of x short of its last column, into the stabilizer system of a pair
+(A', c') one size down, with the same solution dimension: a nonzero
+radical part reduces a P_n-stabilizer to a P_(n-1)-stabilizer of the same
+dimension (Bernstein, LNM 1041, 1984).  Each step is two rank-one updates
+of sparse integer rows, like a step of the recursion above, but needs no
+eigenvalue and no classification.  When c vanishes, the stabilizer is the
+centralizer of the m x m block left of A and a free last column; at full
+depth nothing is left and nothing is ranked.  A Krylov rank of m vectors
+first checks whether the last basis vector is cyclic, which proves the
+centralizer m-dimensional; only when it is not is the bracket map ranked.
+A normal form's stabilizer needs no rank: a normal form of depth j and
+head orbit O has a stabilizer of dimension gl_centralizer_dim(O) + (n - j).
+At depth 1 the functional lives on the Levi block and is stabilized by the
+centralizer of its head and by the whole unipotent radical, of dimension
+n - 1, and each further step of depth keeps the dimension, by the
+reduction above.  check_geometry reads its image stabilizers off this law.
+Both stabilizer dimensions refuse a non-square matrix with ValueError.
 
 The bordered state of an n x n representative x and a selection's 1-based
 positions q_1 < ... < q_k is (d, rows, beta, p): the rows of d*x keyed by
@@ -345,34 +351,27 @@ def certificate_holds(
     return recognized == datum.a_part
 
 
-def _transpose(rows: Sequence[dict], cols: int) -> list:
-    """The cols sparse columns of the sparse rows, or the rows of columns."""
-    out = [{} for _ in range(cols)]
+def _commutators(rows: Sequence[dict], k: int) -> list:
+    """The integer rows of U -> X*U - U*X on the matrices U whose rows past
+    the first k vanish, for X the square matrix of the sparse rows: one per
+    E_ab (a < k) in row-major order, column a of X put in column b minus row
+    b of X put in row a, read at (r, s) as r*n + s."""
+    n = len(rows)
+    cols = [{} for _ in range(n)]
     for r, row in enumerate(rows):
-        for c, v in row.items():
-            out[c][r] = v
-    return out
-
-
-def _brackets(pcols, qrows, rcols, srows, width: int) -> list:
-    """The integer rows of V -> P*V*Q - R*V*S, one per entry (a, b) of V in
-    row-major order: P[:, a] (x) Q[b, :] minus R[:, a] (x) S[b, :], read at
-    (r, s) as r*width + s, for P and R given by columns, Q and S by rows."""
+        for j, v in row.items():
+            cols[j][r] = v
     brackets = []
-    for a in range(len(pcols)):
-        for b in range(len(qrows)):
-            entries = {}
-            for r, u in pcols[a].items():
-                for s, v in qrows[b].items():
-                    entries[r * width + s] = u * v
-            for r, u in rcols[a].items():
-                for s, v in srows[b].items():
-                    key = r * width + s
-                    w = entries.get(key, 0) - u * v
-                    if w:
-                        entries[key] = w
-                    else:
-                        del entries[key]
+    for a in range(k):
+        for b, row in enumerate(rows):
+            entries = {r * n + b: u for r, u in cols[a].items()}
+            for s, v in row.items():
+                key = a * n + s
+                w = entries.get(key, 0) - v
+                if w:
+                    entries[key] = w
+                else:
+                    del entries[key]
             brackets.append(entries)
     return brackets
 
@@ -386,33 +385,75 @@ def stabilizer_dim(x: ExactMatrix) -> int:
     complex over C).
 
     With m = n - 1, d*x = [[A, .], [c, .]] (the last column is never read)
-    and Y = [[U, w], [0, 0]], that is [A, U] = w*c and c*U = 0.  For c != 0
-    the columns of U lie in ker c, spanned by the columns c_p*e_q - c_q*e_p
-    (q != p) of an integer m x (m - 1) matrix K, with p the last nonzero
-    column of c (the first ranks the dense geometry points more slowly).
-    So U = K*V, and a w with [A, U] = w*c exists, and is unique, exactly
-    when [A, U]*K = 0, that is A*K*V*K = K*V*A*K.  For c = 0, K = I and w
-    is free.  Only the (m - 1)*m or m*m entries of V are eliminated, not
-    all n*(n - 1) of Y.
+    and Y = [[U, w], [0, 0]], that is [A, U] = w*c and c*U = 0.  For c = 0
+    the solutions are the centralizer of A and a free w, of dimension
+    m^2 - rank(U -> A*U - U*A) + m.  For c != 0 take p, the last column
+    with c_p != 0.  The columns c_p*e_q - c_q*e_p (q != p) of an integer
+    m x (m - 1) matrix K span ker c, so U = K*V, and a w with
+    [A, K*V] = w*c exists, and is unique, exactly when [A, K*V]*K = 0.
+    Since c*e_p = c_p != 0, [K | e_p] is invertible, so V -> (W, v) =
+    (V*K, V*e_p) is a bijection.  Write A*K = K*B + e_p*g.  The rows q != p
+    of K are c_p*I, so A' = c_p*B is the rows q != p of A*K, and
+    c' = c_p*g = c*A*K.  In the new variables [A, K*V]*K =
+    K*(B*W - W*B - v*g) + e_p*(g*W), so the system is exactly [A', W] =
+    v*c' and c'*W = 0: the stabilizer system of the pair (A', c') one size
+    down (Bernstein's reduction of a P_n- to a P_(n-1)-stabilizer, LNM
+    1041, 1984).  Entrywise, row q of A' is c_p*A[q, :] - A[q, p]*c and
+    c' = c_p*(c*A) - (c*A)_p*c, each without its column p, which vanishes.
+    Scaling A' and c' apart keeps the solution dimension, so each is
+    divided by its content.  The loop steps down until c vanishes, and only
+    the centralizer left is ranked (none once m reaches 0).  The centralizer
+    of A has dimension m exactly when A is nonderogatory, and a cyclic
+    vector proves that: if the row vectors e*A^i (i < m) of the last basis
+    vector e have rank m, the dimension is m with no bracket rank.
     """
     if not x.is_square():
         raise ValueError("a stabilizer dimension needs a square matrix")
     m = x.rows - 1
     if m < 1:
         return 0
-    rows = [{j: v for j, v in row.items() if j < m} for row in x.numerators]
-    c = rows.pop()
-    if c:
+    # the rows of A and c, keyed by labels kept in position order
+    rows = {i: {j: v for j, v in row.items() if j < m} for i, row in enumerate(x.numerators)}
+    c = rows.pop(m)
+    while c:
         p = max(c)
-        kcols = [{q: c[p], p: -c[q]} if q in c else {q: c[p]} for q in range(m) if q != p]
-    else:
-        kcols = [{q: 1} for q in range(m)]
-    k = len(kcols)
-    krows = _transpose(kcols, m)
-    akrows = _integer_matmul(rows, krows)
-    # V -> A*K*V*K - K*V*A*K
-    brackets = _brackets(_transpose(akrows, k), krows, kcols, akrows, k)
-    return k * m - integer_rank(brackets) + (0 if c else m)
+        cp = c[p]
+        # c_p * row - row_p * c clears column p; rows without an entry there
+        # are only scaled, and kept as they are when c_p is 1
+        ca = _integer_matmul([c], rows)[0]
+        top = _combination(cp, ca, -ca.get(p, 0), c)
+        rows = {q: _combination(cp, v, -v[p], c) if p in v
+                else v if cp == 1 else {j: cp * w for j, w in v.items()}
+                for q, v in rows.items() if q != p}
+        c = _divide_content([top])[0]
+        rows = dict(zip(rows, _divide_content(list(rows.values()))))
+    m = len(rows)
+    if not m:
+        return 0
+    # a cyclic vector proves A nonderogatory, so that its centralizer is
+    # the polynomials in A, of dimension m: try the last basis vector
+    v = {next(reversed(rows)): 1}
+    krylov = [v]
+    for _ in range(m - 1):
+        v = _integer_matmul([v], rows)[0]
+        krylov.append(v)
+    if integer_rank(krylov) == m:
+        return 2 * m  # the centralizer and the free last column
+    position = {q: i for i, q in enumerate(rows)}
+    a = [{position[j]: v for j, v in row.items()} for row in rows.values()]
+    return m * m - integer_rank(_commutators(a, m)) + m
+
+
+def _divide_content(rows: list) -> list:
+    """The sparse integer rows divided by the gcd of all their entries."""
+    g = 0
+    for row in rows:
+        g = gcd(g, *row.values())
+        if g == 1:
+            return rows
+    if g == 0:  # no entry at all
+        return rows
+    return [{j: v // g for j, v in row.items()} for row in rows]
 
 
 def point_stabilizer_dim(z: ExactMatrix) -> int:
@@ -425,11 +466,9 @@ def point_stabilizer_dim(z: ExactMatrix) -> int:
     """
     if not z.is_square():
         raise ValueError("a stabilizer dimension needs a square matrix")
-    n, rows = z.rows, z.numerators
-    unit = [{j: 1} for j in range(n)]
+    n = z.rows
     # [d*z, E_ij] = d*z*E_ij - E_ij*d*z over the mirabolic rows i < n - 1
-    brackets = _brackets(_transpose(rows, n)[:-1], unit, unit[:-1], rows, n)
-    return n * (n - 1) - integer_rank(brackets)
+    return n * (n - 1) - integer_rank(_commutators(z.numerators, n - 1))
 
 
 def gl_centralizer_dim(orbit: OrbitDatum) -> int:

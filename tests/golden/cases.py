@@ -50,6 +50,7 @@ CASES = {
     "classify_north_star_dense": ["classify", "@north_star_dense.json", "--certificate"],
     "attach_fractional": ["attach", "@fractional.json", "--signs", "1,0;0,1;1"],
     "restrict_fractional": ["restrict", "@fractional.json", "--signs", "1,0;0,1;1"],
+    "classify_deep_orbit_spec": ["classify", "@deep_200.json"],
 }
 
 

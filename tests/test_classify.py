@@ -1,9 +1,12 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirabolic import (
     COMPLEX,
@@ -32,9 +35,11 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
-from mirabolic.classify import _completion, _conjugate_step, _step_column
+from mirabolic.classify import (
+    _commutators, _completion, _conjugate_step, _divide_content, _step_column)
 
 from conftest import eliminate, example_27_matrix, orbit
+from strategies import orbits_of_size_8_to_10
 from test_acceptance import normal_form_corpus
 
 
@@ -493,9 +498,158 @@ class TestStabilizerAgainstScalarReference:
                 x = ExactMatrix(rows)
                 assert stabilizer_dim(x) == stabilizer_dim(project_to_p_star(x)), rows
 
+    def test_every_exit_of_the_compression_loop(self, monkeypatch):
+        # a conjugate of a depth-j normal form leaves stabilizer_dim's loop
+        # after j - 1 steps: with c vanishing at m = n - j > 0, and with m
+        # at 0 for j = n.  Every depth of every size n <= 8 is reached, each
+        # conjugated by a shuffled fractional diagonal (one entry of c,
+        # mostly not the last) and, to size 6, by a random mirabolic times
+        # a fractional diagonal (a dense fractional c); the step count is
+        # read off the two contents (of c' and of A') each step divides out
+        module = sys.modules["mirabolic.classify"]
+        divided = []
+
+        def counted(rows):
+            divided.append(len(rows))
+            return _divide_content(rows)
+
+        monkeypatch.setattr(module, "_divide_content", counted)
+        rng = random.Random(2718)
+        heads = {0: [OrbitDatum(COMPLEX), OrbitDatum(REAL)]}
+        for o in list(complex_corpus(7)) + list(real_corpus(7, require_pair=False)):
+            heads.setdefault(o.size, []).append(o)
+        exits, off_last = set(), 0
+        for n in range(1, 9):
+            for depth in range(1, n + 1):
+                head = rng.choice(heads[n - depth])
+                x = realize_normal_form(MirabolicOrbitDatum(depth, head))
+                conjugators = [_fractional_levi(n, rng, True)]
+                if n <= 6:
+                    conjugators.append(random_mirabolic(n, rng) * _fractional_levi(n, rng, False))
+                for g in conjugators:
+                    y = project_to_p_star(g * x * inverse(g))
+                    c = y.numerators[-1]
+                    off_last += bool(c) and max(c) != n - 2
+                    coords = [(r, col) for r in range(n) for col in range(n - 1)]
+                    expected = n * (n - 1) - _reference_bracket_rank(y, coords)
+                    assert expected == gl_centralizer_dim(head) + n - depth, (n, depth, head)
+                    divided.clear()
+                    assert stabilizer_dim(y) == expected, (n, depth, head, y.data)
+                    # each step divides c' (one row), then A' (m rows)
+                    steps = len(divided) // 2
+                    assert steps == depth - 1, (n, depth, head)
+                    assert divided == [v for k in range(1, depth) for v in (1, n - 1 - k)], divided
+                    exits.add((n, steps, n - 1 - steps))
+        # (n, steps, m left): c vanishes at m > 0 after 0 .. n - 2 steps, or m reaches 0
+        assert exits == {(n, k, n - 1 - k) for n in range(1, 9) for k in range(n)}
+        assert off_last >= 10, off_last
+
+    def test_small_pairs_where_each_term_of_a_step_counts(self):
+        # hand-made pairs (A, c) on which the stabilizer changes if a step
+        # drops the -A[r, p]*c term from A', takes c*A for c' = c*A*K or
+        # keeps row p: fractional entries, c with its only entry first or
+        # its last entry 0 (so p is not m - 1), a negative pivot, a dense
+        # c, and c = 0 with A = 0, against the reference
+        cases = [
+            [["-1/3", 1, 1, -1, 0], [0, 0, 0, "1/3", 0], [1, 0, 0, 0, 0],
+             ["1/2", 0, "-1/2", 0, 0], [3, 0, 0, 0, 0]],
+            [[0, 0, 2, 1, 0], [-1, "-1/2", 1, 0, 0], [2, "1/2", 0, 0, 0],
+             [1, 1, -1, 0, 0], [-1, 3, 1, 1, 0]],
+            [[0, 1, 1, 0], [1, 0, "1/2", 0], [0, 2, 3, 0], [0, "1/3", 0, 0]],
+            [[1, 2, 0, 0], [3, "1/2", 5, 0], [0, 7, -1, 0], ["-2/3", "4/5", 0, 9]],
+            [[0, 0, 0], [0, 0, 0], [-5, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 7]],
+        ]
+        for rows in cases:
+            x = ExactMatrix([[Fraction(v) for v in row] for row in rows])
+            n = x.rows
+            coords = [(r, col) for r in range(n) for col in range(n - 1)]
+            assert stabilizer_dim(x) == n * (n - 1) - _reference_bracket_rank(x, coords), rows
+
+    def test_cyclic_vector_and_derogatory_blocks(self, monkeypatch):
+        # c = 0 leaves the centralizer of A.  When the last basis vector is
+        # cyclic for A its dimension is m, with no bracket rank; otherwise
+        # the bracket map is ranked.  A derogatory A, whose Krylov spaces
+        # stop at m - 1, must be ranked, and so must a cyclic A whose last
+        # basis vector is not cyclic
+        module = sys.modules["mirabolic.classify"]
+        ranked = []
+
+        def commutators(rows, k):
+            ranked.append(k)
+            return _commutators(rows, k)
+
+        monkeypatch.setattr(module, "_commutators", commutators)
+        half = Fraction(1, 2)
+        j3 = [[half, 0, 0], [1, half, 0], [0, 1, half]]
+        diag = [[1, 0, 0], [0, 2, 0], [0, 0, 3]]
+        derogatory = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
+        j2_j1 = [[0, 0, 0], [0, 0, 0], [0, 1, 0]]  # e_3's Krylov space has dimension 2
+        rng = random.Random(99)
+        g = _fractional_levi(4, rng, True) * random_mirabolic(4, rng)
+        cases = []
+        for a, cyclic_last in ((j3, True), (diag, False), (derogatory, False), (j2_j1, False)):
+            x = ExactMatrix([[Fraction(v) for v in row] + [0] for row in a] + [[0, 0, 0, 1]])
+            cases += [(x, cyclic_last), (g * x * inverse(g), None)]
+        outcomes = set()
+        for x, cyclic_last in cases:
+            coords = [(r, col) for r in range(4) for col in range(3)]
+            ranked.clear()
+            assert stabilizer_dim(x) == 12 - _reference_bracket_rank(x, coords), x.data
+            if cyclic_last is not None:
+                assert ranked == ([] if cyclic_last else [3]), x.data
+            outcomes.add(bool(ranked))
+        assert outcomes == {True, False}
+
     def test_gaussian_entry_is_refused(self):
         # a non-rational entry cannot reach the bracket rank: the matrix refuses it
         with pytest.raises(TypeError):
             stabilizer_dim(ExactMatrix([[1j, 0], [1, 0]]))
         with pytest.raises(TypeError):
             point_stabilizer_dim(ExactMatrix([[1j, 0], [1, 0]]))
+
+
+class TestConjugationAtFractionalEigenvalues:
+    """Random mirabolic conjugates of orbits of size 8 to 10 with eigenvalues
+    p/q, |p|, q <= 10**6 (ROADMAP item 10)."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(orbits_of_size_8_to_10(), st.integers(0, 2**32))
+    def test_classification_and_depth_law_survive_conjugation(self, o, seed):
+        x = realize_orbit(o)
+        base = classify(project_to_p_star(x), o.field, o.spectrum())
+        g = random_mirabolic(o.size, random.Random(seed))
+        moved = project_to_p_star(g * x * inverse(g))
+        datum = classify(moved, o.field, o.spectrum())
+        assert datum == base, (o, seed)
+        head = datum.a_part
+        assert stabilizer_dim(moved) == gl_centralizer_dim(head) + head.size, (o, seed)
+
+
+class TestDepthLawOnLargeInputs:
+    @pytest.mark.slow
+    def test_deep_orbits_and_conjugates_to_size_four_hundred(self):
+        # the projected representative of C {0:[m], 1:[m]} has depth m; its
+        # stabilizer is the depth law's gl_centralizer_dim(head) + head size,
+        # after m - 1 steps of stabilizer_dim's loop; then random mirabolic
+        # conjugates of orbits of size 16 to 24 must keep the classification
+        # and the law
+        for m in (100, 200):
+            o = orbit(COMPLEX, (0, [m]), (1, [m]))
+            x = project_to_p_star(realize_orbit(o))
+            datum = classify(x, o.field, o.spectrum())
+            assert datum == MirabolicOrbitDatum(m, orbit(COMPLEX, (1, [m])))
+            assert stabilizer_dim(x) == gl_centralizer_dim(datum.a_part) + m == 2 * m
+        rng = random.Random(2024)
+        for o in (orbit(COMPLEX, ("1/2", [3, 2, 1]), (-2, [4, 4]), ("7/3", [2])),
+                  orbit(REAL, (1, [3, 2, 1]), (0, 1, [2, 1]), ("-1/2", [2, 2])),
+                  orbit(COMPLEX, (0, [14]), ("1/2", [6, 4])),
+                  orbit(COMPLEX, ("-1/3", [10, 2]), (2, [9, 3])),
+                  orbit(REAL, ("1/2", [8, 1]), (0, 1, [5]), ("5/2", [2, 2, 1]))):
+            x = realize_orbit(o)
+            base = classify(project_to_p_star(x), o.field, o.spectrum())
+            g = random_mirabolic(o.size, rng)
+            moved = project_to_p_star(g * x * inverse(g))
+            datum = classify(moved, o.field, o.spectrum())
+            assert datum == base, o
+            assert stabilizer_dim(moved) == gl_centralizer_dim(datum.a_part) + datum.a_part.size, o
