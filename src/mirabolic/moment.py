@@ -15,8 +15,8 @@ independent computations of its normal form are provided:
   so the head is identified by rank filtrations at the orbit's own classes,
   in class order, and the image is built from those classes without being
   checked or sorted again.  It shares no formulas with the symbolic path.
-  check_geometry forms the moved point g x g^-1 only at the dense
-  selection.
+  check_geometry forms the moved point g x g^-1, with g from
+  enumeration.selection_conjugator, only at the dense selection.
 
 check_geometry and the CLI's moment --oracle record each selection by one
 rule, _image_record; check_geometry adds the stabilizer dimensions.
@@ -36,7 +36,6 @@ from typing import List, Optional
 
 from .classify import (
     _bordered_normal_form,
-    _bordered_point,
     gl_centralizer_dim,
     point_stabilizer_dim,
     stabilizer_dim,
@@ -46,14 +45,14 @@ from .enumeration import (
     IndexSelection,
     _fitted_choices,
     enumerate_selections,
+    selection_conjugator,
     selection_positions,
 )
-from .exact_linalg import ExactMatrix, inverse  # noqa: F401  perfbench/tests checks inverse here
+from .exact_linalg import ExactMatrix, inverse
 from .orbit_model import (
     EigenvalueClass,
     MirabolicOrbitDatum,
     OrbitDatum,
-    project_to_p_star,
     realize_orbit,
 )
 from .partitions import Partition
@@ -152,7 +151,8 @@ def _image_record(orbit: OrbitDatum, selection: IndexSelection) -> tuple:
 
 def _moved(orbit: OrbitDatum, selection: IndexSelection) -> ExactMatrix:
     """g x g^-1 in full, for the selection's group element g."""
-    return _bordered_point(realize_orbit(orbit), selection_positions(orbit, selection))
+    g = selection_conjugator(orbit, selection)
+    return g * realize_orbit(orbit) * inverse(g)
 
 
 class GeometryReport:
@@ -196,12 +196,12 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
 
     The oracle classifies each selection from the bordered representative
     and forms no point.  Only at the dense selection is the moved point
-    formed, for point_stabilizer_dim, and its projection for
-    stabilizer_dim.  The image stabilizers are read off each symbolic
-    normal form by the depth law of classify: gl_centralizer_dim of the
-    head plus the head's size.  At the dense selection the law is checked
-    against the rank of stabilizer_dim, and that against the rank of
-    point_stabilizer_dim.
+    formed, for point_stabilizer_dim and stabilizer_dim (which reads no
+    last column, so the point needs no projection).  The image
+    stabilizers are read off each symbolic normal form by the depth law
+    of classify: gl_centralizer_dim of the head plus the head's size.  At
+    the dense selection the law is checked against the rank of
+    stabilizer_dim, and that against the rank of point_stabilizer_dim.
     """
     selections = enumerate_selections(orbit)
     dense = dense_selection(orbit)
@@ -219,7 +219,7 @@ def check_geometry(orbit: OrbitDatum) -> GeometryReport:
         record["stab_dims"] = {"image": stab}
         if sel == dense:
             moved = _moved(orbit, sel)
-            dense_stab = stabilizer_dim(project_to_p_star(moved))
+            dense_stab = stabilizer_dim(moved)  # reads no last column
             dense_point_stab = point_stabilizer_dim(moved)
             record["stab_dims"]["point"] = dense_point_stab
             record["dense"] = True

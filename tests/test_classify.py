@@ -35,8 +35,7 @@ from mirabolic import (
     stabilizer_dim,
 )
 from mirabolic.corpus import complex_corpus, random_mirabolic, real_corpus
-from mirabolic.classify import (
-    _commutators, _completion, _conjugate_step, _divide_content, _step_column)
+from mirabolic.classify import _commutators, _completion, _conjugate_step, _step_column
 
 from conftest import eliminate, example_27_matrix, orbit
 from strategies import orbits_of_size_8_to_10
@@ -504,16 +503,16 @@ class TestStabilizerAgainstScalarReference:
         # at 0 for j = n.  Every depth of every size n <= 8 is reached, each
         # conjugated by a shuffled fractional diagonal (one entry of c,
         # mostly not the last) and, to size 6, by a random mirabolic times
-        # a fractional diagonal (a dense fractional c); the step count is
-        # read off the two contents (of c' and of A') each step divides out
+        # a fractional diagonal (a dense fractional c); the steps are counted
+        # by the calls of _conjugate_step, one per step, on m rows
         module = sys.modules["mirabolic.classify"]
-        divided = []
+        stepped = []
 
-        def counted(rows):
-            divided.append(len(rows))
-            return _divide_content(rows)
+        def counted(d, rows, beta, p):
+            stepped.append(len(rows))
+            return _conjugate_step(d, rows, beta, p)
 
-        monkeypatch.setattr(module, "_divide_content", counted)
+        monkeypatch.setattr(module, "_conjugate_step", counted)
         rng = random.Random(2718)
         heads = {0: [OrbitDatum(COMPLEX), OrbitDatum(REAL)]}
         for o in list(complex_corpus(7)) + list(real_corpus(7, require_pair=False)):
@@ -533,12 +532,12 @@ class TestStabilizerAgainstScalarReference:
                     coords = [(r, col) for r in range(n) for col in range(n - 1)]
                     expected = n * (n - 1) - _reference_bracket_rank(y, coords)
                     assert expected == gl_centralizer_dim(head) + n - depth, (n, depth, head)
-                    divided.clear()
+                    stepped.clear()
                     assert stabilizer_dim(y) == expected, (n, depth, head, y.data)
-                    # each step divides c' (one row), then A' (m rows)
-                    steps = len(divided) // 2
+                    # step k runs on the n - k rows of A
+                    steps = len(stepped)
                     assert steps == depth - 1, (n, depth, head)
-                    assert divided == [v for k in range(1, depth) for v in (1, n - 1 - k)], divided
+                    assert stepped == [n - k for k in range(1, depth)], stepped
                     exits.add((n, steps, n - 1 - steps))
         # (n, steps, m left): c vanishes at m > 0 after 0 .. n - 2 steps, or m reaches 0
         assert exits == {(n, k, n - 1 - k) for n in range(1, 9) for k in range(n)}
@@ -546,10 +545,11 @@ class TestStabilizerAgainstScalarReference:
 
     def test_small_pairs_where_each_term_of_a_step_counts(self):
         # hand-made pairs (A, c) on which the stabilizer changes if a step
-        # drops the -A[r, p]*c term from A', takes c*A for c' = c*A*K or
-        # keeps row p: fractional entries, c with its only entry first or
-        # its last entry 0 (so p is not m - 1), a negative pivot, a dense
-        # c, and c = 0 with A = 0, against the reference
+        # drops the -A[r, p]*c term from A', takes c*A for c' = c*A*K,
+        # keeps row p or leaves the rows of A' with no entry at p at another
+        # scale than the rest: fractional entries, c with its only entry
+        # first or its last entry 0 (so p is not m - 1), a negative pivot,
+        # a dense c, and c = 0 with A = 0, against the reference
         cases = [
             [["-1/3", 1, 1, -1, 0], [0, 0, 0, "1/3", 0], [1, 0, 0, 0, 0],
              ["1/2", 0, "-1/2", 0, 0], [3, 0, 0, 0, 0]],
@@ -559,6 +559,7 @@ class TestStabilizerAgainstScalarReference:
             [[1, 2, 0, 0], [3, "1/2", 5, 0], [0, 7, -1, 0], ["-2/3", "4/5", 0, 9]],
             [[0, 0, 0], [0, 0, 0], [-5, 0, 0]],
             [[0, 0, 0], [0, 0, 0], [0, 0, 7]],
+            [[0, 0, 0, 0], [-1, 1, 0, 0], [0, 0, 1, 0], ["-1/3", 0, 0, 0]],
         ]
         for rows in cases:
             x = ExactMatrix([[Fraction(v) for v in row] for row in rows])
