@@ -24,9 +24,10 @@ already 0..h-1, and for a certificate each step's positional conjugator is
 derived from them.  One loop, _normal_form, runs the recursion from such a
 label-keyed state and a first pivot and returns the head block as a matrix:
 classify and classify_certified start it from _state(x), the validated rows
-of x with the pivot min(beta), and the moment map's oracle from its sibling
-_bordered, a bordered state.  Rows are combined only by exact_linalg's
-kernels (_combination, _integer_matmul, block_diag, ExactMatrix + and *);
+of x with the pivot min(beta), and the moment map's oracle from a bordered
+state of the blocks its conjugation moves (_bordered_normal_form).  Rows
+are combined only by exact_linalg's kernels (_combination,
+_integer_matmul, block_diag, ExactMatrix + and *);
 point_stabilizer_dim and stabilizer_dim both build their bracket rows
 [X, E_ab] through _commutators, the inner loop of the stabilizer ranks.
 
@@ -35,9 +36,10 @@ The head's Jordan type is read off one rank filtration
 quadratic (x - a)^2 + b^2.  classify and classify_certified identify the
 head through orbit_from_matrix, from the caller's eigenvalue hints (a
 rational r for a real eigenvalue and a pair (a, b) for a +- ib), which it
-checks.  The oracle's head has the eigenvalues of the orbit it came from,
-so _bordered_normal_form identifies it among that orbit's own classes
-(orbit_model._orbit_among), which were checked when the orbit was built.
+checks.  The oracle's head has the eigenvalues of the classes whose blocks
+it came from, so _bordered_normal_form ranks it only at those classes'
+eigenvalues (orbit_model._orbit_among), which were checked when the orbit
+was built.
 
 point_stabilizer_dim ranks the whole matrix of the bracket map
 Y -> [x, Y].  stabilizer_dim ranks at most a centralizer.  While the last
@@ -68,9 +70,17 @@ their labels 0..n-1, beta = {q - 1: d} (x bordered below by the selection
 vector v) and the first pivot p = q_k - 1.  The selection's group element g
 is _completion(1, v, n, p), so the first step from this state is the
 conjugation by g and forms no inverse.  _bordered_normal_form runs the
-recursion from it: the normal form of pr'(g x g^-1), with no intermediate
-matrix built and the head identified among the classes of the orbit x
-represents.
+recursion from the part of that state on the moved blocks: the blocks of
+x = realize_orbit(orbit), by orbit_model.block_layout, that hold a
+position.  x is block diagonal and g is supported on the moved blocks, so
+every step changes rows of those blocks only and leaves the others as they
+are, up to the common denominator: the point reached is x on the untouched
+blocks, a direct sum with the head of the moved ones.  The Jordan type of a
+direct sum is the union of the Jordan types, so each class keeps its
+untouched block sizes and gains the parts the head has at its eigenvalue,
+and the depth is the number of moved rows less the head's size.  This is
+the normal form of pr'(g x g^-1), with no intermediate matrix built, no
+untouched row stepped and only the classes of the moved blocks ranked.
 
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
@@ -90,7 +100,13 @@ from .exact_linalg import (
     inverse,
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
-from .orbit_model import MirabolicOrbitDatum, OrbitDatum, _orbit_among, orbit_from_matrix
+from .orbit_model import (
+    MirabolicOrbitDatum,
+    OrbitDatum,
+    _orbit_among,
+    block_layout,
+    orbit_from_matrix,
+)
 
 __all__ = [
     "MalformedRepresentative",
@@ -273,22 +289,42 @@ def _normal_form(d, rows, beta, p, cert=None):
     return ExactMatrix.from_integer(d, list(heads), h), cert
 
 
-def _bordered(x: ExactMatrix, positions: Sequence[int]) -> tuple:
-    """The bordered state (d, rows, beta, p) of x and the 1-based positions."""
-    d = x.denominator
-    return d, dict(enumerate(x.numerators)), {q - 1: d for q in positions}, positions[-1] - 1
-
-
 def _bordered_normal_form(
     x: ExactMatrix, positions: Sequence[int], orbit: OrbitDatum
 ) -> MirabolicOrbitDatum:
     """Normal form of pr'(g x g^-1) for x = realize_orbit(orbit), by the
-    recursion from the bordered state; the head is identified among the
-    orbit's own classes (orbit_model._orbit_among), whose eigenvalues are
-    the only ones g x g^-1, and so its head, can have."""
-    head, _ = _normal_form(*_bordered(x, positions))
+    recursion from the bordered state of the moved blocks only.
+
+    The moved blocks are those of block_layout(orbit) that hold one of the
+    ascending 1-based positions; the state is the bordered state (see the
+    module docstring) of their rows, under their labels.  This is exact: x
+    is block diagonal and g = _completion(1, v, n, p) is supported on the
+    moved blocks.  Each _conjugate_step changes only the rows with an entry
+    in its pivot column, and beta*H, all within those blocks, and every
+    other row keeps its value over the new denominator.  So the point
+    reached is x on the untouched blocks, a direct sum with the recursion's
+    head on the moved ones, and the Jordan type of a direct sum is the union
+    of the Jordan types.  Each class keeps the sizes of its untouched blocks,
+    and only the head is ranked, at the classes that own a moved block
+    (orbit_model._orbit_among), whose eigenvalues are the only ones g x g^-1,
+    and so its head, can have.  The depth is the number of steps, the moved
+    rows less the head's size.
+    """
+    d, numerators, past = x.denominator, x.numerators, x.rows + 1
+    kept = [[] for _ in orbit.classes]
+    rows = {}
+    left = iter(positions)
+    q = next(left)  # the least position not yet placed in a block
+    for start, end, idx, k in block_layout(orbit):
+        if q > end:
+            kept[idx].append(k)
+            continue
+        rows.update((r, numerators[r]) for r in range(start, end))
+        while q <= end:
+            q = next(left, past)
+    head, _ = _normal_form(d, rows, {q - 1: d for q in positions}, positions[-1] - 1)
     # at least one step ran (beta is nonempty), so the depth is an int >= 1
-    return MirabolicOrbitDatum._canonical(x.rows - head.rows, _orbit_among(head, orbit))
+    return MirabolicOrbitDatum._canonical(len(rows) - head.rows, _orbit_among(head, orbit, kept))
 
 
 def certificate_holds(

@@ -29,7 +29,7 @@ from typing import List
 
 from .classify import _completion
 from .exact_linalg import ExactMatrix, _integer
-from .orbit_model import OrbitDatum
+from .orbit_model import OrbitDatum, block_layout
 
 __all__ = [
     "IndexSelection",
@@ -160,15 +160,14 @@ def _fitted_choices(orbit: OrbitDatum, selection: IndexSelection):
 def selection_positions(orbit: OrbitDatum, selection: IndexSelection) -> List[int]:
     """1-based coordinates of the representative vector's nonzero entries.
 
-    realize_orbit lays the classes out in order and each class's ascending
-    runs (k, l) one after another, a run taking degree*k*l coordinates.  The
+    realize_orbit lays its blocks out by orbit_model.block_layout: the
+    classes in order, and each class's blocks with sizes ascending, so its
+    run (k, l) of l blocks of size k ends where the last of them ends.  The
     chosen block (i, x) is coordinate x of the last k coordinates of run i,
     so it sits at end(i) - k + x, with end(i) the position where run i ends.
     """
-    ends, end = [], 0
-    for cls in orbit.classes:
-        ends.append([end := end + cls.degree * k * l for k, l in cls.partition.runs_ascending()])
-    return sorted(ends[cls_idx][i] - runs[i][0] + x
+    ends = {(idx, k): end for _, end, idx, k in block_layout(orbit)}  # the last block wins
+    return sorted(ends[cls_idx, runs[i][0]] - runs[i][0] + x
                   for cls_idx, _, runs, pairs in _fitted_choices(orbit, selection)
                   for i, x in pairs)
 

@@ -12,9 +12,12 @@ A matrix's orbit datum is identified two ways, both through the one rank
 filtration of exact_linalg.  orbit_from_matrix takes a caller's eigenvalue
 hints and builds the classes it finds through the validating constructors.
 _orbit_among takes an orbit whose classes the matrix's eigenvalues lie
-among, such as the orbit a moved point came from, ranks at those classes'
-eigenvalues in class order and keeps the classes found, in that order,
-with no class or orbit checked or sorted again.
+among, such as the orbit a moved point came from, with the sizes of the
+blocks of each class that lie beside the matrix in a direct sum: it ranks
+only at the classes that are not whole beside it, in class order, and adds
+the parts found to the sizes kept, with no class or orbit checked or sorted
+again.  block_layout is the one rule for where realize_orbit puts each
+Jordan block.
 
 A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 (an int;
 anything else raises TypeError) together with the GL_(n-j) orbit datum of
@@ -52,6 +55,7 @@ __all__ = [
     "MirabolicOrbitDatum",
     "jordan_block",
     "pair_block",
+    "block_layout",
     "realize_orbit",
     "realize_normal_form",
     "project_to_p_star",
@@ -195,7 +199,7 @@ class EigenvalueClass:
 class OrbitDatum:
     """A GL_n(k) coadjoint orbit: field tag plus canonically sorted classes."""
 
-    __slots__ = ("field", "classes", "_representative")
+    __slots__ = ("field", "classes", "_representative", "_layout")
 
     def __init__(self, field: str, classes: Iterable[EigenvalueClass] = ()):
         if field not in (REAL, COMPLEX):
@@ -209,7 +213,7 @@ class OrbitDatum:
         if field == COMPLEX and any(c.is_pair for c in ordered):
             raise OrbitSpecError("pair classes are only allowed over the real field")
         self.classes = ordered
-        self._representative = None
+        self._representative = self._layout = None
 
     @classmethod
     def _canonical(cls, field: str, classes: tuple) -> "OrbitDatum":
@@ -218,7 +222,7 @@ class OrbitDatum:
         o = object.__new__(cls)
         o.field = field
         o.classes = classes
-        o._representative = None
+        o._representative = o._layout = None
         return o
 
     @property
@@ -307,20 +311,40 @@ def pair_block(size: int, re, im) -> ExactMatrix:
     return block_diag(j, j) + rotation * Fraction(im)
 
 
-def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
-    """Block-diagonal matrix representative of the orbit.
+def block_layout(orbit: OrbitDatum) -> tuple:
+    """(start, end, class index, block size k) for every Jordan block of
+    realize_orbit(orbit), in its diagonal order: the block fills rows and
+    columns start..end-1, end - start = degree * k.
 
     Classes follow the canonical class order; inside a class the blocks are
     laid out with sizes ascending, which the selection position formulas
-    rely on.  Built once and kept in a slot that ==, hash and to_json ignore.
+    rely on.  The one layout rule of the representative, the selection
+    positions and the oracle's moved blocks; built once and kept beside the
+    representative, in a slot that ==, hash and to_json ignore.
     """
-    if orbit._representative is None:
-        blocks = []
-        for cls in orbit.classes:
+    if orbit._layout is None:
+        layout, end = [], 0
+        for idx, cls in enumerate(orbit.classes):
             for k, l in cls.partition.runs_ascending():
-                block = pair_block(k, cls.re, cls.im) if cls.is_pair else jordan_block(k, cls.re)
-                blocks += [block] * l  # matrices are immutable, so copies may share
-        orbit._representative = block_diag(*blocks)
+                for _ in range(l):
+                    start, end = end, end + cls.degree * k
+                    layout.append((start, end, idx, k))
+        orbit._layout = tuple(layout)
+    return orbit._layout
+
+
+def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
+    """Block-diagonal matrix representative of the orbit, its blocks laid
+    out by block_layout.  Built once and kept in a slot that ==, hash and
+    to_json ignore."""
+    if orbit._representative is None:
+        made = {}  # matrices are immutable, so copies may share
+        for _, _, idx, k in block_layout(orbit):
+            if (idx, k) not in made:
+                cls = orbit.classes[idx]
+                made[idx, k] = (pair_block(k, cls.re, cls.im) if cls.is_pair
+                                else jordan_block(k, cls.re))
+        orbit._representative = block_diag(*(made[idx, k] for _, _, idx, k in block_layout(orbit)))
     return orbit._representative
 
 
@@ -369,20 +393,34 @@ def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence) -> Orbi
     return OrbitDatum(field, classes)
 
 
-def _orbit_among(a: ExactMatrix, orbit: OrbitDatum) -> OrbitDatum:
-    """The orbit datum of a square matrix a whose eigenvalues are among
-    orbit's classes, which it takes as valid: the rank filtration of
-    exact_linalg runs at the classes' eigenvalues, in class order, and the
-    classes found are rebuilt on their partitions in that order.  A
-    subsequence of canonical classes is canonical, so nothing is sorted,
-    normalised or checked again.  Raises SpectrumMismatch when the classes
-    leave part of a's dimension unaccounted for.
+def _orbit_among(a: ExactMatrix, orbit: OrbitDatum, kept: Sequence[list]) -> OrbitDatum:
+    """The orbit datum of a direct sum of a square matrix a and blocks of
+    orbit's own classes, which it takes as valid.
+
+    kept[i] lists the sizes of the blocks of class i in the sum besides a,
+    ascending; a class with fewer of them than its partition has parts is
+    one the eigenvalues of a may lie among.  The rank filtration of
+    exact_linalg runs on a at those classes' eigenvalues, in class order,
+    and each class is rebuilt on its kept sizes and the parts found, in
+    that order; the Jordan type of a direct sum is the union of the Jordan
+    types.  A subsequence of canonical classes is canonical, so no class is
+    sorted, normalised or checked again.  Raises SpectrumMismatch when
+    those classes leave part of a's dimension unaccounted for.
     """
     classes = orbit.classes
-    found = _jordan_partitions(a, [cls.eigenvalue() for cls in classes])
-    return OrbitDatum._canonical(orbit.field, tuple(
-        EigenvalueClass._canonical(cls.re, partition, cls.im)
-        for cls, (_, partition) in zip(classes, found) if partition))
+    ranked = [i for i, cls in enumerate(classes) if len(kept[i]) < len(cls.partition)]
+    found = {i: partition for i, (_, partition) in
+             zip(ranked, _jordan_partitions(a, [classes[i].eigenvalue() for i in ranked]))}
+    rebuilt = []
+    for i, cls in enumerate(classes):
+        if len(kept[i]) == len(cls.partition):
+            rebuilt.append(cls)  # every block of the class is kept
+            continue
+        parts = sorted(kept[i] + list(found.get(i) or ()), reverse=True)
+        if parts:
+            rebuilt.append(EigenvalueClass._canonical(cls.re, Partition._canonical(tuple(parts)),
+                                                      cls.im))
+    return OrbitDatum._canonical(orbit.field, tuple(rebuilt))
 
 
 def _parse_partition(raw, where: str) -> Partition:

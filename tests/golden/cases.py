@@ -51,6 +51,7 @@ CASES = {
     "attach_fractional": ["attach", "@fractional.json", "--signs", "1,0;0,1;1"],
     "restrict_fractional": ["restrict", "@fractional.json", "--signs", "1,0;0,1;1"],
     "classify_deep_orbit_spec": ["classify", "@deep_200.json"],
+    "moment_geometry_shared_eigenvalue": ["moment", "@shared_eigenvalue.json", "--geometry"],
 }
 
 

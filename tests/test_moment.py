@@ -2,10 +2,12 @@ import copy
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirabolic import (
     COMPLEX,
@@ -17,6 +19,7 @@ from mirabolic import (
     OrbitDatum,
     SpectrumMismatch,
     check_geometry,
+    certificate_holds,
     classify,
     classify_certified,
     dense_selection,
@@ -35,6 +38,7 @@ from mirabolic.classify import _bordered_normal_form
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
 from mirabolic.enumeration import selection_positions
 from mirabolic.moment import _moved
+from mirabolic.orbit_model import block_layout
 from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import orbit, without_largest_part
@@ -260,14 +264,80 @@ class TestOracleHead:
                 checked += 1
         assert checked == 4330
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(orbits_of_size_8_to_10(), st.data())
+    def test_both_identifiers_agree_beyond_size_five(self, o, data):
+        # at sizes 8 to 10 a selection moves only some of the blocks, so the
+        # oracle's moved-block state is checked against the whole moved point
+        sel = data.draw(st.sampled_from(enumerate_selections(o)))
+        image = oracle_image(o, sel)
+        assert image == classify(project_to_p_star(_moved(o, sel)), o.field,
+                                 self.caller_hints(o)), (o, sel)
+        assert image == symbolic_image(o, sel), (o, sel)
+
+    def test_untouched_blocks_that_share_an_eigenvalue_with_moved_ones(self, monkeypatch):
+        # class 1 (eigenvalue 0) has blocks 1, 2, 2, 3 in rows 2, 3-4, 5-6
+        # and 7-9; a selection moves some of them and leaves the others,
+        # whose sizes join the parts that the head ranks at 0
+        o = orbit(COMPLEX, (0, [3, 2, 2, 1]), (1, [2]))
+        assert block_layout(o) == ((0, 2, 0, 2), (2, 3, 1, 1), (3, 5, 1, 2), (5, 7, 1, 2),
+                                   (7, 10, 1, 3))
+        x = realize_orbit(o)
+        states = []
+        module = sys.modules["mirabolic.classify"]
+        normal_form = module._normal_form
+
+        def recorded(d, rows, *rest):
+            states.append(list(rows))
+            return normal_form(d, rows, *rest)
+
+        monkeypatch.setattr(module, "_normal_form", recorded)
+        cases = [
+            # the last block of size 2, at coordinate 1: position 6
+            ({1: {1: 1}}, [6], [5, 6], 1, orbit(COMPLEX, (0, [3, 2, 1, 1]), (1, [2]))),
+            # blocks 1 and 3 of class 1: positions 3 and 9, the first not the last
+            ({1: {0: 1, 2: 2}}, [3, 9], [2, 7, 8, 9], 2, orbit(COMPLEX, (0, [2, 2, 2]), (1, [2]))),
+            # both classes, at their top coordinates: the dense selection
+            ({0: {0: 2}, 1: {2: 3}}, [2, 10], [0, 1, 7, 8, 9], 5, orbit(COMPLEX, (0, [2, 2, 1]))),
+        ]
+        for choices, positions, moved, depth, head in cases:
+            image = MirabolicOrbitDatum(depth, head)
+            sel = IndexSelection(choices)
+            assert selection_positions(o, sel) == positions
+            states.clear()
+            assert _bordered_normal_form(x, positions, o) == image, choices
+            assert states == [moved], choices  # only the moved rows are stepped
+            assert symbolic_image(o, sel) == image
+        for sel in enumerate_selections(o):
+            assert oracle_image(o, sel) == classify(project_to_p_star(_moved(o, sel)), o.field,
+                                                    self.caller_hints(o)), sel
+
     def test_a_head_the_classes_cannot_account_for_is_refused(self):
-        # the head of the moved point has the eigenvalues of the orbit; one
-        # of another orbit leaves dimension over, which is refused, not dropped
+        # the head of the moved blocks has the eigenvalues of the classes
+        # that own them; an orbit laid out the same with another eigenvalue
+        # there leaves dimension over, which is refused, not dropped
         o = orbit(REAL, (1, [2, 1]), (0, "1/2", [1]))
         x, positions = realize_orbit(o), selection_positions(o, dense_selection(o))
         assert _bordered_normal_form(x, positions, o) == MirabolicOrbitDatum(4, orbit(REAL, (1, [1])))
+        positions = selection_positions(o, IndexSelection({0: {1: 1}}))  # class 0's block of 2
+        assert _bordered_normal_form(x, positions, o) == MirabolicOrbitDatum(
+            1, orbit(REAL, (1, [1, 1]), (0, "1/2", [1])))
+        other = orbit(REAL, (2, [2, 1]), (0, "1/2", [1]))
+        assert block_layout(other) == block_layout(o)
         with pytest.raises(SpectrumMismatch, match="account for dimension 0 of 1"):
-            _bordered_normal_form(x, positions, orbit(REAL, (0, "1/2", [1])))
+            _bordered_normal_form(x, positions, other)
+
+
+class TestDenseCertificate:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(orbits_of_size_8_to_10())
+    def test_the_dense_point_is_certified(self, o):
+        # the certificate of the projected dense point checks exactly, at
+        # eigenvalues p/q up to 10**6 and pair parts k/2 and k/3
+        point = project_to_p_star(_moved(o, dense_selection(o)))
+        datum, g = classify_certified(point, o.field, o.spectrum())
+        assert datum == symbolic_image(o, dense_selection(o))
+        assert certificate_holds(point, g, datum, o.field, o.spectrum()), o
 
 
 class TestFractionalGeometry:
@@ -448,6 +518,14 @@ class TestGeometry:
         payload = json.dumps([report.to_json() for report in reports])
         assert hashlib.sha256(payload.encode()).hexdigest() == (
             "d6f6b936d24542d3ba0419b704572f9d21b86cb15c15fac926ede5d9f2df1bb8")
+
+    @pytest.mark.slow
+    def test_every_orbit_to_size_eight(self):
+        orbits = list(complex_corpus(8)) + list(real_corpus(8, require_pair=False))
+        assert len(orbits) == 8201
+        for o in orbits:
+            report = check_geometry(o)
+            assert report.ok, (o, report.failures)
 
 
 class TestFiberStabilizers:

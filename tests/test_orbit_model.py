@@ -82,6 +82,22 @@ class TestRealize:
         # the stored representative is no part of the orbit's value
         assert (fresh, hash(fresh), fresh.to_json()) == (o, hash(o), o.to_json())
 
+    def test_block_layout_places_every_block_of_the_representative(self):
+        o = orbit(REAL, (1, [2, 1]), (0, "1/2", [2, 1]), (3, [1, 1]))
+        layout = orbit_model.block_layout(o)
+        # classes in canonical order (3, 1, then the pair), sizes ascending
+        assert layout == ((0, 1, 0, 1), (1, 2, 0, 1), (2, 3, 1, 1), (3, 5, 1, 2),
+                          (5, 7, 2, 1), (7, 11, 2, 2))
+        assert orbit_model.block_layout(o) is layout  # kept beside the representative
+        x = realize_orbit(o)
+        for start, end, idx, k in layout:
+            cls = o.classes[idx]
+            block = pair_block(k, cls.re, cls.im) if cls.is_pair else jordan_block(k, cls.re)
+            assert x.submatrix(start, end, start, end) == block
+            # nothing outside the diagonal block
+            assert all(start <= j < end for row in x.numerators[start:end] for j in row)
+        assert layout[-1][1] == o.size
+
     @pytest.mark.parametrize("re, im", [("1/2", "3/2"), ("-2/3", "1/5"), (0, 1)])
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_pair_block_matches_the_hand_built_rows(self, size, re, im):
