@@ -23,10 +23,10 @@ labels are turned into positions once, at the head, when they are not
 already 0..h-1, and for a certificate each step's positional conjugator is
 derived from them.  One loop, _normal_form, runs the recursion from such a
 label-keyed state and a first pivot and returns the head block as a matrix:
-classify and classify_certified start it from _state(x), the validated rows
-of x with the pivot min(beta), and the moment map's oracle from a bordered
-state of the blocks its conjugation moves (_bordered_normal_form).  Rows
-are combined only by exact_linalg's kernels (_combination,
+classify and classify_certified start it from the validated rows of x
+with the pivot min(beta) (_classified), and the moment map's oracle from a
+bordered state of the blocks its conjugation moves (_bordered_normal_form).
+Rows are combined only by exact_linalg's kernels (_combination,
 _integer_matmul, block_diag, ExactMatrix + and *);
 point_stabilizer_dim and stabilizer_dim both build their bracket rows
 [X, E_ab] through _commutators, the inner loop of the stabilizer ranks.
@@ -36,10 +36,9 @@ The head's Jordan type is read off one rank filtration
 quadratic (x - a)^2 + b^2.  classify and classify_certified identify the
 head through orbit_from_matrix, from the caller's eigenvalue hints (a
 rational r for a real eigenvalue and a pair (a, b) for a +- ib), which it
-checks.  The oracle's head has the eigenvalues of the classes whose blocks
-it came from, so _bordered_normal_form ranks it only at those classes'
-eigenvalues (orbit_model._orbit_among), which were checked when the orbit
-was built.
+checks.  The oracle's head is identified among the orbit's own classes
+instead, by the direct-sum rule stated once in _bordered_normal_form's
+docstring.
 
 point_stabilizer_dim ranks the whole matrix of the bracket map
 Y -> [x, Y].  stabilizer_dim ranks at most a centralizer.  While the last
@@ -64,24 +63,6 @@ n - 1, and each further step of depth keeps the dimension, by the
 reduction above.  check_geometry reads its image stabilizers off this law.
 Both stabilizer dimensions refuse a non-square matrix with ValueError.
 
-The bordered state of an n x n representative x and a selection's 1-based
-positions q_1 < ... < q_k is (d, rows, beta, p): the rows of d*x keyed by
-their labels 0..n-1, beta = {q - 1: d} (x bordered below by the selection
-vector v) and the first pivot p = q_k - 1.  The selection's group element g
-is _completion(1, v, n, p), so the first step from this state is the
-conjugation by g and forms no inverse.  _bordered_normal_form runs the
-recursion from the part of that state on the moved blocks: the blocks of
-x = realize_orbit(orbit), by orbit_model.block_layout, that hold a
-position.  x is block diagonal and g is supported on the moved blocks, so
-every step changes rows of those blocks only and leaves the others as they
-are, up to the common denominator: the point reached is x on the untouched
-blocks, a direct sum with the head of the moved ones.  The Jordan type of a
-direct sum is the union of the Jordan types, so each class keeps its
-untouched block sizes and gains the parts the head has at its eigenvalue,
-and the depth is the number of moved rows less the head's size.  This is
-the normal form of pr'(g x g^-1), with no intermediate matrix built, no
-untouched row stepped and only the classes of the moved blocks ranked.
-
 Every conjugation step is deterministic, so classify is a pure function of
 its input, and the conjugators can be accumulated into an exact certificate.
 """
@@ -95,18 +76,20 @@ from .exact_linalg import (
     SpectrumMismatch,
     _combination,
     _integer_matmul,
+    _jordan_partitions,
     block_diag,
     integer_rank,
     inverse,
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
 from .orbit_model import (
+    EigenvalueClass,
     MirabolicOrbitDatum,
     OrbitDatum,
-    _orbit_among,
     block_layout,
     orbit_from_matrix,
 )
+from .partitions import Partition
 
 __all__ = [
     "MalformedRepresentative",
@@ -121,16 +104,6 @@ __all__ = [
 
 class MalformedRepresentative(Exception):
     """The input matrix is not a valid last-column-zero representative."""
-
-
-def _validate_representative(x: ExactMatrix) -> None:
-    if not x.is_square():
-        raise MalformedRepresentative("representative must be square")
-    n = x.rows
-    if n == 0:
-        raise MalformedRepresentative("empty matrix has no mirabolic functional")
-    if any(n - 1 in row for row in x.numerators):
-        raise MalformedRepresentative("representative must have zero last column")
 
 
 def _completion(d: int, beta: dict, s: int, p: int) -> ExactMatrix:
@@ -187,10 +160,21 @@ def classify_certified(
 
 
 def _classified(x: ExactMatrix, field: str, eigenvalues: Sequence, cert=None) -> tuple:
-    """(datum, cert) of the recursion from _state(x), the head identified
-    by orbit_from_matrix from the caller's hints."""
-    head, cert = _normal_form(*_state(x), cert)
-    return MirabolicOrbitDatum(x.rows - head.rows, orbit_from_matrix(head, field, eigenvalues)), cert
+    """(datum, cert) of the recursion from the representative x, which it
+    validates: the head rows of d*x keyed by labels 0..n-2, the last row
+    beta and the pivot min(beta), the head identified by orbit_from_matrix
+    from the caller's hints."""
+    if not x.is_square():
+        raise MalformedRepresentative("representative must be square")
+    n = x.rows
+    if n == 0:
+        raise MalformedRepresentative("empty matrix has no mirabolic functional")
+    if any(n - 1 in row for row in x.numerators):
+        raise MalformedRepresentative("representative must have zero last column")
+    rows = dict(enumerate(x.numerators))
+    beta = rows.pop(n - 1)
+    head, cert = _normal_form(x.denominator, rows, beta, min(beta, default=None), cert)
+    return MirabolicOrbitDatum(n - head.rows, orbit_from_matrix(head, field, eigenvalues)), cert
 
 
 def _conjugate_step(d: int, rows: dict, beta: dict, p) -> tuple:
@@ -254,16 +238,6 @@ def _step_column(d: int, rows: dict, beta: dict, p) -> tuple:
     return d * d * abs(bp), t
 
 
-def _state(x: ExactMatrix) -> tuple:
-    """The start state (d, rows, beta, p) of the representative x, which it
-    validates: the head rows of d*x keyed by labels 0..n-2, the last row
-    beta and the pivot min(beta) (None when beta vanishes)."""
-    _validate_representative(x)
-    rows = dict(enumerate(x.numerators))
-    beta = rows.pop(x.rows - 1)
-    return x.denominator, rows, beta, min(beta, default=None)
-
-
 def _normal_form(d, rows, beta, p, cert=None):
     """(head, cert): the depth recursion from the label-keyed state.
 
@@ -292,26 +266,37 @@ def _normal_form(d, rows, beta, p, cert=None):
 def _bordered_normal_form(
     x: ExactMatrix, positions: Sequence[int], orbit: OrbitDatum
 ) -> MirabolicOrbitDatum:
-    """Normal form of pr'(g x g^-1) for x = realize_orbit(orbit), by the
-    recursion from the bordered state of the moved blocks only.
+    """Normal form of pr'(g x g^-1) for x = realize_orbit(orbit) and the
+    group element g of the ascending 1-based positions q_1 < ... < q_k of a
+    selection, with no intermediate matrix built; the one statement of the
+    oracle's direct-sum rule.
 
-    The moved blocks are those of block_layout(orbit) that hold one of the
-    ascending 1-based positions; the state is the bordered state (see the
-    module docstring) of their rows, under their labels.  This is exact: x
-    is block diagonal and g = _completion(1, v, n, p) is supported on the
-    moved blocks.  Each _conjugate_step changes only the rows with an entry
-    in its pivot column, and beta*H, all within those blocks, and every
+    The bordered state of x and the positions is (d, rows, beta, p): the
+    rows of d*x keyed by their labels 0..n-1, beta = {q - 1: d} (x bordered
+    below by the selection vector v) and the first pivot p = q_k - 1.  g is
+    _completion(1, v, n, p), so the first step from this state is the
+    conjugation by g and forms no inverse.  The recursion runs from the part
+    of that state on the moved blocks: the blocks of block_layout(orbit)
+    that hold a position.  x is block diagonal and g is supported on the
+    moved blocks, and each _conjugate_step changes only the rows with an
+    entry in its pivot column, and beta*H, all within those blocks; every
     other row keeps its value over the new denominator.  So the point
     reached is x on the untouched blocks, a direct sum with the recursion's
-    head on the moved ones, and the Jordan type of a direct sum is the union
-    of the Jordan types.  Each class keeps the sizes of its untouched blocks,
-    and only the head is ranked, at the classes that own a moved block
-    (orbit_model._orbit_among), whose eigenvalues are the only ones g x g^-1,
-    and so its head, can have.  The depth is the number of steps, the moved
-    rows less the head's size.
+    head on the moved ones, and the Jordan type of a direct sum is the
+    union of the Jordan types.  A class that owns no moved block is kept as
+    it is.  The head's eigenvalues are among those of the classes that own
+    a moved block, which the orbit checked, so it is ranked by the one rank
+    filtration (exact_linalg._jordan_partitions) at those alone, in class
+    order, and each is rebuilt on the sizes of its untouched blocks and the
+    parts found (none when the filtration stops before it), with no class
+    sorted or checked again; a class left with no part goes.  A head those
+    classes leave dimension of unaccounted for raises SpectrumMismatch.
+    The depth is the number of steps, the moved rows less the head's size.
     """
     d, numerators, past = x.denominator, x.numerators, x.rows + 1
-    kept = [[] for _ in orbit.classes]
+    classes = orbit.classes
+    kept = [[] for _ in classes]  # the untouched block sizes of each class, ascending
+    moved = []  # the classes that own a moved block, in class order
     rows = {}
     left = iter(positions)
     q = next(left)  # the least position not yet placed in a block
@@ -319,12 +304,26 @@ def _bordered_normal_form(
         if q > end:
             kept[idx].append(k)
             continue
+        if not moved or moved[-1] != idx:  # a class's blocks are contiguous
+            moved.append(idx)
         rows.update((r, numerators[r]) for r in range(start, end))
         while q <= end:
             q = next(left, past)
     head, _ = _normal_form(d, rows, {q - 1: d for q in positions}, positions[-1] - 1)
+    found = {i: partition for i, (_, partition) in
+             zip(moved, _jordan_partitions(head, [classes[i].eigenvalue() for i in moved]))}
+    rebuilt = list(classes)
+    for i in reversed(moved):  # from the last, so a deletion shifts no class still to come
+        parts = sorted(kept[i] + list(found.get(i) or ()), reverse=True)
+        if parts:
+            cls = classes[i]
+            rebuilt[i] = EigenvalueClass._canonical(cls.re, Partition._canonical(tuple(parts)),
+                                                    cls.im)
+        else:
+            del rebuilt[i]
     # at least one step ran (beta is nonempty), so the depth is an int >= 1
-    return MirabolicOrbitDatum._canonical(len(rows) - head.rows, _orbit_among(head, orbit, kept))
+    return MirabolicOrbitDatum._canonical(len(rows) - head.rows,
+                                          OrbitDatum._canonical(orbit.field, tuple(rebuilt)))
 
 
 def certificate_holds(

@@ -10,17 +10,10 @@ independent computations of its normal form are provided:
 
 * oracle_image conjugates the orbit representative by the selection's group
   element g, projects to the mirabolic dual and classifies, in one classify
-  recursion from the representative bordered below by the selection vector
-  (classify's bordered state).  The representative x is block diagonal and
-  g acts only on the blocks that hold a selected position, so the recursion
-  runs on those moved blocks alone: every other block passes through it
-  unchanged, and the Jordan type of the direct sum g x g^-1 is the union of
-  the untouched blocks and the moved head's Jordan type.  The head has the
-  eigenvalues of the classes that own the moved blocks, so it is identified
-  by rank filtrations at those classes only, in class order, and the image
-  is built from the classes' untouched block sizes and the parts found,
-  without being checked or sorted again.  It shares no formulas with the
-  symbolic path.
+  recursion from the representative bordered below by the selection vector,
+  on the blocks g moves alone (the direct-sum rule of
+  classify._bordered_normal_form).  It shares no formulas with the symbolic
+  path.
   check_geometry forms the moved point g x g^-1, with g from
   enumeration.selection_conjugator, only at the dense selection.
 
@@ -140,13 +133,9 @@ def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbit
     """Conjugate, project, classify: the independent check of symbolic_image.
 
     The recursion runs on the blocks of realize_orbit(orbit) that hold a
-    selected position (classify._bordered_normal_form): the representative
-    is block diagonal and g moves only those blocks, so g x g^-1 is the
-    direct sum of the untouched blocks and the moved ones, and its Jordan
-    type is the union of theirs.  The moved head is identified among the
-    classes that own the moved blocks, which the orbit validated; a head
-    those classes leave dimension of unaccounted for raises
-    SpectrumMismatch."""
+    selected position, by the direct-sum rule of
+    classify._bordered_normal_form; a head the orbit's classes leave
+    dimension of unaccounted for raises SpectrumMismatch."""
     return _bordered_normal_form(realize_orbit(orbit), selection_positions(orbit, selection),
                                  orbit)
 

@@ -8,16 +8,12 @@ representation dictionary ever produces.  As an eigenvalue hint (see
 exact_linalg.jordan_structure) a real class is its rational eigenvalue and a
 pair class the tuple (a, b).
 
-A matrix's orbit datum is identified two ways, both through the one rank
-filtration of exact_linalg.  orbit_from_matrix takes a caller's eigenvalue
-hints and builds the classes it finds through the validating constructors.
-_orbit_among takes an orbit whose classes the matrix's eigenvalues lie
-among, such as the orbit a moved point came from, with the sizes of the
-blocks of each class that lie beside the matrix in a direct sum: it ranks
-only at the classes that are not whole beside it, in class order, and adds
-the parts found to the sizes kept, with no class or orbit checked or sorted
-again.  block_layout is the one rule for where realize_orbit puts each
-Jordan block.
+orbit_from_matrix identifies a matrix's orbit datum from a caller's
+eigenvalue hints through the one rank filtration of exact_linalg, and builds
+the classes it finds through the validating constructors; the oracle
+identifies its head among an orbit's own classes instead (see
+classify._bordered_normal_form).  block_layout is the one rule for where
+realize_orbit puts each Jordan block.
 
 A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 (an int;
 anything else raises TypeError) together with the GL_(n-j) orbit datum of
@@ -38,7 +34,6 @@ from .exact_linalg import (
     SpectrumMismatch,
     _fraction,
     _integer,
-    _jordan_partitions,
     block_diag,
     jordan_structure,
 )
@@ -116,6 +111,12 @@ def parse_rational(value, where: str) -> Fraction:
         raise OrbitSpecError("%s: not a rational number: %s" % (where, _echo(value))) from exc
 
 
+def _rational(value, where: str) -> Fraction:
+    """value as a Fraction: a string read by parse_rational (naming where),
+    an int or a Fraction as it is; a float raises TypeError."""
+    return parse_rational(value, where) if isinstance(value, str) else _fraction(value)
+
+
 class EigenvalueClass:
     """One eigenvalue class of an orbit: eigenvalue data plus a partition.
 
@@ -128,9 +129,9 @@ class EigenvalueClass:
     __slots__ = ("re", "im", "partition")
 
     def __init__(self, re, partition: Partition, im=None):
-        self.re = parse_rational(re, "re") if isinstance(re, str) else _fraction(re)
+        self.re = _rational(re, "re")
         if im is not None:
-            im = parse_rational(im, "im") if isinstance(im, str) else _fraction(im)
+            im = _rational(im, "im")
             if im == 0:
                 im = None
             elif im < 0:
@@ -290,8 +291,11 @@ class MirabolicOrbitDatum:
 
 
 def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
-    """Jordan block with the eigenvalue on the diagonal and 1 below it."""
-    lam = Fraction(eigenvalue)
+    """Jordan block with the eigenvalue on the diagonal and 1 below it.
+
+    The eigenvalue is read as EigenvalueClass reads re; a float raises
+    TypeError."""
+    lam = _rational(eigenvalue, "eigenvalue")
     d = lam.denominator
     rows = []
     for i in range(size):
@@ -304,11 +308,13 @@ def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
 
 def pair_block(size: int, re, im) -> ExactMatrix:
     """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]], built as
-    block_diag(J, J) + T*b for the integer matrix T = [[0, I], [-I, 0]]."""
+    block_diag(J, J) + T*b for the integer matrix T = [[0, I], [-I, 0]].
+    re and im are read as EigenvalueClass reads them; a float raises
+    TypeError."""
     j = jordan_block(size, re)
     rotation = ExactMatrix.from_integer(
         1, [{size + i: 1} for i in range(size)] + [{i: -1} for i in range(size)], 2 * size)
-    return block_diag(j, j) + rotation * Fraction(im)
+    return block_diag(j, j) + rotation * _rational(im, "im")
 
 
 def block_layout(orbit: OrbitDatum) -> tuple:
@@ -391,36 +397,6 @@ def orbit_from_matrix(a: ExactMatrix, field: str, eigenvalues: Sequence) -> Orbi
             )
         classes.append(EigenvalueClass(re, partition, im=im))
     return OrbitDatum(field, classes)
-
-
-def _orbit_among(a: ExactMatrix, orbit: OrbitDatum, kept: Sequence[list]) -> OrbitDatum:
-    """The orbit datum of a direct sum of a square matrix a and blocks of
-    orbit's own classes, which it takes as valid.
-
-    kept[i] lists the sizes of the blocks of class i in the sum besides a,
-    ascending; a class with fewer of them than its partition has parts is
-    one the eigenvalues of a may lie among.  The rank filtration of
-    exact_linalg runs on a at those classes' eigenvalues, in class order,
-    and each class is rebuilt on its kept sizes and the parts found, in
-    that order; the Jordan type of a direct sum is the union of the Jordan
-    types.  A subsequence of canonical classes is canonical, so no class is
-    sorted, normalised or checked again.  Raises SpectrumMismatch when
-    those classes leave part of a's dimension unaccounted for.
-    """
-    classes = orbit.classes
-    ranked = [i for i, cls in enumerate(classes) if len(kept[i]) < len(cls.partition)]
-    found = {i: partition for i, (_, partition) in
-             zip(ranked, _jordan_partitions(a, [classes[i].eigenvalue() for i in ranked]))}
-    rebuilt = []
-    for i, cls in enumerate(classes):
-        if len(kept[i]) == len(cls.partition):
-            rebuilt.append(cls)  # every block of the class is kept
-            continue
-        parts = sorted(kept[i] + list(found.get(i) or ()), reverse=True)
-        if parts:
-            rebuilt.append(EigenvalueClass._canonical(cls.re, Partition._canonical(tuple(parts)),
-                                                      cls.im))
-    return OrbitDatum._canonical(orbit.field, tuple(rebuilt))
 
 
 def _parse_partition(raw, where: str) -> Partition:

@@ -521,11 +521,16 @@ class TestGeometry:
 
     @pytest.mark.slow
     def test_every_orbit_to_size_eight(self):
+        # the digest, as at size six, pins every report of both corpora
         orbits = list(complex_corpus(8)) + list(real_corpus(8, require_pair=False))
         assert len(orbits) == 8201
+        reports = []
         for o in orbits:
             report = check_geometry(o)
             assert report.ok, (o, report.failures)
+            reports.append(report.to_json())
+        assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == (
+            "54b1387781ade0d3177314d1a2afb92ffd715911325dee65020c4ce060fb3a1c")
 
 
 class TestFiberStabilizers:

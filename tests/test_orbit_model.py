@@ -252,9 +252,15 @@ class TestDatumValidation:
 
     @pytest.mark.parametrize("re, im", [(0.1, None), (0, 0.5), (Decimal("0.1"), None)])
     def test_inexact_values_are_refused(self, re, im):
-        # 0.1 would otherwise become 3602879701896397/36028797018963968
+        # 0.1 would otherwise become 3602879701896397/36028797018963968; the
+        # block builders read re and im by the class's rule
         with pytest.raises(TypeError):
             EigenvalueClass(re, Partition([1]), im=im)
+        with pytest.raises(TypeError):
+            pair_block(2, re, 1 if im is None else im)
+        if im is None:
+            with pytest.raises(TypeError):
+                jordan_block(2, re)
 
     def test_pair_needs_real_field(self):
         with pytest.raises(OrbitSpecError):

@@ -534,7 +534,7 @@ class TestRestrictionReports:
 def _oracle_meets_restriction(smallest, largest):
     """(orbits, reports): every orbit of the C and R corpora of size smallest
     to largest has the oracle's dense image as the omega of each of its
-    restriction reports."""
+    restriction reports, and each report holds."""
     orbits = reports = 0
     for o in list(complex_corpus(largest)) + list(real_corpus(largest, require_pair=False)):
         if o.size < smallest:
@@ -542,6 +542,7 @@ def _oracle_meets_restriction(smallest, largest):
         omega = oracle_image(o, dense_selection(o))
         for report in restriction_reports(o):
             assert report.omega == omega, (o, report.signs)
+            assert report.ok, (o, report.signs)
             reports += 1
         orbits += 1
     return orbits, reports
