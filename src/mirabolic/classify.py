@@ -25,7 +25,7 @@ derived from them.  One loop, _normal_form, runs the recursion from such a
 label-keyed state and a first pivot and returns the head block as a matrix:
 classify and classify_certified start it from the validated rows of x
 with the pivot min(beta) (_classified), and the moment map's oracle from a
-bordered state of the blocks its conjugation moves (_bordered_normal_form).
+bordered state of the blocks its conjugation moves (moment.oracle_image).
 Rows are combined only by exact_linalg's kernels (_combination,
 _integer_matmul, block_diag, ExactMatrix + and *);
 point_stabilizer_dim and stabilizer_dim both build their bracket rows
@@ -37,7 +37,7 @@ quadratic (x - a)^2 + b^2.  classify and classify_certified identify the
 head through orbit_from_matrix, from the caller's eigenvalue hints (a
 rational r for a real eigenvalue and a pair (a, b) for a +- ib), which it
 checks.  The oracle's head is identified among the orbit's own classes
-instead, by the direct-sum rule stated once in _bordered_normal_form's
+instead, by the direct-sum rule stated once in moment.oracle_image's
 docstring.
 
 point_stabilizer_dim ranks the whole matrix of the bracket map
@@ -76,20 +76,12 @@ from .exact_linalg import (
     SpectrumMismatch,
     _combination,
     _integer_matmul,
-    _jordan_partitions,
     block_diag,
     integer_rank,
     inverse,
     rank,  # noqa: F401  unused here; perfbench/tests checks the tracer patches this import site
 )
-from .orbit_model import (
-    EigenvalueClass,
-    MirabolicOrbitDatum,
-    OrbitDatum,
-    block_layout,
-    orbit_from_matrix,
-)
-from .partitions import Partition
+from .orbit_model import MirabolicOrbitDatum, OrbitDatum, orbit_from_matrix
 
 __all__ = [
     "MalformedRepresentative",
@@ -261,69 +253,6 @@ def _normal_form(d, rows, beta, p, cert=None):
         position = {q: i for i, q in enumerate(rows)}
         heads = [{position[j]: v for j, v in row.items()} for row in heads]
     return ExactMatrix.from_integer(d, list(heads), h), cert
-
-
-def _bordered_normal_form(
-    x: ExactMatrix, positions: Sequence[int], orbit: OrbitDatum
-) -> MirabolicOrbitDatum:
-    """Normal form of pr'(g x g^-1) for x = realize_orbit(orbit) and the
-    group element g of the ascending 1-based positions q_1 < ... < q_k of a
-    selection, with no intermediate matrix built; the one statement of the
-    oracle's direct-sum rule.
-
-    The bordered state of x and the positions is (d, rows, beta, p): the
-    rows of d*x keyed by their labels 0..n-1, beta = {q - 1: d} (x bordered
-    below by the selection vector v) and the first pivot p = q_k - 1.  g is
-    _completion(1, v, n, p), so the first step from this state is the
-    conjugation by g and forms no inverse.  The recursion runs from the part
-    of that state on the moved blocks: the blocks of block_layout(orbit)
-    that hold a position.  x is block diagonal and g is supported on the
-    moved blocks, and each _conjugate_step changes only the rows with an
-    entry in its pivot column, and beta*H, all within those blocks; every
-    other row keeps its value over the new denominator.  So the point
-    reached is x on the untouched blocks, a direct sum with the recursion's
-    head on the moved ones, and the Jordan type of a direct sum is the
-    union of the Jordan types.  A class that owns no moved block is kept as
-    it is.  The head's eigenvalues are among those of the classes that own
-    a moved block, which the orbit checked, so it is ranked by the one rank
-    filtration (exact_linalg._jordan_partitions) at those alone, in class
-    order, and each is rebuilt on the sizes of its untouched blocks and the
-    parts found (none when the filtration stops before it), with no class
-    sorted or checked again; a class left with no part goes.  A head those
-    classes leave dimension of unaccounted for raises SpectrumMismatch.
-    The depth is the number of steps, the moved rows less the head's size.
-    """
-    d, numerators, past = x.denominator, x.numerators, x.rows + 1
-    classes = orbit.classes
-    kept = [[] for _ in classes]  # the untouched block sizes of each class, ascending
-    moved = []  # the classes that own a moved block, in class order
-    rows = {}
-    left = iter(positions)
-    q = next(left)  # the least position not yet placed in a block
-    for start, end, idx, k in block_layout(orbit):
-        if q > end:
-            kept[idx].append(k)
-            continue
-        if not moved or moved[-1] != idx:  # a class's blocks are contiguous
-            moved.append(idx)
-        rows.update((r, numerators[r]) for r in range(start, end))
-        while q <= end:
-            q = next(left, past)
-    head, _ = _normal_form(d, rows, {q - 1: d for q in positions}, positions[-1] - 1)
-    found = {i: partition for i, (_, partition) in
-             zip(moved, _jordan_partitions(head, [classes[i].eigenvalue() for i in moved]))}
-    rebuilt = list(classes)
-    for i in reversed(moved):  # from the last, so a deletion shifts no class still to come
-        parts = sorted(kept[i] + list(found.get(i) or ()), reverse=True)
-        if parts:
-            cls = classes[i]
-            rebuilt[i] = EigenvalueClass._canonical(cls.re, Partition._canonical(tuple(parts)),
-                                                    cls.im)
-        else:
-            del rebuilt[i]
-    # at least one step ran (beta is nonempty), so the depth is an int >= 1
-    return MirabolicOrbitDatum._canonical(len(rows) - head.rows,
-                                          OrbitDatum._canonical(orbit.field, tuple(rebuilt)))
 
 
 def certificate_holds(

@@ -223,13 +223,8 @@ def _cmd_classify(args) -> dict:
     else:
         datum = classify(x, field, hints)
         cert = None
-    payload = {
-        "field": field,
-        "n": x.rows,
-        "depth": datum.depth,
-        "a_part": [c.to_json() for c in datum.a_part.classes],
-        "stabilizer_dim": stabilizer_dim(x),
-    }
+    payload = {"field": field, "n": x.rows, **datum.to_json(),
+               "stabilizer_dim": stabilizer_dim(x)}
     if cert is not None:
         payload["certificate"] = cert
     return payload

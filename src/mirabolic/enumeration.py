@@ -40,8 +40,14 @@ __all__ = [
 
 
 def _index(value) -> int:
-    """_integer(value), or the int a string such as '2' spells."""
-    return int(value) if isinstance(value, str) else _integer(value, "selection index")
+    """_integer(value), or the int a string spells as str writes it, such as
+    '2'; any other string (' 2', '02', '+2') raises ValueError."""
+    if not isinstance(value, str):
+        return _integer(value, "selection index")
+    index = int(value)
+    if str(index) != value:
+        raise ValueError("selection index %r is not written as to_json writes it" % (value,))
+    return index
 
 
 class IndexSelection:

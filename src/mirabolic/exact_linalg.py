@@ -48,8 +48,8 @@ a key found before drops nothing, and the last eigenvalue found leaves
 W = 0; rows left after the last key are a SpectrumMismatch.  The loop
 takes its keys normalised: jordan_structure normalises a caller's hints
 (_eigenvalue) one at a time as the loop reads them, and the oracle
-(classify._bordered_normal_form) passes the eigenvalues of a validated
-orbit's classes as they are.
+(moment.oracle_image) passes the eigenvalues of a validated orbit's
+classes as they are.
 """
 from __future__ import annotations
 

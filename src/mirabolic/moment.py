@@ -11,9 +11,8 @@ independent computations of its normal form are provided:
 * oracle_image conjugates the orbit representative by the selection's group
   element g, projects to the mirabolic dual and classifies, in one classify
   recursion from the representative bordered below by the selection vector,
-  on the blocks g moves alone (the direct-sum rule of
-  classify._bordered_normal_form).  It shares no formulas with the symbolic
-  path.
+  on the blocks g moves alone (the direct-sum rule, stated once in its
+  docstring).  It shares no formulas with the symbolic path.
   check_geometry forms the moved point g x g^-1, with g from
   enumeration.selection_conjugator, only at the dense selection.
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .classify import (
-    _bordered_normal_form,
+    _normal_form,
     gl_centralizer_dim,
     point_stabilizer_dim,
     stabilizer_dim,
@@ -47,11 +46,12 @@ from .enumeration import (
     selection_conjugator,
     selection_positions,
 )
-from .exact_linalg import ExactMatrix, inverse
+from .exact_linalg import ExactMatrix, _jordan_partitions, inverse
 from .orbit_model import (
     EigenvalueClass,
     MirabolicOrbitDatum,
     OrbitDatum,
+    block_layout,
     realize_orbit,
 )
 from .partitions import Partition
@@ -132,12 +132,65 @@ def _surgery(orbit: OrbitDatum, choices) -> MirabolicOrbitDatum:
 def oracle_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrbitDatum:
     """Conjugate, project, classify: the independent check of symbolic_image.
 
-    The recursion runs on the blocks of realize_orbit(orbit) that hold a
-    selected position, by the direct-sum rule of
-    classify._bordered_normal_form; a head the orbit's classes leave
-    dimension of unaccounted for raises SpectrumMismatch."""
-    return _bordered_normal_form(realize_orbit(orbit), selection_positions(orbit, selection),
-                                 orbit)
+    The normal form of pr'(g x g^-1) for x = realize_orbit(orbit) and the
+    selection's group element g, with no intermediate matrix built; the one
+    statement of the oracle's direct-sum rule.  With q_1 < ... < q_k the
+    1-based selection_positions, the bordered state is (d, rows, beta, p):
+    the rows of d*x keyed by their labels 0..n-1, beta = {q - 1: d} (x
+    bordered below by the selection vector v) and the first pivot
+    p = q_k - 1.  g is classify._completion(1, v, n, p), so the first step
+    of classify._normal_form from this state is the conjugation by g and
+    forms no inverse.  The recursion runs from the part of that state on
+    the moved blocks: the blocks of block_layout(orbit) that hold a
+    position.  x is block diagonal and g is supported on the moved blocks,
+    and each step changes only the rows with an entry in its pivot column,
+    and beta*H, all within those blocks; every other row keeps its value
+    over the new denominator.  So the point reached is x on the untouched
+    blocks, a direct sum with the recursion's head on the moved ones, and
+    the Jordan type of a direct sum is the union of the Jordan types.  A
+    class that owns no moved block is kept as it is.  The head's
+    eigenvalues are among those of the classes that own a moved block,
+    which the orbit checked, so it is ranked by the one rank filtration
+    (exact_linalg._jordan_partitions) at those alone, in class order, and
+    each is rebuilt on the sizes of its untouched blocks and the parts
+    found (none when the filtration stops before it), with no class sorted
+    or checked again; a class left with no part goes.  A head those
+    classes leave dimension of unaccounted for raises SpectrumMismatch.
+    The depth is the number of steps, the moved rows less the head's size.
+    """
+    positions = selection_positions(orbit, selection)
+    x = realize_orbit(orbit)
+    d, numerators, past = x.denominator, x.numerators, x.rows + 1
+    classes = orbit.classes
+    kept = [[] for _ in classes]  # the untouched block sizes of each class, ascending
+    moved = []  # the classes that own a moved block, in class order
+    rows = {}
+    left = iter(positions)
+    q = next(left)  # the least position not yet placed in a block
+    for start, end, idx, k in block_layout(orbit):
+        if q > end:
+            kept[idx].append(k)
+            continue
+        if not moved or moved[-1] != idx:  # a class's blocks are contiguous
+            moved.append(idx)
+        rows.update((r, numerators[r]) for r in range(start, end))
+        while q <= end:
+            q = next(left, past)
+    head, _ = _normal_form(d, rows, {q - 1: d for q in positions}, positions[-1] - 1)
+    found = {i: partition for i, (_, partition) in
+             zip(moved, _jordan_partitions(head, [classes[i].eigenvalue() for i in moved]))}
+    rebuilt = list(classes)
+    for i in reversed(moved):  # from the last, so a deletion shifts no class still to come
+        parts = sorted(kept[i] + list(found.get(i) or ()), reverse=True)
+        if parts:
+            cls = classes[i]
+            rebuilt[i] = EigenvalueClass._canonical(cls.re, Partition._canonical(tuple(parts)),
+                                                    cls.im)
+        else:
+            del rebuilt[i]
+    # at least one step ran (beta is nonempty), so the depth is an int >= 1
+    return MirabolicOrbitDatum._canonical(len(rows) - head.rows,
+                                          OrbitDatum._canonical(orbit.field, tuple(rebuilt)))
 
 
 def _image_record(orbit: OrbitDatum, selection: IndexSelection) -> tuple:

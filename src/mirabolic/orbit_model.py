@@ -12,7 +12,7 @@ orbit_from_matrix identifies a matrix's orbit datum from a caller's
 eigenvalue hints through the one rank filtration of exact_linalg, and builds
 the classes it finds through the validating constructors; the oracle
 identifies its head among an orbit's own classes instead (see
-classify._bordered_normal_form).  block_layout is the one rule for where
+moment.oracle_image).  block_layout is the one rule for where
 realize_orbit puts each Jordan block.
 
 A MirabolicOrbitDatum is a mirabolic normal form: a depth j >= 1 (an int;

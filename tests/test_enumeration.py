@@ -305,6 +305,14 @@ class TestSelectionJson:
         with pytest.raises(TypeError):
             IndexSelection(choices)
 
+    @pytest.mark.parametrize("index", [" 1", "0_0", "+1", "01", "\u0661"])
+    def test_rejects_a_string_that_to_json_does_not_write(self, index):
+        # int() reads each of these, the last an Arabic-Indic one
+        with pytest.raises(ValueError):
+            IndexSelection({index: {0: 1}})
+        with pytest.raises(ValueError):
+            IndexSelection({0: {index: 1}})
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             IndexSelection({})

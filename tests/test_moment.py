@@ -2,7 +2,6 @@ import copy
 import hashlib
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -34,7 +33,6 @@ from mirabolic import (
     stabilizer_dim,
     symbolic_image,
 )
-from mirabolic.classify import _bordered_normal_form
 from mirabolic.corpus import complex_corpus, compositions, real_corpus
 from mirabolic.enumeration import selection_positions
 from mirabolic.moment import _moved
@@ -282,16 +280,14 @@ class TestOracleHead:
         o = orbit(COMPLEX, (0, [3, 2, 2, 1]), (1, [2]))
         assert block_layout(o) == ((0, 2, 0, 2), (2, 3, 1, 1), (3, 5, 1, 2), (5, 7, 1, 2),
                                    (7, 10, 1, 3))
-        x = realize_orbit(o)
         states = []
-        module = sys.modules["mirabolic.classify"]
-        normal_form = module._normal_form
+        normal_form = moment._normal_form
 
         def recorded(d, rows, *rest):
             states.append(list(rows))
             return normal_form(d, rows, *rest)
 
-        monkeypatch.setattr(module, "_normal_form", recorded)
+        monkeypatch.setattr(moment, "_normal_form", recorded)
         cases = [
             # the last block of size 2, at coordinate 1: position 6
             ({1: {1: 1}}, [6], [5, 6], 1, orbit(COMPLEX, (0, [3, 2, 1, 1]), (1, [2]))),
@@ -305,27 +301,28 @@ class TestOracleHead:
             sel = IndexSelection(choices)
             assert selection_positions(o, sel) == positions
             states.clear()
-            assert _bordered_normal_form(x, positions, o) == image, choices
+            assert oracle_image(o, sel) == image, choices
             assert states == [moved], choices  # only the moved rows are stepped
             assert symbolic_image(o, sel) == image
         for sel in enumerate_selections(o):
             assert oracle_image(o, sel) == classify(project_to_p_star(_moved(o, sel)), o.field,
                                                     self.caller_hints(o)), sel
 
-    def test_a_head_the_classes_cannot_account_for_is_refused(self):
+    def test_a_head_the_classes_cannot_account_for_is_refused(self, monkeypatch):
         # the head of the moved blocks has the eigenvalues of the classes
         # that own them; an orbit laid out the same with another eigenvalue
         # there leaves dimension over, which is refused, not dropped
         o = orbit(REAL, (1, [2, 1]), (0, "1/2", [1]))
-        x, positions = realize_orbit(o), selection_positions(o, dense_selection(o))
-        assert _bordered_normal_form(x, positions, o) == MirabolicOrbitDatum(4, orbit(REAL, (1, [1])))
-        positions = selection_positions(o, IndexSelection({0: {1: 1}}))  # class 0's block of 2
-        assert _bordered_normal_form(x, positions, o) == MirabolicOrbitDatum(
+        assert oracle_image(o, dense_selection(o)) == MirabolicOrbitDatum(4, orbit(REAL, (1, [1])))
+        sel = IndexSelection({0: {1: 1}})  # class 0's block of 2
+        assert oracle_image(o, sel) == MirabolicOrbitDatum(
             1, orbit(REAL, (1, [1, 1]), (0, "1/2", [1])))
         other = orbit(REAL, (2, [2, 1]), (0, "1/2", [1]))
         assert block_layout(other) == block_layout(o)
+        x = realize_orbit(o)
+        monkeypatch.setattr(moment, "realize_orbit", lambda _: x)  # o's representative
         with pytest.raises(SpectrumMismatch, match="account for dimension 0 of 1"):
-            _bordered_normal_form(x, positions, other)
+            oracle_image(other, sel)
 
 
 class TestDenseCertificate:
