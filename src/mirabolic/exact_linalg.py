@@ -38,9 +38,11 @@ Eigenvalues of a rational matrix are named by rationals r and by pairs
 (a, b), b > 0, for the conjugate eigenvalues a +- ib.  The Jordan type is
 read off one rank-filtration loop, _jordan_partitions, which reads a pair
 off the real quadratic q(x) = (x - a)^2 + b^2, so no arithmetic ever leaves
-Q.  It chains its keys: each key's rank filtration starts from the stable
-rows that the keys found before it leave, the row space W of the last
-stable power, times its own shifted matrix s.  W is invariant under the
+Q.  Its rank drops count the blocks of each size or more, the dual of the
+block sizes, which partitions._transpose turns back into the sizes.  It
+chains its keys: each key's rank filtration starts from the stable rows
+that the keys found before it leave, the row space W of the last stable
+power, times its own shifted matrix s.  W is invariant under the
 matrix and holds every generalized eigenspace not yet found; the
 eigenspaces it lost belong to other eigenvalues, on which s is invertible.
 So the rank drops of a later key are the same on W as on the whole space,
@@ -57,7 +59,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, _transpose
 
 __all__ = [
     "ExactMatrix",
@@ -140,10 +142,16 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
+        """The n x n identity; n = 0 gives the empty matrix, n < 0 raises
+        ValueError."""
+        if n < 0:
+            raise ValueError("size must be nonnegative, got %d" % n)
         return cls.from_integer(1, [{i: 1} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError("sizes must be nonnegative, got %d x %d" % (rows, cols))
         return cls.from_integer(1, [{} for _ in range(rows)], cols)
 
     @property
@@ -398,12 +406,10 @@ def _jordan_partitions(m: ExactMatrix, keys: Iterable) -> list:
             found.append((lam, None))
             continue
         degree = 2 if isinstance(lam, tuple) else 1
-        at_least = [(ranks[k - 1] - ranks[k]) // degree for k in range(1, len(ranks))]
-        at_least.append(0)
-        parts = []
-        for size in range(len(at_least) - 1, 0, -1):
-            parts.extend([size] * (at_least[size - 1] - at_least[size]))
-        found.append((lam, Partition._canonical(tuple(parts))))  # positive, descending
+        # the k-th drop before the repeated rank counts the blocks of size
+        # >= k: the drops are the dual of the block sizes
+        dual = tuple((ranks[k - 1] - ranks[k]) // degree for k in range(1, len(ranks) - 1))
+        found.append((lam, Partition._canonical(_transpose(dual))))
         basis, dim = stable, ranks[-1]
     if dim:
         raise SpectrumMismatch(

@@ -117,6 +117,14 @@ def _rational(value, where: str) -> Fraction:
     return parse_rational(value, where) if isinstance(value, str) else _fraction(value)
 
 
+def _pair_im(im: Fraction) -> Fraction:
+    """im, the imaginary part of a conjugate pair; OrbitSpecError unless it
+    is positive."""
+    if im <= 0:
+        raise OrbitSpecError("pair class requires im > 0, got %s" % im)
+    return im
+
+
 class EigenvalueClass:
     """One eigenvalue class of an orbit: eigenvalue data plus a partition.
 
@@ -132,10 +140,7 @@ class EigenvalueClass:
         self.re = _rational(re, "re")
         if im is not None:
             im = _rational(im, "im")
-            if im == 0:
-                im = None
-            elif im < 0:
-                raise OrbitSpecError("pair class requires im > 0, got %s" % im)
+            im = _pair_im(im) if im else None
         self.im = im
         if not isinstance(partition, Partition):
             partition = Partition(partition)
@@ -294,7 +299,10 @@ def jordan_block(size: int, eigenvalue=0) -> ExactMatrix:
     """Jordan block with the eigenvalue on the diagonal and 1 below it.
 
     The eigenvalue is read as EigenvalueClass reads re; a float raises
-    TypeError."""
+    TypeError.  size 0 gives the empty matrix; a negative size raises
+    ValueError."""
+    if size < 0:
+        raise ValueError("size must be nonnegative, got %d" % size)
     lam = _rational(eigenvalue, "eigenvalue")
     d = lam.denominator
     rows = []
@@ -310,11 +318,13 @@ def pair_block(size: int, re, im) -> ExactMatrix:
     """The 2k x 2k real block [[J_k(a), b*I], [-b*I, J_k(a)]], built as
     block_diag(J, J) + T*b for the integer matrix T = [[0, I], [-I, 0]].
     re and im are read as EigenvalueClass reads them; a float raises
-    TypeError."""
+    TypeError, and im <= 0 raises OrbitSpecError, as for a pair class.  A
+    negative size raises ValueError."""
     j = jordan_block(size, re)
+    b = _pair_im(_rational(im, "im"))
     rotation = ExactMatrix.from_integer(
         1, [{size + i: 1} for i in range(size)] + [{i: -1} for i in range(size)], 2 * size)
-    return block_diag(j, j) + rotation * _rational(im, "im")
+    return block_diag(j, j) + rotation * b
 
 
 def block_layout(orbit: OrbitDatum) -> tuple:
@@ -428,17 +438,15 @@ def orbit_from_json(obj) -> OrbitDatum:
         if not isinstance(raw, dict):
             raise OrbitSpecError("%s: expected an object" % where)
         re = parse_rational(raw.get("re", "0"), where + ".re")
-        im_raw = raw.get("im")
-        im = None
-        if im_raw is not None:
-            im = parse_rational(im_raw, where + ".im")
-            if im == 0:
-                im = None
-        if im is not None and field != REAL:
-            raise OrbitSpecError("%s: pair classes require the real field" % where)
+        im = raw.get("im")
+        if im is not None:
+            im = parse_rational(im, where + ".im")
         partition = _parse_partition(raw.get("partition"), where + ".partition")
         try:
-            classes.append(EigenvalueClass(re, partition, im=im))
+            cls = EigenvalueClass(re, partition, im=im)
         except OrbitSpecError as exc:
             raise OrbitSpecError("%s: %s" % (where, exc)) from exc
+        if cls.is_pair and field != REAL:
+            raise OrbitSpecError("%s: pair classes require the real field" % where)
+        classes.append(cls)
     return OrbitDatum(field, classes)

@@ -1,7 +1,10 @@
 """Integer partitions: duals and exponent notation.
 
 A Partition is immutable, so its dual and its ascending runs are each
-computed once, on first use, and kept.
+computed once, on first use, and kept.  _transpose is the one transpose of
+a Young diagram: Partition.dual calls it, and so does the Jordan rank
+filtration (exact_linalg._jordan_partitions), whose rank drops are already
+the dual of the block sizes.
 """
 from __future__ import annotations
 
@@ -74,12 +77,7 @@ class Partition:
     def dual(self) -> "Partition":
         """The transposed Young diagram: column counts become parts (cached)."""
         if self._dual is None:
-            counts = [0] * self.largest()
-            for p in self._parts:
-                for i in range(p):
-                    counts[i] += 1
-            # column counts of a diagram are positive and weakly decreasing
-            self._dual = Partition._canonical(tuple(counts))
+            self._dual = Partition._canonical(_transpose(self._parts))
         return self._dual
 
     def runs(self) -> Tuple[Tuple[int, int], ...]:
@@ -100,6 +98,16 @@ class Partition:
 
     def to_json(self) -> list:
         return list(self._parts)
+
+
+def _transpose(parts: tuple) -> tuple:
+    """The transposed Young diagram of positive, descending parts, itself
+    positive and descending: size k occurs parts[k-1] - parts[k] times."""
+    out, below = [], 0
+    for k in range(len(parts), 0, -1):
+        out.extend([k] * (parts[k - 1] - below))
+        below = parts[k - 1]
+    return tuple(out)
 
 
 def partitions_of_weight(n: int) -> Iterator[Partition]:

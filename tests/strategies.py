@@ -1,12 +1,17 @@
 """Hypothesis strategies shared by the test modules."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from mirabolic import COMPLEX, REAL, EigenvalueClass, OrbitDatum
 from mirabolic.partitions import Partition
 
 RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+# a property's number of examples: 150 in Tier-1, and ten times as many in
+# the slow tier (pytest -m slow)
+EXAMPLES = pytest.mark.parametrize("examples", [150, pytest.param(1500, marks=pytest.mark.slow)])
 
 
 @st.composite

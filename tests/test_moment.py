@@ -40,7 +40,7 @@ from mirabolic.orbit_model import block_layout
 from mirabolic.partitions import Partition, partitions_of_weight
 
 from conftest import orbit, without_largest_part
-from strategies import orbits_of_size_8_to_10
+from strategies import EXAMPLES, orbits_of_size_8_to_10
 
 
 class TestDenseSelection:
@@ -262,16 +262,20 @@ class TestOracleHead:
                 checked += 1
         assert checked == 4330
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(orbits_of_size_8_to_10(), st.data())
-    def test_both_identifiers_agree_beyond_size_five(self, o, data):
+    @EXAMPLES
+    def test_both_identifiers_agree_beyond_size_five(self, examples):
         # at sizes 8 to 10 a selection moves only some of the blocks, so the
         # oracle's moved-block state is checked against the whole moved point
-        sel = data.draw(st.sampled_from(enumerate_selections(o)))
-        image = oracle_image(o, sel)
-        assert image == classify(project_to_p_star(_moved(o, sel)), o.field,
-                                 self.caller_hints(o)), (o, sel)
-        assert image == symbolic_image(o, sel), (o, sel)
+        @settings(max_examples=examples, derandomize=True, deadline=None)
+        @given(orbits_of_size_8_to_10(), st.data())
+        def check(o, data):
+            sel = data.draw(st.sampled_from(enumerate_selections(o)))
+            image = oracle_image(o, sel)
+            assert image == classify(project_to_p_star(_moved(o, sel)), o.field,
+                                     self.caller_hints(o)), (o, sel)
+            assert image == symbolic_image(o, sel), (o, sel)
+
+        check()
 
     def test_untouched_blocks_that_share_an_eigenvalue_with_moved_ones(self, monkeypatch):
         # class 1 (eigenvalue 0) has blocks 1, 2, 2, 3 in rows 2, 3-4, 5-6
@@ -338,13 +342,17 @@ class TestDenseCertificate:
 
 
 class TestFractionalGeometry:
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(orbits_of_size_8_to_10())
-    def test_geometry_holds_at_fractional_eigenvalues(self, o):
+    @EXAMPLES
+    def test_geometry_holds_at_fractional_eigenvalues(self, examples):
         # symbolic == oracle at every selection, with eigenvalues p/q up to
         # 10**6 and pair parts k/2 and k/3, and the stabilizer claims
-        report = check_geometry(o)
-        assert report.ok, (o, report.failures)
+        @settings(max_examples=examples, derandomize=True, deadline=None)
+        @given(orbits_of_size_8_to_10())
+        def check(o):
+            report = check_geometry(o)
+            assert report.ok, (o, report.failures)
+
+        check()
 
 
 class TestLargerShapes:

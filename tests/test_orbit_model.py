@@ -262,6 +262,22 @@ class TestDatumValidation:
             with pytest.raises(TypeError):
                 jordan_block(2, re)
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: jordan_block(-1), ValueError, "size must be nonnegative"),
+        (lambda: pair_block(-1, 0, 1), ValueError, "size must be nonnegative"),
+        (lambda: ExactMatrix.identity(-2), ValueError, "size must be nonnegative"),
+        (lambda: ExactMatrix.zeros(-1, 2), ValueError, "sizes must be nonnegative"),
+        (lambda: ExactMatrix.zeros(2, -1), ValueError, "sizes must be nonnegative"),
+        (lambda: pair_block(2, 0, 0), OrbitSpecError, "im > 0"),
+        (lambda: pair_block(1, 0, -1), OrbitSpecError, "im > 0"),
+    ], ids=["jordan_block", "pair_block", "identity", "zeros_rows", "zeros_cols",
+            "pair_block_im_0", "pair_block_im_negative"])
+    def test_negative_sizes_and_pair_im_are_refused(self, build, error, message):
+        # no matrix has a negative size, and at im = 0 the block would be two
+        # Jordan blocks, not a pair; size 0 stays legal, the empty matrix
+        with pytest.raises(error, match=message):
+            build()
+
     def test_pair_needs_real_field(self):
         with pytest.raises(OrbitSpecError):
             orbit(COMPLEX, (0, 1, [1]))
@@ -388,6 +404,12 @@ class TestJson:
             ({"field": "C", "classes": [{"re": True, "partition": [1]}]}, "classes[0].re"),
             ({"field": "R", "classes": [{"re": "0", "im": "1e-1001", "partition": [1]}]},
              "classes[0].im: decimal exponent"),
+            ({"field": "C", "classes": [{"re": "0", "partition": [1]},
+                                        {"re": "1", "im": "2", "partition": [1]}]},
+             "classes[1]: pair classes require the real field"),
+            # the class is built before the field is checked against it
+            ({"field": "C", "classes": [{"re": "1", "im": "-1", "partition": [1]}]},
+             "classes[0]: pair class requires im > 0"),
         ],
     )
     def test_diagnostics(self, bad, fragment):

@@ -37,7 +37,7 @@ from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.partitions import partitions_of_weight
 
 from conftest import orbit
-from strategies import orbits_of_size_8_to_10
+from strategies import EXAMPLES, orbits_of_size_8_to_10
 
 
 class TestFactors:
@@ -506,17 +506,21 @@ class TestRestrictionReports:
             checked += len(reports)
         assert checked == 13920
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(orbits_of_size_8_to_10())
-    def test_equal_verify_restriction_beyond_the_corpora(self, o):
-        assert 8 <= o.size <= 10 and sum(sign_shape(o)) <= 6
-        try:
-            expected = [verify_restriction(o, s).to_json() for s in all_sign_choices(o)]
-        except UnsupportedOrbitShape:
-            with pytest.raises(UnsupportedOrbitShape):
-                list(restriction_reports(o))
-            return
-        assert [r.to_json() for r in restriction_reports(o)] == expected
+    @EXAMPLES
+    def test_equal_verify_restriction_beyond_the_corpora(self, examples):
+        @settings(max_examples=examples, derandomize=True, deadline=None)
+        @given(orbits_of_size_8_to_10())
+        def check(o):
+            assert 8 <= o.size <= 10 and sum(sign_shape(o)) <= 6
+            try:
+                expected = [verify_restriction(o, s).to_json() for s in all_sign_choices(o)]
+            except UnsupportedOrbitShape:
+                with pytest.raises(UnsupportedOrbitShape):
+                    list(restriction_reports(o))
+                return
+            assert [r.to_json() for r in restriction_reports(o)] == expected
+
+        check()
 
     def test_the_dense_image_is_formed_once_per_orbit(self, monkeypatch):
         calls = []
