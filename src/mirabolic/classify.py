@@ -19,10 +19,10 @@ scaled, by d * |beta_p|, and is kept as the same object when that scale,
 after the gcd, is 1.  The loop keeps each live row and column under the
 label it started with, in position order, so min(beta) is the least
 position and no step reindexes a column or builds an ExactMatrix; the
-labels are turned into positions once, at the head, when they are not
-already 0..h-1, and for a certificate each step's positional conjugator is
-derived from them.  One loop, _normal_form, runs the recursion from such a
-label-keyed state and a first pivot and returns the head block as a matrix:
+labels are turned into positions once, at the head, and for a certificate
+each step's positional conjugator is derived from them.  One loop,
+_normal_form, runs the recursion from such a label-keyed state and a
+first pivot and returns the head block as a matrix:
 classify and classify_certified start it from the validated rows of x
 with the pivot min(beta) (_classified), and the moment map's oracle from a
 bordered state of the blocks its conjugation moves (moment.oracle_image).
@@ -247,12 +247,9 @@ def _normal_form(d, rows, beta, p, cert=None):
         # absorb the column t the unipotent radical can reach, then recurse
         d, rows, beta = _conjugate_step(d, rows, beta, p)
         p = min(beta, default=None)  # labels keep position order: the least position
-    heads = rows.values()
-    h = len(rows)
-    if h and next(reversed(rows)) != h - 1:  # relabel the columns to positions once
-        position = {q: i for i, q in enumerate(rows)}
-        heads = [{position[j]: v for j, v in row.items()} for row in heads]
-    return ExactMatrix.from_integer(d, list(heads), h), cert
+    position = {q: i for i, q in enumerate(rows)}  # relabel the columns to positions once
+    heads = [{position[j]: v for j, v in row.items()} for row in rows.values()]
+    return ExactMatrix.from_integer(d, heads, len(rows)), cert
 
 
 def certificate_holds(

@@ -23,10 +23,8 @@ data and repr):
   sums, the elimination step and the diagonal shifts of the Jordan rank
   filtration all call it, and other modules combine rows only through it,
   _integer_matmul, block_diag and the + and * of ExactMatrix;
-* rows are never modified, so they are shared wherever a value repeats:
-  a product row with one entry 1 is the row of the other factor it picks,
-  and the shift of the Jordan rank filtration at 0 is the stored rows
-  themselves.
+* rows are never modified, so a value may share them wherever it
+  repeats.
 
 Exact inputs are read by one rule, here and in the other modules: _fraction
 takes an int or a Fraction, _integer takes an int, and anything else (a
@@ -48,8 +46,9 @@ eigenspaces it lost belong to other eigenvalues, on which s is invertible.
 So the rank drops of a later key are the same on W as on the whole space,
 a key found before drops nothing, and the last eigenvalue found leaves
 W = 0; rows left after the last key are a SpectrumMismatch.  The loop
-takes its keys normalised: jordan_structure normalises a caller's hints
-(_eigenvalue) one at a time as the loop reads them, and the oracle
+takes its keys normalised: jordan_structure normalises every one of a
+caller's hints (_eigenvalue) before the loop starts, so a bad hint raises
+even where the loop would stop before it, and the oracle
 (moment.oracle_image) passes the eigenvalues of a validated orbit's
 classes as they are.
 """
@@ -292,15 +291,9 @@ def integer_rank(rows: Iterable[dict]) -> int:
 
 def _integer_matmul(a: list, b) -> list:
     """Product of two integer matrices given as sparse rows; b may be any
-    mapping from the column keys of a's rows to rows.  A row of a with one
-    entry v at k gives v * b[k], and b[k] itself when v is 1 (rows are
-    never modified, so they may be shared)."""
+    mapping from the column keys of a's rows to rows."""
     out = []
     for row in a:
-        if len(row) == 1:
-            (k, v), = row.items()
-            out.append(b[k] if v == 1 else {j: v * w for j, w in b[k].items()})
-            continue
         acc = {}
         for k, v in row.items():
             for j, w in b[k].items():
@@ -366,11 +359,11 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     (real Jordan form), and the pair uses twice its partition's weight.  So
     the whole structure is read off rational rank filtrations.
 
-    The hints are normalised (_eigenvalue) and chained through the one
-    rank-filtration loop, _jordan_partitions, as the module docstring
-    explains: each is ranked on the row space W that the hints found before
-    it leave, where its rank drops are those on the whole space, and a hint
-    already found (or absent) drops nothing.
+    Every hint is normalised (_eigenvalue) first, and the keys are chained
+    through the one rank-filtration loop, _jordan_partitions, as the module
+    docstring explains: each is ranked on the row space W that the hints
+    found before it leave, where its rank drops are those on the whole
+    space, and a hint already found (or absent) drops nothing.
 
     Returns {r or (a, b) with b > 0: Partition of block sizes}, omitting
     eigenvalues of multiplicity zero.  Raises SpectrumMismatch when the
@@ -379,7 +372,8 @@ def jordan_structure(m: ExactMatrix, eigenvalues: Sequence) -> dict:
     """
     if not m.is_square():
         raise ValueError("jordan_structure needs a square matrix")
-    return {lam: p for lam, p in _jordan_partitions(m, map(_eigenvalue, eigenvalues)) if p}
+    keys = [_eigenvalue(hint) for hint in eigenvalues]
+    return {lam: p for lam, p in _jordan_partitions(m, keys) if p}
 
 
 def _jordan_partitions(m: ExactMatrix, keys: Iterable) -> list:
@@ -423,14 +417,11 @@ def _shifted_rows(m: ExactMatrix, lam) -> list:
     of q = (m - a)^2 + b^2 at a pair (a, b); a multiple has the same ranks.
 
     With a = p/q and m = rows/d the rows are those of q*d*m - p*d*I, built
-    on copies of the stored rows; at a = 0 they are the stored rows.
+    on copies of the stored rows.
     """
     a, b = lam if isinstance(lam, tuple) else (lam, 0)
     q, shift = a.denominator, a.numerator * m.denominator
-    if a:
-        rows = [_combination(q, row, -shift, {i: 1}) for i, row in enumerate(m.numerators)]
-    else:
-        rows = m.numerators
+    rows = [_combination(q, row, -shift, {i: 1}) for i, row in enumerate(m.numerators)]
     if not b:
         return rows
     # s = q*d*(m - a) and (q*d*b)^2 = u/v give v*(q*d)^2*q = v*s^2 + u*I, with

@@ -354,13 +354,12 @@ def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
     out by block_layout.  Built once and kept in a slot that ==, hash and
     to_json ignore."""
     if orbit._representative is None:
-        made = {}  # matrices are immutable, so copies may share
+        blocks = []
         for _, _, idx, k in block_layout(orbit):
-            if (idx, k) not in made:
-                cls = orbit.classes[idx]
-                made[idx, k] = (pair_block(k, cls.re, cls.im) if cls.is_pair
-                                else jordan_block(k, cls.re))
-        orbit._representative = block_diag(*(made[idx, k] for _, _, idx, k in block_layout(orbit)))
+            cls = orbit.classes[idx]
+            blocks.append(pair_block(k, cls.re, cls.im) if cls.is_pair
+                          else jordan_block(k, cls.re))
+        orbit._representative = block_diag(*blocks)
     return orbit._representative
 
 

@@ -24,10 +24,9 @@ it generates as checked, since it has sign_shape's shape and 0/1 entries,
 and forms the dense image once per orbit, since it does not depend on the
 signs.  Both build a report by _report, which takes the dense image from
 moment._dense_image: the surgery at the dense choices read off the orbit,
-with no selection built or fitted.  That path hashes and multiplies no
-Fraction: _attach sorts by _key with each twist scaled to an int, and the
-merge walk compares eigenvalues only where the head lost or gained a class,
-since the surgery passes the others through unchanged.
+with no selection built or fitted.  The merge walk compares eigenvalues
+only where the head lost or gained a class, since the surgery passes the
+others through unchanged.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
@@ -45,8 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .exact_linalg import _fraction, _integer
@@ -94,14 +92,11 @@ _HALF = Fraction(1, 2)
 
 
 def _key(kind, t, twist, w, m, s) -> tuple:
-    """Factor.sort_key of a factor with these fields.  _attach passes twists
-    scaled to ints, all by one positive number per label, which orders the
-    label's factors as their Fraction twists do."""
+    """Factor.sort_key of a factor with these fields."""
     return (twist, -_KIND_ORDER[kind], t, m or 0, s or 0, -w)
 
 
 _SORT_KEY = attrgetter("_key")
-_FIRST = itemgetter(0)
 
 
 class UnsupportedOrbitShape(Exception):
@@ -324,7 +319,11 @@ def _check_signs(orbit: OrbitDatum, signs) -> list:
     TypeError on a sign that is not an int and ValueError on one that is not
     0 or 1 or on any shape but sign_shape(orbit), the one place that shape
     is worked out, so each sign comes out an int 0 or 1, ready for
-    Factor._canonical."""
+    Factor._canonical.  signs may be any iterable (or None for none); it is
+    read once, before any check, since an iterator is true even when
+    empty."""
+    if signs is not None:
+        signs = list(signs)
     shape = sign_shape(orbit)
     if not shape:
         if signs:
@@ -353,17 +352,12 @@ def _attach(orbit: OrbitDatum, signs: list) -> RepLabel:
     classes come from a validated OrbitDatum (a Fraction eigenvalue, dual
     parts that are positive ints, pair classes over R only), the signs from
     _check_signs, and the pair parameter from the half-integer check here.
-    The factors are sorted by _key with every twist scaled to an int by the
-    lcm of the eigenvalue denominators, so the sort compares no Fraction;
-    the twists of one label are all scaled by the same number, which keeps
-    their order and their ties."""
-    classes = orbit.classes
-    scale = lcm(*(cls.re.denominator for cls in classes))
-    keyed = []
-    for i, cls in enumerate(classes):
+    The factors are sorted as RepLabel's constructor sorts them, by their
+    sort key descending."""
+    factors = []
+    for i, cls in enumerate(orbit.classes):
         dual_parts = cls.partition.dual()
         re = cls.re
-        twist = re.numerator * (scale // re.denominator)
         if cls.is_pair:
             # im > 0, so 2 im is a positive int exactly when im's
             # denominator is 1 or 2
@@ -374,16 +368,12 @@ def _attach(orbit: OrbitDatum, signs: list) -> RepLabel:
                     "half-integer" % (re, im)
                 )
             m = im.numerator * (2 // im.denominator)
-            keyed += [(_key(SPEH, p, twist, 0, m, None), Factor._canonical(SPEH, p, re, 0, m))
-                      for p in dual_parts]
+            factors += [Factor._canonical(SPEH, p, re, 0, m) for p in dual_parts]
         else:
             ws = (signs[i] if i < len(signs) else ()) + (0,) * len(dual_parts)
-            keyed += [(_key(CHARACTER, p, twist, w, None, None),
-                       Factor._canonical(CHARACTER, p, re, w))
-                      for p, w in zip(dual_parts, ws)]
-    # equal keys happen and Factor has no <, so the sort reads the key alone
-    keyed.sort(key=_FIRST, reverse=True)
-    return RepLabel._canonical(orbit.field, tuple([f for _, f in keyed]))
+            factors += [Factor._canonical(CHARACTER, p, re, w) for p, w in zip(dual_parts, ws)]
+    factors.sort(key=_SORT_KEY, reverse=True)
+    return RepLabel._canonical(orbit.field, tuple(factors))
 
 
 def attach_gl_rep(orbit: OrbitDatum, signs=None) -> RepLabel:
@@ -438,7 +428,8 @@ def all_sign_choices(orbit: OrbitDatum):
 
 
 class RestrictionReport:
-    """Outcome of comparing a restriction with the dense-orbit attachment."""
+    """Outcome of comparing a restriction with the dense-orbit attachment.
+    signs is the checked assignment, int 0s and 1s, or None for none."""
 
     def __init__(self, orbit, signs, ok, restricted, attached, omega):
         self.orbit, self.signs, self.ok = orbit, signs, ok
@@ -482,17 +473,18 @@ def _head_signs(orbit: OrbitDatum, signs: list, head: OrbitDatum) -> list:
     return out
 
 
-def _report(orbit: OrbitDatum, signs, checked: list, omega=None) -> RestrictionReport:
-    """The RestrictionReport of the sign assignment signs, whose checked
-    form (_check_signs's list) is checked.  The orbit's label is attached
-    before the dense image omega is formed (when not given), so an orbit
-    with no label raises first."""
+def _report(orbit: OrbitDatum, checked: list, omega=None) -> RestrictionReport:
+    """The RestrictionReport of the sign assignment checked, as
+    _check_signs returns it.  The orbit's label is attached before the
+    dense image omega is formed (when not given), so an orbit with no label
+    raises first."""
     restricted = restrict_to_mirabolic(_attach(orbit, checked))
     if omega is None:
         omega = _dense_image(orbit)
     head = omega.a_part
     attached = MirabolicRepLabel(omega.depth, _attach(head, _head_signs(orbit, checked, head)))
-    return RestrictionReport(orbit, signs, restricted == attached, restricted, attached, omega)
+    return RestrictionReport(orbit, checked or None, restricted == attached, restricted,
+                             attached, omega)
 
 
 def restriction_reports(orbit: OrbitDatum):
@@ -502,7 +494,7 @@ def restriction_reports(orbit: OrbitDatum):
     is already what _check_signs would return (None stands for [])."""
     omega = None
     for signs in all_sign_choices(orbit):
-        report = _report(orbit, signs, signs or [], omega)
+        report = _report(orbit, signs or [], omega)
         omega = report.omega
         yield report
 
@@ -517,6 +509,4 @@ def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:
     parts keep theirs, so a head class takes the signs of its eigenvalue,
     and a head class the orbit cannot account for fails the check.
     """
-    # the signs are read twice, so a one-shot iterator is read into a list
-    signs = None if signs is None else [tuple(ws) for ws in signs]
-    return _report(orbit, signs, _check_signs(orbit, signs))
+    return _report(orbit, _check_signs(orbit, signs))

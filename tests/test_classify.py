@@ -139,6 +139,9 @@ class TestClassify:
         # a non-rational entry cannot reach classify: the matrix refuses it
         with pytest.raises(TypeError):
             classify(ExactMatrix([[1j, 0], [0, 0]]), REAL)
+        # nor can an inexact hint, though a depth-3 point leaves no head to rank
+        with pytest.raises(TypeError):
+            classify(example_27_matrix(3), COMPLEX, [0, 0, 0.25])
 
     def test_spectrum_mismatch_surfaces(self):
         x = ExactMatrix([[7, 0], [0, 0]])

@@ -468,13 +468,17 @@ class TestJordanStructure:
             with pytest.raises(SpectrumMismatch):
                 jordan_structure(m, short)
 
-    def test_hints_are_read_up_to_one_past_an_exhausted_spectrum(self):
-        # the hint read after the spectrum is exhausted ends the loop, so it
-        # is checked, and no later hint is read
-        m = block_diag(jordan_block(2), jordan_block(1, 3))
+    @pytest.mark.parametrize("m, hints", [
+        (block_diag(jordan_block(2), jordan_block(1, 3)), [0, 3, 0.5]),
+        (block_diag(jordan_block(2), jordan_block(1, 3)), [0, 3, 5, 0.5]),
+        (jordan_block(2), [1.5, 0]),
+        (jordan_block(2), [0, 0, 1.5]),
+        (jordan_block(2), [0, 1, "x"]),
+    ], ids=["one_past", "two_past", "first", "float_past", "string_past"])
+    def test_every_hint_is_checked(self, m, hints):
+        # also a hint after the spectrum is exhausted, which the loop never ranks
         with pytest.raises(TypeError):
-            jordan_structure(m, [0, 3, 0.5])
-        assert jordan_structure(m, [0, 3, 5, 0.5]) == {0: Partition([2]), 3: Partition([1])}
+            jordan_structure(m, hints)
 
     @pytest.mark.parametrize("hints, expected", [
         # [1, 1]: a repeat found before the spectrum is exhausted

@@ -561,10 +561,9 @@ class TestFiberStabilizers:
 
 class TestSharedRows:
     def test_no_row_is_changed_on_the_size_five_corpora(self):
-        # the projection shares the moved point's rows, the classify step
-        # keeps a row it leaves alone, a one-entry product row
-        # is a row of its factor, and jordan_structure ranks the stored rows
-        # at a hint 0 and at a pair hint (0, b): no path may write to them
+        # the projection shares the moved point's rows and the classify
+        # step keeps a row it leaves alone, so no path may write to them;
+        # jordan_structure runs on them at a hint 0 and a pair hint (0, b)
         for o in list(complex_corpus(5)) + list(real_corpus(5, require_pair=False)):
             x = realize_orbit(o)
             kept = copy.deepcopy(x.numerators)
