@@ -26,7 +26,7 @@ selection comes from one rule too, _dense_choices, which reads each class's
 largest block off the orbit itself: dense_selection builds its
 IndexSelection from it, and _dense_image feeds it straight to the surgery,
 _surgery, that symbolic_image runs, so the dense image checks no selection
-the program made from the same orbit.
+the program made from the same orbit, and is formed once per orbit object.
 """
 from __future__ import annotations
 
@@ -96,8 +96,11 @@ def symbolic_image(orbit: OrbitDatum, selection: IndexSelection) -> MirabolicOrb
 
 def _dense_image(orbit: OrbitDatum) -> MirabolicOrbitDatum:
     """symbolic_image(orbit, dense_selection(orbit)), from _dense_choices
-    without building or fitting a selection."""
-    return _surgery(orbit, _dense_choices(orbit))
+    without building or fitting a selection; formed once per orbit object and
+    kept in its _dense slot, which only this function reads."""
+    if orbit._dense is None:
+        orbit._dense = _surgery(orbit, _dense_choices(orbit))
+    return orbit._dense
 
 
 def _surgery(orbit: OrbitDatum, choices) -> MirabolicOrbitDatum:

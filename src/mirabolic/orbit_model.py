@@ -203,9 +203,11 @@ class EigenvalueClass:
 
 
 class OrbitDatum:
-    """A GL_n(k) coadjoint orbit: field tag plus canonically sorted classes."""
+    """A GL_n(k) coadjoint orbit: field tag plus canonically sorted classes.
+    Slots that ==, hash and to_json ignore keep, once formed, what depends on
+    the orbit alone: block_layout, realize_orbit and moment._dense_image."""
 
-    __slots__ = ("field", "classes", "_representative", "_layout")
+    __slots__ = ("field", "classes", "_representative", "_layout", "_dense")
 
     def __init__(self, field: str, classes: Iterable[EigenvalueClass] = ()):
         if field not in (REAL, COMPLEX):
@@ -219,7 +221,7 @@ class OrbitDatum:
         if field == COMPLEX and any(c.is_pair for c in ordered):
             raise OrbitSpecError("pair classes are only allowed over the real field")
         self.classes = ordered
-        self._representative = self._layout = None
+        self._representative = self._layout = self._dense = None
 
     @classmethod
     def _canonical(cls, field: str, classes: tuple) -> "OrbitDatum":
@@ -228,7 +230,7 @@ class OrbitDatum:
         o = object.__new__(cls)
         o.field = field
         o.classes = classes
-        o._representative = o._layout = None
+        o._representative = o._layout = o._dense = None
         return o
 
     @property
@@ -335,8 +337,7 @@ def block_layout(orbit: OrbitDatum) -> tuple:
     Classes follow the canonical class order; inside a class the blocks are
     laid out with sizes ascending, which the selection position formulas
     rely on.  The one layout rule of the representative, the selection
-    positions and the oracle's moved blocks; built once and kept beside the
-    representative, in a slot that ==, hash and to_json ignore.
+    positions and the oracle's moved blocks; kept in a slot of the orbit.
     """
     if orbit._layout is None:
         layout, end = [], 0
@@ -351,8 +352,7 @@ def block_layout(orbit: OrbitDatum) -> tuple:
 
 def realize_orbit(orbit: OrbitDatum) -> ExactMatrix:
     """Block-diagonal matrix representative of the orbit, its blocks laid
-    out by block_layout.  Built once and kept in a slot that ==, hash and
-    to_json ignore."""
+    out by block_layout; kept in a slot of the orbit."""
     if orbit._representative is None:
         blocks = []
         for _, _, idx, k in block_layout(orbit):

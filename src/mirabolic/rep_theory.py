@@ -20,13 +20,13 @@ head's sign list comes from one merge walk of the head's and the orbit's
 real classes, both by descending eigenvalue (_head_signs).
 verify_restriction checks the caller's one assignment through _check_signs;
 restriction_reports walks all_sign_choices lazily and takes each assignment
-it generates as checked, since it has sign_shape's shape and 0/1 entries,
-and forms the dense image once per orbit, since it does not depend on the
-signs.  Both build a report by _report, which takes the dense image from
-moment._dense_image: the surgery at the dense choices read off the orbit,
-with no selection built or fitted.  The merge walk compares eigenvalues
-only where the head lost or gained a class, since the surgery passes the
-others through unchanged.
+it generates as checked, since it has sign_shape's shape and 0/1 entries.
+Both build a report by _report, which takes the dense image from the
+surgery at the dense choices read off the orbit (moment._dense_image), with
+no selection built or fitted, once per orbit object: it does not depend on
+the signs, so the orbit keeps it in its _dense slot.  The merge walk
+compares eigenvalues only where the head lost or gained a class, since the
+surgery passes the others through unchanged.
 
 A label keeps its factors sorted once, descending by Factor.sort_key, which
 covers every field of a factor and so is also its identity for == and hash.
@@ -473,14 +473,13 @@ def _head_signs(orbit: OrbitDatum, signs: list, head: OrbitDatum) -> list:
     return out
 
 
-def _report(orbit: OrbitDatum, checked: list, omega=None) -> RestrictionReport:
+def _report(orbit: OrbitDatum, checked: list) -> RestrictionReport:
     """The RestrictionReport of the sign assignment checked, as
     _check_signs returns it.  The orbit's label is attached before the
-    dense image omega is formed (when not given), so an orbit with no label
-    raises first."""
+    dense image omega is read (moment._dense_image forms it on the orbit's
+    first report), so an orbit with no label raises first."""
     restricted = restrict_to_mirabolic(_attach(orbit, checked))
-    if omega is None:
-        omega = _dense_image(orbit)
+    omega = _dense_image(orbit)
     head = omega.a_part
     attached = MirabolicRepLabel(omega.depth, _attach(head, _head_signs(orbit, checked, head)))
     return RestrictionReport(orbit, checked or None, restricted == attached, restricted,
@@ -489,14 +488,11 @@ def _report(orbit: OrbitDatum, checked: list, omega=None) -> RestrictionReport:
 
 def restriction_reports(orbit: OrbitDatum):
     """verify_restriction's report for every assignment of all_sign_choices,
-    in that order and lazily, with the dense image formed once per orbit.
-    Each assignment is generated in sign_shape's shape from 0 and 1, so it
-    is already what _check_signs would return (None stands for [])."""
-    omega = None
+    in that order and lazily, all with the orbit's one dense image.  Each
+    assignment is generated in sign_shape's shape from 0 and 1, so it is
+    already what _check_signs would return (None stands for [])."""
     for signs in all_sign_choices(orbit):
-        report = _report(orbit, signs or [], omega)
-        omega = report.omega
-        yield report
+        yield _report(orbit, signs or [])
 
 
 def verify_restriction(orbit: OrbitDatum, signs=None) -> RestrictionReport:

@@ -27,7 +27,7 @@ from mirabolic import (
     realize_orbit,
 )
 
-from mirabolic import orbit_model
+from mirabolic import moment, orbit_model
 from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.orbit_model import MAX_DECIMAL_EXPONENT, parse_rational
 
@@ -81,6 +81,20 @@ class TestRealize:
         assert realize_orbit(fresh) == x
         # the stored representative is no part of the orbit's value
         assert (fresh, hash(fresh), fresh.to_json()) == (o, hash(o), o.to_json())
+
+    def test_dense_image_is_formed_once_per_orbit(self):
+        o = orbit(REAL, (1, [2, 1]), (0, "1/2", [2, 1]))
+        before = (hash(o), o.to_json())
+        omega = moment._dense_image(o)
+        assert moment._dense_image(o) is omega and o._dense is omega
+        # the stored image is no part of the orbit's value
+        assert (hash(o), o.to_json()) == before
+        fresh = orbit(REAL, (0, "1/2", [2, 1]), (1, [2, 1]))
+        assert fresh._dense is None
+        assert (fresh, hash(fresh), fresh.to_json()) == (o, hash(o), o.to_json())
+        # the trusted constructor, which builds the image's head, starts empty
+        assert omega.a_part._dense is None
+        assert OrbitDatum._canonical(o.field, o.classes)._dense is None
 
     def test_block_layout_places_every_block_of_the_representative(self):
         o = orbit(REAL, (1, [2, 1]), (0, "1/2", [2, 1]), (3, [1, 1]))

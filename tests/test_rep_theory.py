@@ -31,7 +31,7 @@ from mirabolic import (
     verify_restriction,
 )
 from mirabolic.cli import _signs
-from mirabolic import rep_theory
+from mirabolic import moment, rep_theory
 from mirabolic.rep_theory import _KIND_ORDER, SPEH, STEIN, Factor
 from mirabolic.corpus import complex_corpus, real_corpus
 from mirabolic.partitions import partitions_of_weight
@@ -528,13 +528,28 @@ class TestRestrictionReports:
 
         check()
 
-    def test_the_dense_image_is_formed_once_per_orbit(self, monkeypatch):
-        calls = []
-        real = rep_theory._dense_image
-        monkeypatch.setattr(rep_theory, "_dense_image", lambda o: calls.append(o) or real(o))
+    def test_the_surgery_runs_once_per_orbit_object(self, monkeypatch):
+        # the dense image is kept on the orbit, so neither the per-orbit sweep
+        # nor repeated single checks run the block surgery again
+        runs = []
+        surgery = moment._surgery
+        monkeypatch.setattr(moment, "_surgery",
+                            lambda o, choices: runs.append(o) or surgery(o, choices))
         o = orbit(REAL, (1, [1]), (0, [2, 1]))
-        assert len([r for r in restriction_reports(o) if r.ok]) == 8
-        assert calls == [o]
+        reports = list(restriction_reports(o))
+        assert len(reports) == 8
+        for signs in all_sign_choices(o):
+            for _ in range(2):
+                reports.append(verify_restriction(o, signs))
+        omega = reports[0].omega
+        assert all(r.ok and r.omega is omega for r in reports)
+        assert len(runs) == 1 and runs[0] is o
+        # an equal but distinct orbit object forms its own, equal image
+        twin = orbit(REAL, (0, [2, 1]), (1, [1]))
+        assert twin == o and twin is not o
+        own = verify_restriction(twin, reports[0].signs).omega
+        assert len(runs) == 2 and runs[1] is twin
+        assert own == omega and own is not omega
 
     def test_the_empty_orbit_raises_before_the_dense_image(self):
         with pytest.raises(ValueError, match="cannot restrict the empty label"):
